@@ -1,6 +1,6 @@
 """Graphon mean-field subsampling for cooperative multi-agent RL."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights, evaluate
 from .histograms import (
@@ -12,6 +12,7 @@ from .histograms import (
     fiber_size,
     marginal,
     nearest_histogram,
+    nearest_histograms,
     num_histograms,
     tv_distance,
 )
@@ -22,9 +23,11 @@ from .env import (
     load_tabular_env,
     local_reward,
     make_env,
+    rewards,
     sample_reward,
     step_distribution,
     team_reward,
+    transitions,
     warehouse_env,
 )
 from .sampler import (
@@ -37,6 +40,7 @@ from .sampler import (
     exact_state_aggregates,
     ht_estimate,
     sample_neighbors,
+    stacked_alias,
     tv_concentration_bound,
 )
 from .bellman import (

@@ -14,17 +14,18 @@ from pathlib import Path
 
 from .bellman import load_qtable, save_qtable
 from .errors import BudgetError, ConfigError, GmfsError
-from .execution import Policy, run_episode
 from .harness import (
     ExperimentConfig,
+    _parse_seeds,
     build_assignment,
     build_environment,
     build_graphon,
-    episode_seed,
+    evaluate_table,
     parse_config,
     run_diagnostics,
     run_sweep,
     train_kappa,
+    write_episodes_csv,
 )
 from .graphon import build_weights
 
@@ -38,13 +39,6 @@ def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig().validate()
     return parse_config(Path(path).read_text())
-
-
-def _parse_seed_expr(raw: str):
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return tuple(range(int(lo), int(hi)))
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
 def cmd_train(args) -> int:
@@ -62,34 +56,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_execute(args) -> int:
+    t0 = time.perf_counter()
     cfg = _load_config(args.config)
     q = load_qtable(args.qtable)
     env = build_environment(cfg)
     if q.env_name and q.env_name != env.name:
         print(f"warning: q-table was trained on {q.env_name!r} but the config "
               f"builds {env.name!r}", file=sys.stderr)
+    if args.seeds:
+        seeds = _parse_seeds(args.seeds, "command line", "--seeds")
+        cfg = replace(cfg, seed_list=seeds).validate()
     weights = build_weights(build_graphon(cfg), build_assignment(cfg))
-    policy = Policy(q)
-    seeds = _parse_seed_expr(args.seeds) if args.seeds else cfg.seed_list
-    rows = []
-    for idx in seeds:
-        t0 = time.perf_counter()
-        result = run_episode(
-            env, weights, policy, cfg.n, q.kappa, cfg.horizon, cfg.gamma,
-            init=cfg.init, seed=episode_seed(cfg.master_seed, idx),
-            reward_aggregates=cfg.reward_aggregates,
-            policy_inputs="exact" if cfg.baseline == "exact" else "sampled",
-        )
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        rows.append((idx, q.kappa, cfg.horizon, result.discounted_return, wall_ms))
+    evaluation = evaluate_table(cfg, env, weights, q)
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        fh.write("seed,kappa,horizon,discounted_return,wall_time_ms\n")
-        for idx, kappa, horizon, ret, ms in rows:
-            fh.write(f"{idx},{kappa},{horizon},{ret!r},{ms:.3f}\n")
-    mean = sum(r[3] for r in rows) / len(rows)
-    print(f"executed {len(rows)} episode(s), mean discounted return {mean:.4f}, "
-          f"wrote {out}")
+    write_episodes_csv(out, cfg, {q.kappa: evaluation.returns})
+    print(f"executed {len(evaluation.returns)} episode(s) in "
+          f"{time.perf_counter() - t0:.3f} s, mean discounted return "
+          f"{evaluation.mean:.4f}, wrote {out}")
     return EXIT_OK
 
 
@@ -146,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("execute", help="run episodes under a trained policy")
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--qtable", required=True, help="trained q-table path")
-    p.add_argument("--seeds", help="seed list, e.g. '0..30' or '0 1 2'")
+    p.add_argument("--seeds", help="seeds as in a config's [execute] seeds: a count "
+                                   "('30' is seeds 0..29), a range '0..30' or a list '0,1,2'")
     p.add_argument("--out", required=True, help="output episodes CSV")
     p.set_defaults(func=cmd_execute)
 

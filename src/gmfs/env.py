@@ -6,6 +6,14 @@ neighborhood state marginal g (a pmf over states), plus metadata. Pure
 functions rather than tables because g ranges over a continuum; tabulation
 against histogram points happens in the learning core.
 
+An environment may also carry batched forms of both functions,
+``transition_batch(s, a, g)`` and ``reward_batch(s, a, g)``, which take
+integer arrays ``s`` and ``a`` of one shape and marginals ``g`` of that shape
+plus a trailing state axis, and return the pmfs (trailing state axis) or the
+rewards elementwise. They must agree with the per-agent functions; the
+simulator reaches them only through ``transitions`` and ``rewards``, which
+fall back to per-agent calls when an environment has none.
+
 All functions are stateless; RNG is passed explicitly, so everything here is
 safe under arbitrary concurrent use with per-worker streams.
 """
@@ -31,6 +39,8 @@ class Environment:
     discount: float = 0.95
     lipschitz_p: float | None = None  # None means "unknown"
     marginal_sufficient: bool = False
+    transition_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    reward_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0 < self.discount < 1:
@@ -73,18 +83,45 @@ def local_reward(env: Environment, s: int, a: int, g) -> float:
     return float(env.reward(s, a, g))
 
 
-def team_reward(env: Environment, states, actions, aggregates) -> float:
-    """Arithmetic mean of the agents' local rewards."""
+def transitions(env: Environment, s, a, g) -> np.ndarray:
+    """Next-state pmfs P(. | s, a, g) elementwise over same-shaped state and
+    action arrays; ``g`` carries a trailing state axis, as does the result."""
+    s = np.asarray(s, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    g = np.asarray(g, dtype=np.float64)
+    if env.transition_batch is not None:
+        return env.transition_batch(s, a, g)
+    out = np.empty(s.shape + (env.n_states,))
+    for idx in np.ndindex(s.shape):
+        out[idx] = env.transition(int(s[idx]), int(a[idx]), g[idx])
+    return out
+
+
+def rewards(env: Environment, s, a, g) -> np.ndarray:
+    """Local rewards r(s, a, g) elementwise over same-shaped state and action
+    arrays; ``g`` carries a trailing state axis."""
+    s = np.asarray(s, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    g = np.asarray(g, dtype=np.float64)
+    if env.reward_batch is not None:
+        return env.reward_batch(s, a, g)
+    out = np.empty(s.shape)
+    for idx in np.ndindex(s.shape):
+        out[idx] = env.reward(int(s[idx]), int(a[idx]), g[idx])
+    return out
+
+
+def team_reward(env: Environment, states, actions, aggregates):
+    """Arithmetic mean of the agents' local rewards over the last (agent)
+    axis: a float for one population, an array for a batch of them."""
     states = np.asarray(states)
     actions = np.asarray(actions)
     aggregates = np.asarray(aggregates, dtype=np.float64)
-    n = len(states)
-    if len(actions) != n or aggregates.shape[0] != n:
+    if (states.ndim == 0 or actions.shape != states.shape
+            or aggregates.shape[:-1] != states.shape):
         raise ValueError("states, actions, and aggregates must share length n")
-    total = 0.0
-    for i in range(n):
-        total += env.reward(int(states[i]), int(actions[i]), aggregates[i])
-    return total / n
+    total = rewards(env, states, actions, aggregates).sum(axis=-1) / states.shape[-1]
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +177,21 @@ def warehouse_env(**overrides) -> Environment:
     def reward(s: int, a: int, g: np.ndarray) -> float:
         return float(values[s] * max(floor, 1.0 - sens * g[WORKING]) - costs[a])
 
+    # the batched forms repeat the arithmetic above operation for operation,
+    # so they agree with the per-agent functions bit for bit
+    def transition_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+        work = a == WORKING
+        p = np.maximum(min_work, base - slope * g[..., WORKING])
+        pmf = np.zeros(s.shape + (3,))
+        np.put_along_axis(pmf, a[..., None], np.where(work, p, base)[..., None], axis=-1)
+        # a failed work attempt lands in transit, any other stays in place
+        fail_to = np.where(work, TRANSIT, s)
+        pmf += (np.arange(3) == fail_to[..., None]) * np.where(work, 1.0 - p, 1.0 - base)[..., None]
+        return pmf
+
+    def reward_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return values[s] * np.maximum(floor, 1.0 - sens * g[..., WORKING]) - costs[a]
+
     bound = float(np.max(values) * 1.0 - np.min(costs))
     return Environment(
         name="warehouse",
@@ -153,6 +205,8 @@ def warehouse_env(**overrides) -> Environment:
         # |g(2) - g'(2)| <= 2 TV(g, g'), so TV(P, P') <= 1.6 TV(g, g')
         lipschitz_p=2.0 * slope,
         marginal_sufficient=True,
+        transition_batch=transition_batch,
+        reward_batch=reward_batch,
     )
 
 
@@ -183,6 +237,12 @@ def linear_env(name: str, kernel: np.ndarray, rewards: np.ndarray,
     def reward(s: int, a: int, g: np.ndarray) -> float:
         return float(g @ rewards[s, a])
 
+    def transition_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return (g[..., None, :] @ kernel[s, a])[..., 0, :]
+
+    def reward_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return (g[..., None, :] @ rewards[s, a][..., None])[..., 0, 0]
+
     return Environment(
         name=name,
         n_states=ns,
@@ -193,6 +253,8 @@ def linear_env(name: str, kernel: np.ndarray, rewards: np.ndarray,
         discount=discount,
         lipschitz_p=1.0,
         marginal_sufficient=marginal_sufficient,
+        transition_batch=transition_batch,
+        reward_batch=reward_batch,
     )
 
 

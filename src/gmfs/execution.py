@@ -7,8 +7,16 @@ sampled aggregates into the reward instead is available as an ablation, and a
 diagnostic mode feeds the policy exact aggregates rounded to the histogram
 grid (the no-sampling baseline).
 
-Agents within a step are driven by independent streams keyed by
-(seed, step, agent), so any parallel schedule reproduces the same episode.
+The simulator steps a batch of episodes at once as whole-population arrays
+of shape (episodes, n, ...); a single episode is a batch of one.
+
+Determinism: one stream per episode, one block per step. Each episode draws
+from its own generator ``stream(seed, "exec")``, created once, and takes one
+(n, 2 kappa + 1) block of uniforms per step: row i holds agent i's kappa
+bucket uniforms, then its kappa accept uniforms for the alias draws, then
+its transition uniform. The block is drawn whether or not the policy samples
+neighbors, so an episode's values depend only on its seed, never on which
+other episodes share its batch or on any parallel schedule.
 """
 
 from __future__ import annotations
@@ -19,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bellman import QTable, fiber_argmax
-from .env import Environment
+from .env import Environment, team_reward, transitions
 from .graphon import WeightMatrix
-from .histograms import Histogram, get_index, nearest_histogram
+from .histograms import Histogram, get_index, nearest_histograms
 from .rng import stream
-from .sampler import row_alias
+from .sampler import exact_state_aggregates, stacked_alias
 
 
 @dataclass
@@ -98,6 +106,75 @@ def _initial_states(init, n: int, n_states: int, rng: np.random.Generator) -> np
     raise ValueError("init must be a state id, a pmf over states, or per-agent states")
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """What ``_simulate`` returns for a batch of E episodes."""
+
+    discounted: np.ndarray  # (E,)
+    stage_rewards: np.ndarray  # (E, horizon)
+    trajectory: list | None  # per step, (states, actions) of shape (E, n)
+
+
+def _simulate(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
+              kappa: int, horizon: int, gamma: float, seeds, init, *,
+              reward_aggregates: str, policy_inputs: str,
+              record_trajectory: bool) -> _Batch:
+    """Step one episode per seed together, as (episodes, n, ...) arrays."""
+    if policy.kappa != kappa:
+        raise ValueError(f"policy kappa {policy.kappa} does not match requested {kappa}")
+    if weights.n != n:
+        raise ValueError(f"weight matrix is for {weights.n} agents, not {n}")
+    if reward_aggregates not in ("exact", "sampled"):
+        raise ValueError("reward_aggregates must be 'exact' or 'sampled'")
+    if policy_inputs not in ("sampled", "exact"):
+        raise ValueError("policy_inputs must be 'sampled' or 'exact'")
+    S = env.n_states
+    E = len(seeds)
+    g_index = get_index(S, kappa)
+    greedy = policy.greedy_table()
+    alias = stacked_alias(weights)
+    states = np.stack([_initial_states(init, n, S, stream(sd, "exec-init")) for sd in seeds])
+    generators = [stream(sd, "exec") for sd in seeds]
+    blocks = np.empty((E, n, 2 * kappa + 1))
+    # offsets that give every (episode, agent) its own S histogram cells
+    cell_offset = (np.arange(E * n) * S).reshape(E, n, 1)
+    discounted = np.zeros(E)
+    coeff = 1.0
+    stage_rewards = np.empty((E, horizon))
+    trajectory = [] if record_trajectory else None
+
+    for t in range(horizon):
+        exact_g = exact_state_aggregates(weights, states, S)  # (E, n, S)
+        for e, gen in enumerate(generators):
+            gen.random(out=blocks[e])
+        if policy_inputs == "exact":
+            counts = nearest_histograms(exact_g, kappa)
+        else:
+            ids = alias.sample_from_uniforms(blocks[..., :kappa], blocks[..., kappa:2 * kappa])
+            neighbor_states = np.take_along_axis(states, ids.reshape(E, n * kappa), axis=1)
+            cells = cell_offset + neighbor_states.reshape(E, n, kappa)
+            counts = np.bincount(cells.ravel(), minlength=E * n * S).reshape(E, n, S)
+        ranks = g_index.rank_rows(counts.reshape(E * n, S)).reshape(E, n)
+        actions = greedy[states, ranks]
+
+        reward_g = exact_g if reward_aggregates == "exact" else counts / kappa
+        stage = team_reward(env, states, actions, reward_g)
+
+        if record_trajectory:
+            trajectory.append((states.copy(), actions.copy()))
+
+        cdf = np.cumsum(transitions(env, states, actions, exact_g), axis=-1)
+        # counting cdf entries <= u is searchsorted(cdf, u, side="right")
+        next_states = (blocks[..., 2 * kappa, None] >= cdf).sum(axis=-1)
+
+        stage_rewards[:, t] = stage
+        discounted += coeff * stage
+        coeff *= gamma
+        states = np.minimum(next_states, S - 1)
+
+    return _Batch(discounted=discounted, stage_rewards=stage_rewards, trajectory=trajectory)
+
+
 def run_episode(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
                 kappa: int, horizon: int, gamma: float, init=0, seed: int = 0, *,
                 reward_aggregates: str = "exact",
@@ -111,66 +188,15 @@ def run_episode(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
     agent per step; "exact" rounds the true aggregate onto the histogram grid
     (the full-information baseline).
     """
-    if policy.kappa != kappa:
-        raise ValueError(f"policy kappa {policy.kappa} does not match requested {kappa}")
-    if weights.n != n:
-        raise ValueError(f"weight matrix is for {weights.n} agents, not {n}")
-    if reward_aggregates not in ("exact", "sampled"):
-        raise ValueError("reward_aggregates must be 'exact' or 'sampled'")
-    if policy_inputs not in ("sampled", "exact"):
-        raise ValueError("policy_inputs must be 'sampled' or 'exact'")
-    S = env.n_states
-    g_index = get_index(S, kappa)
-    greedy = policy.greedy_table()
-    states = _initial_states(init, n, S, stream(seed, "exec-init"))
-    onehot = np.eye(S)
-    discounted = 0.0
-    coeff = 1.0
-    stage_rewards = np.empty(horizon)
-    trajectory = [] if record_trajectory else None
-
-    for t in range(horizon):
-        exact_g = weights.normalized @ onehot[states]  # (n, S) true aggregates
-        counts = np.empty((n, S), dtype=np.int64)
-        transition_u = np.empty(n)
-        for i in range(n):
-            rng_i = stream(seed, "exec", t, i)
-            block = rng_i.random(2 * kappa + 1)
-            if policy_inputs == "exact":
-                counts[i] = nearest_histogram(exact_g[i], kappa)
-            else:
-                ids = row_alias(weights, i).sample_from_uniforms(
-                    block[0:kappa], block[kappa : 2 * kappa])
-                counts[i] = np.bincount(states[ids], minlength=S)
-            transition_u[i] = block[2 * kappa]
-        ranks = g_index.rank_rows(counts)
-        actions = greedy[states, ranks]
-
-        if reward_aggregates == "exact":
-            reward_g = exact_g
-        else:
-            reward_g = counts / kappa
-        total = 0.0
-        for i in range(n):
-            total += env.reward(int(states[i]), int(actions[i]), reward_g[i])
-        stage = total / n
-
-        if record_trajectory:
-            trajectory.append((states.copy(), actions.copy()))
-
-        next_states = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            pmf = env.transition(int(states[i]), int(actions[i]), exact_g[i])
-            nxt = int(np.searchsorted(np.cumsum(pmf), transition_u[i], side="right"))
-            next_states[i] = min(nxt, S - 1)
-
-        stage_rewards[t] = stage
-        discounted += coeff * stage
-        coeff *= gamma
-        states = next_states
-
-    return EpisodeResult(discounted_return=discounted, stage_rewards=stage_rewards,
-                         seed=seed, trajectory=trajectory)
+    batch = _simulate(env, weights, policy, n, kappa, horizon, gamma, (int(seed),), init,
+                      reward_aggregates=reward_aggregates, policy_inputs=policy_inputs,
+                      record_trajectory=record_trajectory)
+    trajectory = None
+    if record_trajectory:
+        trajectory = [(s[0], a[0]) for s, a in batch.trajectory]
+    return EpisodeResult(discounted_return=float(batch.discounted[0]),
+                         stage_rewards=batch.stage_rewards[0], seed=seed,
+                         trajectory=trajectory)
 
 
 @dataclass(frozen=True)
@@ -183,9 +209,10 @@ class PolicyEvaluation:
 
 
 def evaluate_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
-                    kappa: int, horizon: int, gamma: float, seeds, init=0,
-                    **episode_kwargs) -> PolicyEvaluation:
-    """Run one episode per seed and summarize.
+                    kappa: int, horizon: int, gamma: float, seeds, init=0, *,
+                    reward_aggregates: str = "exact",
+                    policy_inputs: str = "sampled") -> PolicyEvaluation:
+    """Run one episode per seed, all seeds as one batch, and summarize.
 
     The tail bound gamma^horizon * reward_bound / (1 - gamma) quantifies the
     truncation of the infinite-horizon objective.
@@ -193,10 +220,9 @@ def evaluate_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: 
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("seed list must be non-empty")
-    returns = np.empty(len(seeds))
-    for k, sd in enumerate(seeds):
-        returns[k] = run_episode(env, weights, policy, n, kappa, horizon, gamma,
-                                 init=init, seed=sd, **episode_kwargs).discounted_return
+    returns = _simulate(env, weights, policy, n, kappa, horizon, gamma, seeds, init,
+                        reward_aggregates=reward_aggregates, policy_inputs=policy_inputs,
+                        record_trajectory=False).discounted
     mean = float(returns.mean())
     std_error = float(returns.std(ddof=1) / math.sqrt(len(seeds))) if len(seeds) > 1 else 0.0
     tail = gamma ** horizon * env.reward_bound / (1.0 - gamma) if gamma < 1 else math.inf

@@ -35,7 +35,7 @@ from .bellman import (
 )
 from .env import Environment, StochasticRewardEnv, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError
-from .execution import Policy, evaluate_policy
+from .execution import Policy, PolicyEvaluation, evaluate_policy
 from .graphon import Graphon, LatentAssignment, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
@@ -119,15 +119,21 @@ def _parse_number(section: str, key: str, raw: str, kind):
         raise ConfigError(f"[{section}] {key} = {raw!r}: expected {kind.__name__}") from exc
 
 
-def _parse_seeds(raw: str) -> tuple:
+def _parse_numbers(section: str, key: str, raw: str, kind) -> tuple:
+    """Whitespace-separated numbers, each checked by ``_parse_number``."""
+    return tuple(_parse_number(section, key, tok, kind) for tok in raw.split())
+
+
+def _parse_seeds(raw: str, section: str = "execute", key: str = "seeds") -> tuple:
+    """The one seed grammar: a count N (seeds 0..N-1), a half-open range
+    'lo..hi', or a list of two or more seeds separated by spaces or commas."""
     raw = raw.strip()
     if ".." in raw:
         lo, hi = raw.split("..", 1)
-        return tuple(range(int(lo), int(hi)))
-    parts = raw.split()
-    if len(parts) == 1:
-        return tuple(range(int(parts[0])))
-    return tuple(int(p) for p in parts)
+        return tuple(range(_parse_number(section, key, lo, int),
+                           _parse_number(section, key, hi, int)))
+    seeds = _parse_numbers(section, key, raw.replace(",", " "), int)
+    return tuple(range(seeds[0])) if len(seeds) == 1 else seeds  # empty fails validate()
 
 
 def _parse_init(raw: str):
@@ -136,8 +142,8 @@ def _parse_init(raw: str):
         return 0
     parts = raw.split()
     if len(parts) == 1:
-        return int(parts[0])
-    return tuple(float(p) for p in parts)
+        return _parse_number("execute", "init", parts[0], int)
+    return _parse_numbers("execute", "init", raw, float)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -170,7 +176,9 @@ def parse_config(text: str) -> ExperimentConfig:
         for key in parser["env"]:
             if key in WAREHOUSE_DEFAULTS:
                 raw = parser["env"][key]
-                vals = tuple(float(v) for v in raw.split())
+                vals = _parse_numbers("env", key, raw, float)
+                if not vals:
+                    raise ConfigError(f"[env] {key} = {raw!r}: expected float")
                 overrides[key] = vals if len(vals) > 1 else vals[0]
     kwargs = dict(
         env_name=get("env", "name", cfg.env_name),
@@ -197,16 +205,16 @@ def parse_config(text: str) -> ExperimentConfig:
         out_dir=get("output", "dir", cfg.out_dir),
     )
     raw_kappas = get("train", "kappa_list")
-    kwargs["kappa_list"] = (tuple(int(k) for k in raw_kappas.split())
+    kwargs["kappa_list"] = (_parse_numbers("train", "kappa_list", raw_kappas, int)
                             if raw_kappas else cfg.kappa_list)
     raw_xi = get("train", "xi")
-    kwargs["xi"] = int(raw_xi) if raw_xi not in (None, "") else None
+    kwargs["xi"] = _parse_number("train", "xi", raw_xi, int) if raw_xi not in (None, "") else None
     raw_noise = get("train", "reward_noise")
     if raw_noise not in (None, "", "none"):
         parts = raw_noise.split()
         if parts[0] != "uniform" or len(parts) != 2:
             raise ConfigError("train.reward_noise must be 'uniform <half_width>' or 'none'")
-        kwargs["reward_noise"] = float(parts[1])
+        kwargs["reward_noise"] = _parse_number("train", "reward_noise", parts[1], float)
     raw_seeds = get("execute", "seeds")
     kwargs["seed_list"] = _parse_seeds(raw_seeds) if raw_seeds else cfg.seed_list
     raw_init = get("execute", "init")
@@ -214,27 +222,27 @@ def parse_config(text: str) -> ExperimentConfig:
 
     raw_radius = get("graphon", "radius")
     if raw_radius:
-        kwargs["radius"] = float(raw_radius)
+        kwargs["radius"] = _parse_number("graphon", "radius", raw_radius, float)
     raw_beta = get("graphon", "beta")
     if raw_beta:
-        kwargs["beta"] = float(raw_beta)
+        kwargs["beta"] = _parse_number("graphon", "beta", raw_beta, float)
     raw_blocks = get("graphon", "blocks")
     if raw_blocks:
         # boundaries | value matrix rows, e.g. "0.5 | 0.9 0.1 ; 0.1 0.7"
         if "|" not in raw_blocks:
             raise ConfigError("graphon.blocks must be '<boundaries> | <rows ; ...>'")
         bounds_part, values_part = raw_blocks.split("|", 1)
-        kwargs["boundaries"] = tuple(float(b) for b in bounds_part.split())
+        kwargs["boundaries"] = _parse_numbers("graphon", "blocks", bounds_part, float)
         kwargs["block_values"] = tuple(
-            tuple(float(v) for v in row.split()) for row in values_part.split(";"))
+            _parse_numbers("graphon", "blocks", row, float) for row in values_part.split(";"))
     raw_coords = get("graphon", "coords")
     if raw_coords:
         pts = []
         for token in raw_coords.split():
             if "," in token:
-                pts.append(tuple(float(v) for v in token.split(",")))
+                pts.append(_parse_numbers("graphon", "coords", token.replace(",", " "), float))
             else:
-                pts.append(float(token))
+                pts.append(_parse_number("graphon", "coords", token, float))
         kwargs["coords"] = tuple(pts)
 
     return ExperimentConfig(**kwargs).validate()
@@ -390,20 +398,26 @@ def train_kappa(cfg: ExperimentConfig, env: Environment, kappa: int) -> QTable:
                            seed=cfg.master_seed, **kwargs)
 
 
+def evaluate_table(cfg: ExperimentConfig, env: Environment, weights,
+                   q: QTable) -> PolicyEvaluation:
+    """Run the configured episodes, one per seed of ``cfg.seed_list``, under
+    the greedy policy of ``q``."""
+    seeds = [episode_seed(cfg.master_seed, idx) for idx in cfg.seed_list]
+    return evaluate_policy(
+        env, weights, Policy(q), cfg.n, q.kappa, cfg.horizon, cfg.gamma, seeds,
+        init=cfg.init,
+        reward_aggregates=cfg.reward_aggregates,
+        policy_inputs="exact" if cfg.baseline == "exact" else "sampled",
+    )
+
+
 def _sweep_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> SweepRow:
     size = table_size(cfg.mode, kappa, env.n_states, env.n_actions)
     try:
         t0 = time.perf_counter()
         q = train_kappa(cfg, env, kappa)
         train_time = time.perf_counter() - t0
-        policy = Policy(q)
-        seeds = [episode_seed(cfg.master_seed, idx) for idx in cfg.seed_list]
-        evaluation = evaluate_policy(
-            env, weights, policy, cfg.n, kappa, cfg.horizon, cfg.gamma, seeds,
-            init=cfg.init,
-            reward_aggregates=cfg.reward_aggregates,
-            policy_inputs="exact" if cfg.baseline == "exact" else "sampled",
-        )
+        evaluation = evaluate_table(cfg, env, weights, q)
         return SweepRow(kappa=kappa, table_size=size, train_iterations=q.iterations,
                         train_residual=q.residual, train_wall_time=train_time,
                         mean_return=evaluation.mean, stderr_return=evaluation.std_error,
@@ -437,21 +451,22 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
                 save_qtable(row.qtable, directory / f"q_kappa{row.kappa:02d}.bin")
 
     _write_sweep_csv(report, cfg, directory / "sweep.csv")
-    _write_episodes_csv(report, cfg, directory / "episodes.csv")
+    write_episodes_csv(directory / "episodes.csv", cfg,
+                       {r.kappa: r.returns for r in rows if r.returns is not None})
     timings = {"config_hash": report.config_hash,
                "train_wall_time_s": {str(r.kappa): r.train_wall_time for r in rows}}
     (directory / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     return report
 
 
-def _provenance_lines(report: SweepReport) -> str:
-    return (f"# config_hash={report.config_hash}\n"
-            f"# version={report.version}\n")
+def _provenance_lines(cfg: ExperimentConfig) -> str:
+    return (f"# config_hash={config_hash(cfg)}\n"
+            f"# version={__version__}\n")
 
 
 def _write_sweep_csv(report: SweepReport, cfg: ExperimentConfig, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(_provenance_lines(report))
+        fh.write(_provenance_lines(cfg))
         fh.write("kappa,table_size,train_iterations,train_residual,"
                  "mean_return,stderr_return,status\n")
         for r in report.rows:
@@ -460,15 +475,15 @@ def _write_sweep_csv(report: SweepReport, cfg: ExperimentConfig, path: Path) -> 
                      f"{r.status}\n")
 
 
-def _write_episodes_csv(report: SweepReport, cfg: ExperimentConfig, path: Path) -> None:
+def write_episodes_csv(path, cfg: ExperimentConfig, returns_by_kappa: dict) -> None:
+    """One row per episode, the returns of each kappa listed in the order
+    of ``cfg.seed_list``."""
     with open(path, "w", newline="") as fh:
-        fh.write(_provenance_lines(report))
+        fh.write(_provenance_lines(cfg))
         fh.write("kappa,seed,horizon,discounted_return\n")
-        for r in report.rows:
-            if r.returns is None:
-                continue
-            for idx, value in zip(cfg.seed_list, r.returns):
-                fh.write(f"{r.kappa},{idx},{cfg.horizon},{float(value)!r}\n")
+        for kappa, returns in returns_by_kappa.items():
+            for idx, value in zip(cfg.seed_list, returns):
+                fh.write(f"{kappa},{idx},{cfg.horizon},{float(value)!r}\n")
 
 
 def run_diagnostics(cfg: ExperimentConfig, suites, out_dir: str | None = None) -> dict:
@@ -492,7 +507,7 @@ def run_diagnostics(cfg: ExperimentConfig, suites, out_dir: str | None = None) -
         result = diagnostics.SUITES[name](cfg)
         csv_path = directory / f"diagnostic_{name}.csv"
         with open(csv_path, "w", newline="") as fh:
-            fh.write(f"# config_hash={config_hash(cfg)}\n# version={__version__}\n")
+            fh.write(_provenance_lines(cfg))
             fh.write(",".join(result.columns) + "\n")
             for row in result.rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")

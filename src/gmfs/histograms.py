@@ -250,18 +250,22 @@ def fiber_size(g: Histogram, n_actions: int) -> int:
     return math.prod(math.comb(c + n_actions - 1, n_actions - 1) for c in g.counts)
 
 
-def nearest_histogram(pmf: np.ndarray, kappa: int) -> np.ndarray:
-    """Round a pmf to the closest kappa-denominator count vector.
+def nearest_histograms(pmfs: np.ndarray, kappa: int) -> np.ndarray:
+    """Round each pmf along the last axis to the closest kappa-denominator
+    count vector.
 
     Largest-remainder rounding; ties go to the lowest cell index so the
     result is deterministic.
     """
-    pmf = np.asarray(pmf, dtype=np.float64)
-    scaled = pmf * kappa
+    scaled = np.asarray(pmfs, dtype=np.float64) * kappa
     base = np.floor(scaled).astype(np.int64)
-    shortfall = kappa - int(base.sum())
-    if shortfall > 0:
-        remainders = scaled - base
-        order = np.lexsort((np.arange(len(pmf)), -remainders))
-        base[order[:shortfall]] += 1
-    return base
+    shortfall = kappa - base.sum(axis=-1, keepdims=True)
+    order = np.argsort(base - scaled, axis=-1, kind="stable")
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(order.shape[-1]), axis=-1)
+    return base + (position < shortfall)
+
+
+def nearest_histogram(pmf: np.ndarray, kappa: int) -> np.ndarray:
+    """``nearest_histograms`` for a single pmf."""
+    return nearest_histograms(np.asarray(pmf, dtype=np.float64)[None, :], kappa)[0]

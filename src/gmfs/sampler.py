@@ -7,6 +7,8 @@ fresh samples for every agent at every time step.
 
 Sampling is embarrassingly parallel across agents; callers pass per-worker
 generators derived from keyed streams so results are schedule-independent.
+For whole-population draws the n row tables are also stacked into (n, n-1)
+arrays, so every agent's kappa draws are one gather.
 """
 
 from __future__ import annotations
@@ -81,6 +83,46 @@ def row_alias(weights: WeightMatrix, i: int) -> AliasTable:
 
 
 @dataclass(frozen=True)
+class StackedAlias:
+    """All n row alias tables of one weight matrix as (n, n-1) arrays.
+
+    ``keep_ids[i, b]`` is the agent id of bucket b in row i and
+    ``alias_ids[i, b]`` the id of its alias, so a draw needs no second
+    lookup through the row's support.
+    """
+
+    prob: np.ndarray
+    keep_ids: np.ndarray
+    alias_ids: np.ndarray
+
+    def sample_from_uniforms(self, u_bucket: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
+        """Neighbor ids for uniforms of shape (..., n, kappa), row i of the
+        agent axis drawing from agent i's table with ``AliasTable``'s rule."""
+        k = self.prob.shape[1]
+        buckets = np.minimum((u_bucket * k).astype(np.int64), k - 1)
+        rows = np.arange(self.prob.shape[0])[:, None]
+        return np.where(u_accept < self.prob[rows, buckets],
+                        self.keep_ids[rows, buckets], self.alias_ids[rows, buckets])
+
+
+_STACKED_CACHE: "weakref.WeakKeyDictionary[WeightMatrix, StackedAlias]" = (
+    weakref.WeakKeyDictionary())
+
+
+def stacked_alias(weights: WeightMatrix) -> StackedAlias:
+    """The row alias tables of every agent, stacked once per weight matrix."""
+    stacked = _STACKED_CACHE.get(weights)
+    if stacked is None:
+        tables = [row_alias(weights, i) for i in range(weights.n)]
+        stacked = StackedAlias(
+            prob=np.stack([t.prob for t in tables]),
+            keep_ids=np.stack([t.support for t in tables]),
+            alias_ids=np.stack([t.support[t.alias] for t in tables]))
+        _STACKED_CACHE[weights] = stacked
+    return stacked
+
+
+@dataclass(frozen=True)
 class NeighborSample:
     """Multiset of kappa neighbor ids drawn for one agent."""
 
@@ -151,11 +193,10 @@ def exact_state_aggregate(weights: WeightMatrix, i: int, states, n_states: int) 
 
 
 def exact_state_aggregates(weights: WeightMatrix, states, n_states: int) -> np.ndarray:
-    """All agents' exact state aggregates at once: row i is g_i."""
+    """All agents' exact state aggregates at once: row i is g_i. ``states``
+    may carry leading batch axes before the agent axis."""
     states = np.asarray(states)
-    onehot = np.zeros((weights.n, n_states))
-    onehot[np.arange(weights.n), states] = 1.0
-    return weights.normalized @ onehot
+    return weights.normalized @ np.eye(n_states)[states]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import pytest
+
+from gmfs import __version__
 from gmfs.bellman import load_qtable
 from gmfs.cli import main
 
@@ -42,6 +45,19 @@ class TestTrain:
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "q.bin")])
         assert code == 2
 
+    @pytest.mark.parametrize("section, line", [
+        ("train", "kappa_list = 1 x"),
+        ("env", "congestion_slope = abc"),
+        ("execute", "seeds = 1 y"),
+        ("execute", "init = 0.5 z"),
+    ])
+    def test_malformed_number_exit_code(self, tmp_path, capsys, section, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{line}\n")
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "q.bin")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_budget_error_exit_code(self, tmp_path, capsys):
         # joint mode at this kappa needs a table beyond the memory budget
         big = tmp_path / "big.cfg"
@@ -62,8 +78,35 @@ class TestExecuteAndInspect:
                      "--seeds", "0..4", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "seed,kappa,horizon,discounted_return,wall_time_ms"
-        assert len(lines) == 5
+        assert lines[0].startswith("# config_hash=")
+        assert lines[1] == f"# version={__version__}"
+        assert lines[2] == "kappa,seed,horizon,discounted_return"
+        assert [line.split(",")[:3] for line in lines[3:]] == [
+            ["2", str(s), "10"] for s in range(4)]
+        assert " s, mean discounted return" in capsys.readouterr().out
+
+    def test_execute_seed_count_matches_config_grammar(self, tmp_path, capsys):
+        # '--seeds 3' means seeds 0, 1, 2, as 'seeds = 3' does in a config
+        cfg = write_config(tmp_path)
+        qpath = tmp_path / "q.bin"
+        main(["train", "--config", cfg, "--kappa", "2", "--out", str(qpath)])
+        out = tmp_path / "episodes.csv"
+        assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                     "--seeds", "3", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[3:]
+        assert [row.split(",")[1] for row in rows] == ["0", "1", "2"]
+        # the returns are those of the sweep's episodes.csv for the same seeds
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "sweep")]) == 0
+        sweep_rows = (tmp_path / "sweep" / "episodes.csv").read_text().splitlines()[3:]
+        assert rows == [r for r in sweep_rows if r.startswith("2,")]
+
+    def test_execute_bad_seeds_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        qpath = tmp_path / "q.bin"
+        main(["train", "--config", cfg, "--kappa", "2", "--out", str(qpath)])
+        for bad in ("0..x", "5..2"):
+            assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                         "--seeds", bad, "--out", str(tmp_path / "e.csv")]) == 2
 
     def test_inspect_prints_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from gmfs.env import (
     load_tabular_env,
     local_reward,
     make_env,
+    rewards,
     sample_reward,
     step_distribution,
     team_reward,
+    transitions,
     warehouse_env,
 )
 from gmfs.errors import ConfigError
@@ -124,6 +128,54 @@ class TestTeamReward:
     def test_length_mismatch(self, warehouse):
         with pytest.raises(ValueError):
             team_reward(warehouse, [0, 1], [0], [g_of(1, 0, 0)] * 2)
+
+
+class TestBatchedHooks:
+    @staticmethod
+    def grid(env, rng, batch=(4, 5)):
+        s = rng.integers(0, env.n_states, size=batch)
+        a = rng.integers(0, env.n_actions, size=batch)
+        g = rng.dirichlet(np.ones(env.n_states), size=batch)
+        return s, a, g
+
+    @staticmethod
+    def per_agent(env, s, a, g):
+        pmfs = np.empty(s.shape + (env.n_states,))
+        rs = np.empty(s.shape)
+        for idx in np.ndindex(s.shape):
+            pmfs[idx] = env.transition(int(s[idx]), int(a[idx]), g[idx])
+            rs[idx] = env.reward(int(s[idx]), int(a[idx]), g[idx])
+        return pmfs, rs
+
+    def test_warehouse_hooks_match_per_agent_bitwise(self, warehouse, rng):
+        # every (s, a) pair, including a == s and the clipped work branch
+        s, a = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+        s, a = np.repeat(s[..., None], 40, -1), np.repeat(a[..., None], 40, -1)
+        g = rng.dirichlet(np.ones(3), size=s.shape)
+        g[..., 0, :] = (0.0, 0.0, 1.0)
+        pmfs, rs = self.per_agent(warehouse, s, a, g)
+        assert np.array_equal(transitions(warehouse, s, a, g), pmfs)
+        assert np.array_equal(rewards(warehouse, s, a, g), rs)
+
+    def test_linear_hooks_match_per_agent(self, small, rng):
+        s, a, g = self.grid(small, rng)
+        pmfs, rs = self.per_agent(small, s, a, g)
+        assert np.allclose(transitions(small, s, a, g), pmfs, rtol=1e-15, atol=1e-15)
+        assert np.allclose(rewards(small, s, a, g), rs, rtol=1e-15, atol=1e-15)
+
+    def test_fallback_without_hooks(self, small, rng):
+        bare = dataclasses.replace(small, transition_batch=None, reward_batch=None)
+        s, a, g = self.grid(bare, rng)
+        pmfs, rs = self.per_agent(bare, s, a, g)
+        assert np.array_equal(transitions(bare, s, a, g), pmfs)
+        assert np.array_equal(rewards(bare, s, a, g), rs)
+
+    def test_team_reward_over_a_batch(self, warehouse, rng):
+        s, a, g = self.grid(warehouse, rng, batch=(3, 7))
+        batched = team_reward(warehouse, s, a, g)
+        assert batched.shape == (3,)
+        for e in range(3):
+            assert batched[e] == team_reward(warehouse, s[e], a[e], g[e])
 
 
 class TestStochasticRewards:

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gmfs.bellman import QTable, value_iteration
-from gmfs.execution import Policy, act, evaluate_policy, run_episode
+from gmfs.execution import Policy, _initial_states, act, evaluate_policy, run_episode
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
-from gmfs.histograms import Histogram, get_index
+from gmfs.histograms import Histogram, get_index, nearest_histogram
+from gmfs.rng import stream
+from gmfs.sampler import exact_state_aggregates, row_alias, stacked_alias
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +160,117 @@ class TestEvaluatePolicy:
                                 25, 6, 40, 0.95, seeds=seeds, policy_inputs="exact")
         pooled = np.hypot(sampled.std_error, exact.std_error)
         assert exact.mean >= sampled.mean - 2.0 * pooled - 1e-9
+
+
+def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed, *,
+                      reward_aggregates, policy_inputs):
+    """The simulator's algorithm written one agent at a time: per-agent alias
+    draws, histograms, ranks, rewards and transitions, on the same
+    per-episode stream and (n, 2 kappa + 1) block per step."""
+    S = env.n_states
+    g_index = get_index(S, kappa)
+    greedy = policy.greedy_table()
+    states = _initial_states(init, n, S, stream(seed, "exec-init"))
+    rng = stream(seed, "exec")
+    trajectory, stage_rewards = [], []
+    discounted, coeff = 0.0, 1.0
+    for _ in range(horizon):
+        block = rng.random((n, 2 * kappa + 1))
+        exact_g = exact_state_aggregates(weights, states, S)
+        actions = np.empty(n, dtype=np.int64)
+        total = 0.0
+        next_states = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            if policy_inputs == "exact":
+                counts = nearest_histogram(exact_g[i], kappa)
+            else:
+                ids = row_alias(weights, i).sample_from_uniforms(
+                    block[i, :kappa], block[i, kappa:2 * kappa])
+                counts = np.bincount(states[ids], minlength=S)
+            actions[i] = greedy[states[i], g_index.rank(counts)]
+            g_reward = exact_g[i] if reward_aggregates == "exact" else counts / kappa
+            total += env.reward(int(states[i]), int(actions[i]), g_reward)
+            pmf = env.transition(int(states[i]), int(actions[i]), exact_g[i])
+            nxt = int(np.searchsorted(np.cumsum(pmf), block[i, 2 * kappa], side="right"))
+            next_states[i] = min(nxt, S - 1)
+        trajectory.append((states, actions))
+        stage_rewards.append(total / n)
+        discounted += coeff * stage_rewards[-1]
+        coeff *= gamma
+        states = next_states
+    return trajectory, np.array(stage_rewards), discounted
+
+
+def random_policy(env, kappa, seed):
+    """A greedy policy from a random table, so every action is taken."""
+    rng = np.random.default_rng(seed)
+    shape = (env.n_states, env.n_actions, get_index(env.n_states, kappa).total)
+    return Policy(QTable("marginal", kappa, env.n_states, env.n_actions,
+                         rng.standard_normal(shape), 0.95))
+
+
+@pytest.fixture(scope="module")
+def hetero_weights():
+    return build_weights(Graphon.expdecay_graphon(2.0), LatentAssignment.sequential(12))
+
+
+def oracle_env(name, warehouse, small):
+    """The warehouse and linear envs run on their batched hooks; 'fallback'
+    strips the hooks so the simulator makes per-agent calls."""
+    if name == "warehouse":
+        return warehouse
+    if name == "small":
+        return small
+    return dataclasses.replace(small, transition_batch=None, reward_batch=None)
+
+
+class TestSimulatorOracle:
+    @pytest.mark.parametrize("env_name", ["warehouse", "small", "fallback"])
+    @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
+    @pytest.mark.parametrize("reward_aggregates", ["exact", "sampled"])
+    def test_matches_per_agent_reference(self, env_name, policy_inputs, reward_aggregates,
+                                         warehouse, small, hetero_weights):
+        env = oracle_env(env_name, warehouse, small)
+        kappa, horizon, gamma = 4, 15, 0.9
+        init = tuple(np.full(env.n_states, 1.0 / env.n_states))
+        policy = random_policy(env, kappa, seed=1)
+        for seed in (0, 5):
+            got = run_episode(env, hetero_weights, policy, 12, kappa, horizon, gamma,
+                              init=init, seed=seed, reward_aggregates=reward_aggregates,
+                              policy_inputs=policy_inputs, record_trajectory=True)
+            trajectory, stages, discounted = reference_episode(
+                env, hetero_weights, policy, 12, kappa, horizon, gamma, init, seed,
+                reward_aggregates=reward_aggregates, policy_inputs=policy_inputs)
+            for (s_got, a_got), (s_ref, a_ref) in zip(got.trajectory, trajectory, strict=True):
+                assert np.array_equal(s_got, s_ref)
+                assert np.array_equal(a_got, a_ref)
+            assert got.stage_rewards == pytest.approx(stages, rel=1e-12)
+            assert got.discounted_return == pytest.approx(discounted, rel=1e-12)
+        # the chain actually moves, so the comparison covers transitions
+        assert len({tuple(s) for s, _ in trajectory}) > 1
+
+    @pytest.mark.parametrize("env_name", ["warehouse", "fallback"])
+    def test_batch_invariance(self, env_name, warehouse, small, warehouse_weights):
+        env = oracle_env(env_name, warehouse, small)
+        policy = random_policy(env, 6, seed=2)
+        init = tuple(np.full(env.n_states, 1.0 / env.n_states))
+        seeds = [3, 7, 3, 11, 7, 0]
+        ev = evaluate_policy(env, warehouse_weights, policy, 25, 6, 30, 0.95, seeds,
+                             init=init)
+        for k, sd in enumerate(seeds):
+            single = run_episode(env, warehouse_weights, policy, 25, 6, 30, 0.95,
+                                 init=init, seed=sd)
+            assert ev.returns[k] == single.discounted_return
+        assert len(set(ev.returns.tolist())) == 4
+
+    def test_stacked_alias_matches_row_tables(self, hetero_weights, rng):
+        n, kappa = hetero_weights.n, 7
+        stacked = stacked_alias(hetero_weights)
+        assert stacked.prob.shape == (n, n - 1)
+        u_bucket, u_accept = rng.random((2, 3, n, kappa))
+        ids = stacked.sample_from_uniforms(u_bucket, u_accept)
+        for e in range(3):
+            for i in range(n):
+                expected = row_alias(hetero_weights, i).sample_from_uniforms(
+                    u_bucket[e, i], u_accept[e, i])
+                assert np.array_equal(ids[e, i], expected)

@@ -114,6 +114,31 @@ horizon = 12
         cfg2 = parse_config(serialize_config(cfg))
         assert cfg2 == cfg
 
+    def test_seed_list_accepts_commas(self):
+        assert parse_config("[execute]\nseeds = 0, 2,5\n").seed_list == (0, 2, 5)
+        assert parse_config("[execute]\nseeds = 4\n").seed_list == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("section, line", [
+        ("train", "kappa_list = 1 x"),
+        ("env", "congestion_slope = abc"),
+        ("execute", "seeds = 1 y"),
+        ("execute", "init = 0.5 z"),
+        ("execute", "init = half"),
+        ("execute", "seeds = 0..ten"),
+        ("train", "xi = 2.5"),
+        ("train", "reward_noise = uniform wide"),
+        ("env", "state_values = 8 four 16"),
+        ("graphon", "radius = r"),
+        ("graphon", "beta = b"),
+        ("graphon", "blocks = 0.5 | 0.9 x ; 0.1 0.7"),
+        ("graphon", "coords = 0.1 0.5,y 0.9"),
+        ("env", "congestion_slope = "),
+    ])
+    def test_malformed_number_is_a_config_error(self, section, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = "):
+            parse_config(f"[{section}]\n{line}\n")
+
     def test_malformed_blocks_rejected(self):
         with pytest.raises(ConfigError, match="blocks"):
             parse_config("[graphon]\nkind = block\nblocks = 0.5 0.9 0.1\n")

@@ -17,6 +17,7 @@ from gmfs.histograms import (
     get_index,
     marginal,
     nearest_histogram,
+    nearest_histograms,
     num_histograms,
     tv_distance,
 )
@@ -221,6 +222,15 @@ class TestNearestHistogram:
 
     def test_deterministic_tie_break(self):
         assert tuple(nearest_histogram(np.array([0.5, 0.5]), 3)) == (2, 1)
+
+    def test_rows_round_independently(self, rng):
+        pmfs = rng.dirichlet(np.ones(3), size=(4, 6))
+        pmfs[0, :3] = ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
+        got = nearest_histograms(pmfs, 5)
+        assert got.shape == (4, 6, 3)
+        for idx in np.ndindex(4, 6):
+            assert tuple(got[idx]) == tuple(nearest_histogram(pmfs[idx], 5))
+        assert [tuple(c) for c in got[0, :3]] == [(3, 2, 0), (0, 3, 2), (2, 2, 1)]
 
     @given(st.integers(2, 4), st.integers(1, 6), st.data())
     @settings(max_examples=60, deadline=None)
