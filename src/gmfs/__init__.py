@@ -46,7 +46,6 @@ from .sampler import (
 from .bellman import (
     OffPolicyConfig,
     QTable,
-    SurrogateState,
     empirical_operator,
     exact_operator,
     expand_surrogate,

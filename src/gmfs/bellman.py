@@ -15,10 +15,16 @@ Neighbor actions u_m come from the joint histogram in joint mode; in marginal
 mode they are assigned by ``neighbor_action_rule``: "greedy" picks the argmax
 action of the current Q at (x_m, g_m), "uniform" draws uniformly over actions.
 
-Value iteration applies the empirical operator with per-entry sample sets
-that are frozen across sweeps (streams keyed by seed and entry rank), so the
-iteration is a fixed gamma-contraction and the residual decays geometrically
-to the sample-operator fixed point.
+One tabulated surrogate model (``tabulate``: kernel, cdf and reward at the
+histogram points, leave-one-out ranks, neighbor slots) feeds every learner.
+Value iteration with the empirical operator runs, in both modes, on one
+frozen-sample engine: per-entry sample sets are drawn once (streams keyed by
+seed and entry rank) and frozen across sweeps, so the iteration is a fixed
+gamma-contraction and the residual decays geometrically to the
+sample-operator fixed point. ``surrogate_step``, ``empirical_operator`` and
+``exact_operator`` work per entry; they are the reference the engine is
+tested against bit for bit, and the exact operator also trains small
+instances.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,17 +44,17 @@ from .errors import BudgetError, GmfsError
 from .histograms import (
     Histogram,
     HistogramIndex,
-    fiber,
+    enumerate_histograms,
     get_index,
     marginal as hist_marginal,
     num_histograms,
-    Alphabet,
 )
 from .rng import stream
 
 MODES = ("joint", "marginal")
 AGGREGATE_RULES = ("leave_one_out", "shared")
 ACTION_RULES = ("greedy", "uniform")
+OPERATORS = ("empirical", "exact")
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_ITERATIONS = 250
@@ -117,25 +125,58 @@ def table_size(mode: str, kappa: int, n_states: int, n_actions: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fiber caches and the backup M Q(s, g) = max over actions and completions
+# Fibers and the backup M Q(s, g) = max over actions and completions
 # ---------------------------------------------------------------------------
 
-_FIBER_CACHE: dict = {}
+
+def _slots(counts: np.ndarray) -> np.ndarray:
+    """(rows, kappa) cell of each agent of each count row, cell-major."""
+    rows, cells = counts.shape
+    return np.repeat(np.tile(np.arange(cells), rows), counts.ravel()).reshape(rows, -1)
+
+
+class JointLayout(NamedTuple):
+    """Every joint histogram of (n_states, n_actions, kappa) and its fiber.
+
+    ``fibers[g]`` holds the joint ranks of all completions of the marginal of
+    rank g, ascending, padded to the widest fiber with the row's first rank
+    (a max over the row is then the max over the fiber).
+    """
+
+    counts: np.ndarray  # (Z, S * A), by joint rank
+    marginal_rank: np.ndarray  # (Z,) rank of each state marginal
+    fibers: np.ndarray  # (G, max_fiber)
+    sizes: np.ndarray  # (G,)
+
+
+@lru_cache(maxsize=None)
+def joint_layout(n_states: int, n_actions: int, kappa: int) -> JointLayout:
+    """Built once per (n_states, n_actions, kappa) and cached."""
+    z_index = get_index(n_states * n_actions, kappa)
+    g_index = get_index(n_states, kappa)
+    counts = np.array([z_index.unrank_counts(z) for z in range(z_index.total)], dtype=np.int64)
+    g_rank = g_index.rank_rows(counts.reshape(-1, n_states, n_actions).sum(axis=2))
+    by_marginal = np.argsort(g_rank, kind="stable")
+    sizes = np.bincount(g_rank, minlength=g_index.total)
+    col = np.arange(sizes.max())
+    pos = (np.cumsum(sizes) - sizes)[:, None] + np.where(col < sizes[:, None], col, 0)
+    return JointLayout(counts, g_rank, by_marginal[pos], sizes)
 
 
 def fiber_ranks(n_states: int, n_actions: int, kappa: int, g_rank: int) -> np.ndarray:
     """Ranks (joint index) of all completions of the marginal of rank g_rank,
     sorted ascending so ties break toward the lowest joint rank."""
-    key = (n_states, n_actions, kappa, g_rank)
-    out = _FIBER_CACHE.get(key)
-    if out is None:
-        g_index = get_index(n_states, kappa)
-        z_index = get_index(n_states * n_actions, kappa)
-        g = g_index.unrank(g_rank)
-        ranks = sorted(z_index.rank(z) for z in fiber(g, Alphabet(n_actions)))
-        out = np.asarray(ranks, dtype=np.int64)
-        _FIBER_CACHE[key] = out
-    return out
+    layout = joint_layout(n_states, n_actions, kappa)
+    return layout.fibers[g_rank, : layout.sizes[g_rank]]
+
+
+def fiber_max(values: np.ndarray, mode: str, kappa: int) -> np.ndarray:
+    """(S, A, G): per action, the max of a table over every completion of
+    each state marginal; in marginal mode the table itself."""
+    if mode == "marginal":
+        return values
+    n_states, n_actions, _ = values.shape
+    return values[:, :, joint_layout(n_states, n_actions, kappa).fibers].max(axis=3)
 
 
 def fiber_backup(q: QTable, s_next: int, g_next) -> float:
@@ -164,45 +205,23 @@ def fiber_argmax(q: QTable, s: int, g_rank: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Surrogate one-step dynamics
+# Surrogate one-step dynamics, per entry (the reference for the engine)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurrogateState:
-    """Focal (s, a) plus the kappa neighbor (state, action) pairs expanded
-    from the entry histogram; the pair tally reproduces the histogram.
-    Marginal-mode histograms carry states only (actions None)."""
-
-    focal: tuple
-    neighbor_states: np.ndarray
-    neighbor_actions: np.ndarray | None
-
-    @property
-    def kappa(self) -> int:
-        return int(self.neighbor_states.size)
+def expand_surrogate(hist: Histogram):
+    """Deterministic cell-major expansion of a histogram into its kappa
+    agents: (states, actions) arrays whose pair tally reproduces the
+    histogram. Marginal histograms carry states only (actions None)."""
+    cells = np.repeat(np.arange(hist.alphabet_size), hist.counts_array())
+    if hist.joint_shape is None:
+        return cells, None
+    n_actions = hist.joint_shape[1]
+    return cells // n_actions, cells % n_actions
 
 
-def expand_surrogate(s: int, a: int, hist: Histogram) -> SurrogateState:
-    """Deterministic cell-major expansion of a histogram into agents."""
-    if hist.joint_shape is not None:
-        ns, na = hist.joint_shape
-        states, actions = [], []
-        for cell, count in enumerate(hist.counts):
-            if count:
-                states.extend([cell // na] * count)
-                actions.extend([cell % na] * count)
-        return SurrogateState((s, a), np.asarray(states, dtype=np.int64),
-                              np.asarray(actions, dtype=np.int64))
-    states = []
-    for x, count in enumerate(hist.counts):
-        if count:
-            states.extend([x] * count)
-    return SurrogateState((s, a), np.asarray(states, dtype=np.int64), None)
-
-
-def _neighbor_marginal(env: Environment, counts: np.ndarray, focal_state: int,
-                       x: int, kappa: int, aggregate_rule: str) -> np.ndarray:
+def _neighbor_marginal(counts: np.ndarray, focal_state: int, x: int,
+                       aggregate_rule: str) -> np.ndarray:
     """Counts of the aggregate seen by a neighbor in state x."""
     if aggregate_rule == "shared":
         return counts
@@ -239,8 +258,7 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
         raise ValueError(f"neighbor_action_rule must be one of {ACTION_RULES}")
     joint_input = hist.joint_shape is not None
     kappa = hist.kappa
-    agents = expand_surrogate(s, a, hist)
-    nb_states, nb_actions = agents.neighbor_states, agents.neighbor_actions
+    nb_states, nb_actions = expand_surrogate(hist)
     g_counts = (hist_marginal(hist) if joint_input else hist).counts_array()
     g_probs = g_counts / kappa
 
@@ -255,7 +273,7 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
     next_states = np.empty(kappa, dtype=np.int64)
     for m in range(kappa):
         x = int(nb_states[m])
-        gm = _neighbor_marginal(env, g_counts, s, x, kappa, aggregate_rule)
+        gm = _neighbor_marginal(g_counts, s, x, aggregate_rule)
         known = None if nb_actions is None else int(nb_actions[m])
         pmf = _neighbor_pmf(env, q, x, gm, kappa, neighbor_action_rule, known_action=known)
         nxt = int(np.searchsorted(np.cumsum(pmf), uniforms[1 + m], side="right"))
@@ -284,7 +302,7 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
 
 
 # ---------------------------------------------------------------------------
-# Operators
+# Per-entry operators: empirical (reference) and exact
 # ---------------------------------------------------------------------------
 
 
@@ -369,9 +387,7 @@ def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
             f"over the cap {enumeration_cap}; use the empirical operator"
         )
     joint_input = hist.joint_shape is not None
-    agents = expand_surrogate(s, a, hist)
-    nb_states = agents.neighbor_states
-    nb_actions = agents.neighbor_actions
+    nb_states, nb_actions = expand_surrogate(hist)
     g_counts = (hist_marginal(hist) if joint_input else hist).counts_array()
     g_probs = g_counts / kappa
     r = local_reward(env, s, a, g_probs)
@@ -383,7 +399,7 @@ def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
     for m in range(kappa):
         x = int(nb_states[m])
         u = None if nb_actions is None else int(nb_actions[m])
-        gm = _neighbor_marginal(env, g_counts, s, x, kappa, aggregate_rule)
+        gm = _neighbor_marginal(g_counts, s, x, aggregate_rule)
         key = (x, u, tuple(gm))
         groups[key] = groups.get(key, 0) + 1
     pmfs, counts = [], []
@@ -397,13 +413,7 @@ def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
     g_index = get_index(env.n_states, kappa)
     g_ranks = g_index.rank_rows(hists)
 
-    if q.mode == "marginal":
-        m_values = q.values.max(axis=1)  # (S, G)
-    else:
-        m_values = np.empty((q.n_states, g_index.total))
-        for gr in range(g_index.total):
-            ranks = fiber_ranks(q.n_states, q.n_actions, q.kappa, gr)
-            m_values[:, gr] = q.values[:, :, ranks].max(axis=(1, 2))
+    m_values = fiber_max(q.values, q.mode, q.kappa).max(axis=1)  # (S, G)
 
     focal_pmf = step_distribution(env, s, a, g_probs)
     cont = 0.0
@@ -416,114 +426,129 @@ def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized marginal-mode sweep engine
+# The tabulated surrogate model and the frozen-sample engine
 # ---------------------------------------------------------------------------
 
 
-class _MarginalEngine:
-    """Precomputed frozen-sample machinery for marginal-mode value iteration.
+class SurrogateModel(NamedTuple):
+    """Surrogate kernel and reward tabulated at the marginal histogram
+    points g = 0..G-1, shared by every learner.
 
-    Per-entry uniforms are drawn once from streams keyed by (seed, kappa,
-    entry rank); a sweep is then a gather over the current table, which keeps
-    the iteration an exact contraction and bit-reproducible for any worker
-    count.
+    ``pmf[s, a, g]``/``cdf[s, a, g]`` are P(. | s, a, g / kappa) and
+    ``rewards[s, a, g]`` the local reward; ``gm_rank[g, s, x]`` ranks the
+    aggregate a neighbor in state x sees next to a focal agent in state s
+    (0 where g has no agent in x); ``slot_states[g]`` lists the kappa
+    neighbor states in state-major order.
     """
 
-    def __init__(self, env: Environment, kappa: int, m: int, seed: int, *,
+    index: HistogramIndex
+    hist_counts: np.ndarray  # (G, S)
+    pmf: np.ndarray  # (S, A, G, S)
+    cdf: np.ndarray  # (S, A, G, S)
+    rewards: np.ndarray  # (S, A, G)
+    gm_rank: np.ndarray  # (G, S, S)
+    slot_states: np.ndarray  # (G, kappa)
+
+    def uniform_cdf(self) -> np.ndarray:
+        """(S, G, S) neighbor next-state cdf under uniformly drawn actions."""
+        return np.cumsum(self.pmf.mean(axis=1), axis=2)
+
+
+def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateModel:
+    """Tabulate the surrogate model of ``env`` at subsample size kappa."""
+    if aggregate_rule not in AGGREGATE_RULES:
+        raise ValueError(f"aggregate_rule must be one of {AGGREGATE_RULES}")
+    S, A = env.n_states, env.n_actions
+    index = get_index(S, kappa)
+    G = index.total
+    hist_counts = np.array([index.unrank_counts(g) for g in range(G)], dtype=np.int64)
+    hist_probs = hist_counts / kappa
+    pmf = np.empty((S, A, G, S))
+    rewards = np.empty((S, A, G))
+    for s in range(S):
+        for a in range(A):
+            for g in range(G):
+                pmf[s, a, g] = step_distribution(env, s, a, hist_probs[g])
+                rewards[s, a, g] = local_reward(env, s, a, hist_probs[g])
+
+    gm = np.broadcast_to(hist_counts[:, None, None, :], (G, S, S, S)).copy()  # [g, s, x]
+    if aggregate_rule == "leave_one_out":
+        xs = np.arange(S)
+        gm[:, :, xs, xs] -= 1  # the neighbor leaves ...
+        gm[:, xs, :, xs] += 1  # ... and the focal agent joins
+    present = np.broadcast_to((hist_counts > 0)[:, None, :], (G, S, S))
+    gm_rank = np.zeros((G, S, S), dtype=np.int64)
+    gm_rank[present] = index.rank_rows(gm[present])
+    return SurrogateModel(index, hist_counts, pmf, np.cumsum(pmf, axis=3), rewards,
+                          gm_rank, _slots(hist_counts))
+
+
+class _FrozenEngine:
+    """Frozen-sample value iteration, in joint and in marginal mode.
+
+    Entries e = (s * A + a) * H + h range over the table's histogram ranks h:
+    state marginals, or joint histograms whose neighbor slots take state and
+    action from the histogram in cell-major order. Per-entry uniforms are
+    drawn once from the stream the reference ``empirical_operator`` reads,
+    ``stream(seed, "vi-frozen", kappa, e)``; a sweep is then a gather over
+    the current table, which keeps the iteration an exact contraction and
+    bit-reproducible for any worker count.
+    """
+
+    def __init__(self, env: Environment, kappa: int, m: int, seed: int, *, mode: str,
                  neighbor_action_rule: str, aggregate_rule: str):
-        if not env.marginal_sufficient:
-            raise GmfsError(
-                f"environment {env.name!r} does not declare marginal "
-                "sufficiency; use joint mode"
-            )
-        self.env = env
-        self.kappa = kappa
-        self.m = m
-        self.rule = neighbor_action_rule
-        self.aggregate = aggregate_rule
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        if neighbor_action_rule not in ACTION_RULES:
+            raise ValueError(f"neighbor_action_rule must be one of {ACTION_RULES}")
+        model = tabulate(env, kappa, aggregate_rule)
         S, A = env.n_states, env.n_actions
-        self.index = get_index(S, kappa)
-        G = self.index.total
-        self.n_entries = S * A * G
-
-        hist_counts = np.empty((G, S), dtype=np.int64)
-        for g in range(G):
-            hist_counts[g] = self.index.unrank_counts(g)
-        self.hist_counts = hist_counts
-        hist_probs = hist_counts / kappa
-
-        # kernel and reward tabulated at histogram points
-        self.pmf = np.empty((S, A, G, S))
-        self.rewards = np.empty((S, A, G))
-        for s in range(S):
-            for a in range(A):
-                for g in range(G):
-                    self.pmf[s, a, g] = step_distribution(env, s, a, hist_probs[g])
-                    self.rewards[s, a, g] = local_reward(env, s, a, hist_probs[g])
-        self.cdf = np.cumsum(self.pmf, axis=3)
-
-        # per (g, focal_state, neighbor_state): rank of the neighbor's aggregate
-        self.gm_rank = np.empty((G, S, S), dtype=np.int64)
-        for g in range(G):
-            for s in range(S):
-                for x in range(S):
-                    if hist_counts[g, x] == 0:
-                        self.gm_rank[g, s, x] = 0  # unused slot
-                        continue
-                    gm = _neighbor_marginal(env, hist_counts[g], s, x, kappa, aggregate_rule)
-                    self.gm_rank[g, s, x] = self.index.rank_rows(gm[None, :])[0]
-
-        # entry layout: e = (s * A + a) * G + g
-        entries = np.arange(self.n_entries)
-        self.e_g = entries % G
-        sa = entries // G
-        self.e_a = sa % A
-        self.e_s = sa // A
-
-        # neighbor slots in state-major order per entry
-        slot_states = np.empty((G, kappa), dtype=np.int64)
-        for g in range(G):
-            slot_states[g] = np.repeat(np.arange(S), hist_counts[g])
-        self.slot_states = slot_states[self.e_g]                       # (E, kappa)
-        self.slot_gm_rank = self.gm_rank[self.e_g[:, None],            # (E, kappa)
-                                         self.e_s[:, None], self.slot_states]
-
-        # frozen uniforms, one stream per entry so the reference per-entry
-        # path reproduces the engine bit for bit
-        uni = np.empty((self.n_entries, m, kappa + 1))
-        for e in range(self.n_entries):
-            uni[e] = stream(seed, "vi-frozen", kappa, e).random((m, kappa + 1))
-
-        focal_cdf = self.cdf[self.e_s, self.e_a, self.e_g]             # (E, S)
-        self.next_focal = _searchsorted_rows(focal_cdf[:, None, :], uni[:, :, 0])
-
-        chunk = max(1, 2_000_000 // max(1, m * kappa * A))
-        if self.rule == "uniform":
-            # neighbor law averaged over actions: static across sweeps
-            pmf_unif = self.pmf.mean(axis=1)                           # (S, G, S)
-            cdf_unif = np.cumsum(pmf_unif, axis=2)
-            slot_cdf = cdf_unif[self.slot_states, self.slot_gm_rank]   # (E, kappa, S)
-            nxt = np.empty((self.n_entries, m, kappa), dtype=np.int64)
-            for lo in range(0, self.n_entries, chunk):
-                hi = min(lo + chunk, self.n_entries)
-                nxt[lo:hi] = _searchsorted_rows(slot_cdf[lo:hi, None, :, :],
-                                                uni[lo:hi, :, 1:])
-            self.next_g_rank = self._ranks_from_states(nxt)
-            self.next_by_action = None
+        self.mode, self.kappa, self.index = mode, kappa, model.index
+        # only marginal mode lets the current table pick neighbor actions
+        self.greedy = mode == "marginal" and neighbor_action_rule == "greedy"
+        if mode == "joint":
+            layout = joint_layout(S, A, kappa)
+            h_marginal = layout.marginal_rank
         else:
+            h_marginal = np.arange(model.index.total)
+        H = h_marginal.size
+        self.n_entries = S * A * H
+
+        entries = np.arange(self.n_entries)
+        e_h = entries % H
+        e_a = entries // H % A
+        e_s = entries // H // A
+        e_g = h_marginal[e_h]
+        self.rewards = model.rewards[e_s, e_a, e_g]
+        self.slot_states = model.slot_states[e_g]                      # (E, kappa)
+        self.slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], self.slot_states]
+
+        # joint input under the uniform rule: surrogate_step also draws the
+        # neighbors' next actions, which the engine replays and discards
+        discard = A if mode == "joint" and neighbor_action_rule == "uniform" else 0
+        uni = _frozen_uniforms(seed, kappa, self.n_entries, m, discard)
+        chunk = max(1, 2_000_000 // max(1, m * kappa * A))  # entries per lookup
+        self.next_focal = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :],
+                                             uni[:, :, 0])
+
+        if self.greedy:
             # coupled inverse-CDF outcome for each candidate action; advanced
             # indices split by a slice land in front: (E, kappa, A, S)
-            slot_cdf = self.cdf[self.slot_states, :, self.slot_gm_rank]
-            nba = np.empty((self.n_entries, m, kappa, A), dtype=np.int8)
-            for lo in range(0, self.n_entries, chunk):
-                hi = min(lo + chunk, self.n_entries)
-                nba[lo:hi] = _searchsorted_rows(slot_cdf[lo:hi, None, :, :, :],
-                                                uni[lo:hi, :, 1:, None]).astype(np.int8)
-            self.next_by_action = nba                                   # (E, m, kappa, A)
-            self.next_g_rank = None
+            slot_cdf = model.cdf[self.slot_states, :, self.slot_gm_rank][:, None]
+            self.next_by_action = _chunked_searchsorted(
+                slot_cdf, uni[:, :, 1:, None], chunk, np.int8)         # (E, m, kappa, A)
+            return
+        if mode == "joint":
+            slot_actions = _slots(layout.counts)[e_h] % A
+            slot_cdf = model.cdf[self.slot_states, slot_actions, self.slot_gm_rank]
+        else:
+            slot_cdf = model.uniform_cdf()[self.slot_states, self.slot_gm_rank]
+        # the law of every slot is static, and so are the next marginals
+        nxt = _chunked_searchsorted(slot_cdf[:, None], uni[:, :, 1:], chunk, np.int64)
+        self.next_g_rank = self._ranks_from_states(nxt)
 
     def _ranks_from_states(self, next_states: np.ndarray) -> np.ndarray:
-        S = self.env.n_states
+        S = self.index.alphabet_size
         E, m, _ = next_states.shape
         counts = np.empty((E, m, S), dtype=np.int64)
         for x in range(S):
@@ -533,21 +558,44 @@ class _MarginalEngine:
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Continuation vector: mean fiber backup per entry under the frozen
         samples and the current table."""
-        m_values = values.max(axis=1)  # (S, G)
-        if self.rule == "uniform":
-            ranks = self.next_g_rank
-        else:
+        m_values = fiber_max(values, self.mode, self.kappa).max(axis=1)  # (S, G)
+        if self.greedy:
             greedy = np.argmax(values, axis=1)                         # (S, G)
             slot_actions = greedy[self.slot_states, self.slot_gm_rank]  # (E, kappa)
             idx = np.broadcast_to(slot_actions[:, None, :, None],
                                   self.next_by_action.shape[:3] + (1,))
             nxt = np.take_along_axis(self.next_by_action, idx, axis=3)[:, :, :, 0]
             ranks = self._ranks_from_states(nxt.astype(np.int64))
+        else:
+            ranks = self.next_g_rank
         backups = m_values[self.next_focal, ranks]                     # (E, m)
         return backups.mean(axis=1)
 
-    def reward_vector(self) -> np.ndarray:
-        return self.rewards[self.e_s, self.e_a, self.e_g]
+
+def _frozen_uniforms(seed: int, kappa: int, n_entries: int, m: int,
+                     discard_actions: int) -> np.ndarray:
+    """(E, m, kappa + 1) uniforms: per sample, the focal one, then one per
+    neighbor. With ``discard_actions`` = A, each sample is followed by the
+    kappa action draws in [0, A) that the reference spends on them."""
+    uni = np.empty((n_entries, m, kappa + 1))
+    for e in range(n_entries):
+        gen = stream(seed, "vi-frozen", kappa, e)
+        if not discard_actions:
+            uni[e] = gen.random((m, kappa + 1))
+            continue
+        for ell in range(m):
+            gen.random(out=uni[e, ell])
+            gen.integers(0, discard_actions, size=kappa)
+    return uni
+
+
+def _chunked_searchsorted(cdf: np.ndarray, u: np.ndarray, chunk: int, dtype) -> np.ndarray:
+    """``_searchsorted_rows`` over ``chunk`` entries (the first axis) at a
+    time, which bounds the size of its intermediates."""
+    out = np.empty(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=dtype)
+    for lo in range(0, u.shape[0], chunk):
+        out[lo:lo + chunk] = _searchsorted_rows(cdf[lo:lo + chunk], u[lo:lo + chunk])
+    return out
 
 
 def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -563,30 +611,18 @@ def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _generic_sweep(env, q: QTable, entries, m, seed, operator, rules, cap):
-    """Reference per-entry sweep used for joint mode and exact operators."""
-    new_values = np.empty_like(q.values)
-    for rank_e, (s, a, h_rank, hist) in enumerate(entries):
-        if operator == "exact":
-            val = exact_operator(env, q, s, a, hist, enumeration_cap=cap, **rules)
-        else:
-            rng = stream(seed, "vi-frozen", q.kappa, rank_e)
-            val = empirical_operator(env, q, s, a, hist, m, rng, **rules)
-        new_values[s, a, h_rank] = val
-    return new_values
-
-
-def _enumerate_entries(q: QTable):
-    index = q.index()
+def exact_sweep(env: Environment, q: QTable, *,
+                enumeration_cap: int = DEFAULT_ENUMERATION_CAP, **rules) -> np.ndarray:
+    """The exact operator applied to every entry of ``q``, per entry."""
     joint_shape = (q.n_states, q.n_actions) if q.mode == "joint" else None
-    entries = []
+    hists = list(enumerate_histograms(q.alphabet_size(), q.kappa, joint_shape=joint_shape))
+    out = np.empty_like(q.values)
     for s in range(q.n_states):
         for a in range(q.n_actions):
-            for h_rank in range(index.total):
-                hist = Histogram(tuple(index.unrank_counts(h_rank)), q.kappa,
-                                 joint_shape=joint_shape)
-                entries.append((s, a, h_rank, hist))
-    return entries
+            for h_rank, hist in enumerate(hists):
+                out[s, a, h_rank] = exact_operator(env, q, s, a, hist,
+                                                   enumeration_cap=enumeration_cap, **rules)
+    return out
 
 
 def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFAULT_ITERATIONS,
@@ -602,13 +638,16 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
     Runs at most ``iterations`` sweeps, recording the residual
     ||Q_{t+1} - Q_t||_inf per sweep, and stops early once the residual drops
     below ``epsilon``. ``operator`` selects the frozen-sample empirical
-    operator (default) or the exact expectation (budget-gated).
+    operator (default; the vectorized engine in either mode) or the exact
+    expectation (per entry, budget-gated).
 
     ``reward_noise`` is used by the stochastic-reward variant: a callable
     (iteration, engine) -> per-entry reward perturbation vector.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if operator not in OPERATORS:
+        raise ValueError(f"operator must be one of {OPERATORS}")
     if mode == "marginal" and not env.marginal_sufficient:
         raise GmfsError(
             f"environment {env.name!r} does not declare marginal sufficiency; "
@@ -621,27 +660,19 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
                      env_name=env.name, seed=seed)
     rules = dict(neighbor_action_rule=neighbor_action_rule, aggregate_rule=aggregate_rule)
 
-    fast = mode == "marginal" and operator == "empirical"
-    if fast:
-        engine = _MarginalEngine(env, kappa, m, seed, **rules)
-        rewards = engine.reward_vector()
-        shape = q.values.shape
-    else:
-        entries = _enumerate_entries(q)
+    if operator == "empirical":
+        engine = _FrozenEngine(env, kappa, m, seed, mode=mode, **rules)
+    elif reward_noise is not None:
+        raise GmfsError("stochastic rewards are only wired to the empirical operator")
 
     for t in range(iterations):
-        if fast:
-            cont = engine.sweep(q.values)
-            r_t = rewards
+        if operator == "empirical":
+            r_t = engine.rewards
             if reward_noise is not None:
-                r_t = rewards + reward_noise(t, engine)
-            new_flat = r_t + gamma * cont
-            new_values = new_flat.reshape(shape)
+                r_t = r_t + reward_noise(t, engine)
+            new_values = (r_t + gamma * engine.sweep(q.values)).reshape(q.values.shape)
         else:
-            if reward_noise is not None:
-                raise GmfsError("stochastic rewards are only wired to the marginal engine")
-            new_values = _generic_sweep(env, q, entries, m, seed, operator, rules,
-                                        enumeration_cap)
+            new_values = exact_sweep(env, q, enumeration_cap=enumeration_cap, **rules)
         residual = float(np.abs(new_values - q.values).max())
         q.values = new_values
         q.iterations = t + 1
@@ -761,29 +792,10 @@ def off_policy_learn(env: Environment, kappa: int, steps: int | None = None,
     q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
     S, A = env.n_states, env.n_actions
-    index = get_index(S, kappa)
+    model = tabulate(env, kappa, aggregate_rule)
+    index, cdf, rewards, gm_rank = model.index, model.cdf, model.rewards, model.gm_rank
+    slot_states, nb_cdf = model.slot_states, model.uniform_cdf()
     G = index.total
-
-    hist_counts = np.empty((G, S), dtype=np.int64)
-    for g in range(G):
-        hist_counts[g] = index.unrank_counts(g)
-    hist_probs = hist_counts / kappa
-    pmf = np.empty((S, A, G, S))
-    rewards = np.empty((S, A, G))
-    for s in range(S):
-        for a in range(A):
-            for g in range(G):
-                pmf[s, a, g] = step_distribution(env, s, a, hist_probs[g])
-                rewards[s, a, g] = local_reward(env, s, a, hist_probs[g])
-    cdf = np.cumsum(pmf, axis=3)
-    nb_cdf = np.cumsum(pmf.mean(axis=1), axis=2)  # uniform over actions, (S, G, S)
-    gm_rank = np.empty((G, S, S), dtype=np.int64)
-    for g in range(G):
-        for s in range(S):
-            for x in range(S):
-                gm = _neighbor_marginal(env, hist_counts[g], s, x, kappa, aggregate_rule)
-                gm_rank[g, s, x] = index.rank_rows(gm[None, :])[0]
-    slot_states = [np.repeat(np.arange(S), hist_counts[g]) for g in range(G)]
 
     uniform_behavior = config.behavior_policy is None
     behavior_cdf = None

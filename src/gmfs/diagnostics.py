@@ -13,13 +13,13 @@ import numpy as np
 
 from .bellman import (
     QTable,
-    exact_operator,
+    exact_sweep,
     off_policy_learn,
     value_iteration,
 )
 from .env import Environment, linear_env, step_distribution, warehouse_env
 from .graphon import Graphon, LatentAssignment, build_weights
-from .histograms import enumerate_histograms, get_index, tv_distance
+from .histograms import get_index, tv_distance
 from .rng import stream
 from .sampler import (
     exact_aggregate,
@@ -74,21 +74,6 @@ def action_blind_env(gamma: float = 0.9) -> Environment:
     return linear_env("action-blind", kernel, rewards, discount=gamma)
 
 
-def _exact_table_update(env, q: QTable, hists, **rules) -> np.ndarray:
-    out = np.empty_like(q.values)
-    for s in range(q.n_states):
-        for a in range(q.n_actions):
-            for h_rank, hist in enumerate(hists):
-                out[s, a, h_rank] = exact_operator(env, q, s, a, hist, **rules)
-    return out
-
-
-def _instance_histograms(q: QTable):
-    joint_shape = (q.n_states, q.n_actions) if q.mode == "joint" else None
-    alphabet = q.alphabet_size()
-    return list(enumerate_histograms(alphabet, q.kappa, joint_shape=joint_shape))
-
-
 def contraction_suite(cfg=None, *, pairs: int = 100, gamma: float = 0.9,
                       kappa: int = 2, seed: int = 0) -> DiagnosticResult:
     """sup-norm contraction of the exact sampled operator on random table
@@ -101,7 +86,6 @@ def contraction_suite(cfg=None, *, pairs: int = 100, gamma: float = 0.9,
     worst = 0.0
     for mode, rule in (("joint", "uniform"), ("marginal", "uniform")):
         q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma, env_name=env.name)
-        hists = _instance_histograms(q)
         scale = env.reward_bound / (1.0 - gamma)
         max_ratio = 0.0
         for _ in range(pairs):
@@ -109,8 +93,8 @@ def contraction_suite(cfg=None, *, pairs: int = 100, gamma: float = 0.9,
                         rng.uniform(-scale, scale, q.values.shape), gamma)
             q2 = QTable(mode, kappa, env.n_states, env.n_actions,
                         rng.uniform(-scale, scale, q.values.shape), gamma)
-            t1 = _exact_table_update(env, q1, hists, neighbor_action_rule=rule)
-            t2 = _exact_table_update(env, q2, hists, neighbor_action_rule=rule)
+            t1 = exact_sweep(env, q1, neighbor_action_rule=rule)
+            t2 = exact_sweep(env, q2, neighbor_action_rule=rule)
             num = float(np.abs(t1 - t2).max())
             den = float(np.abs(q1.values - q2.values).max())
             if den > 0:

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import QTable, fiber_argmax
+from .bellman import QTable, fiber_max
 from .env import Environment, team_reward, transitions
+from .errors import GmfsError
 from .graphon import WeightMatrix
 from .histograms import Histogram, get_index, nearest_histograms
 from .rng import stream
@@ -57,15 +58,8 @@ class Policy:
     def greedy_table(self) -> np.ndarray:
         """(S, G) action lookup on the marginal-histogram grid."""
         if self._greedy is None:
-            g_index = get_index(self.table.n_states, self.table.kappa)
-            if self.table.mode == "marginal":
-                self._greedy = np.argmax(self.table.values, axis=1)
-            else:
-                out = np.empty((self.table.n_states, g_index.total), dtype=np.int64)
-                for s in range(self.table.n_states):
-                    for g in range(g_index.total):
-                        out[s, g] = fiber_argmax(self.table, s, g)
-                self._greedy = out
+            t = self.table
+            self._greedy = fiber_max(t.values, t.mode, t.kappa).argmax(axis=1)
         return self._greedy
 
 
@@ -124,6 +118,10 @@ def _simulate(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
         raise ValueError(f"policy kappa {policy.kappa} does not match requested {kappa}")
     if weights.n != n:
         raise ValueError(f"weight matrix is for {weights.n} agents, not {n}")
+    if (policy.n_states, policy.table.n_actions) != (env.n_states, env.n_actions):
+        raise GmfsError(
+            f"q-table has |S|={policy.n_states}, |A|={policy.table.n_actions} but "
+            f"environment {env.name!r} has |S|={env.n_states}, |A|={env.n_actions}")
     if reward_aggregates not in ("exact", "sampled"):
         raise ValueError("reward_aggregates must be 'exact' or 'sampled'")
     if policy_inputs not in ("sampled", "exact"):

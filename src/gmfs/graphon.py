@@ -174,10 +174,6 @@ class WeightMatrix:
         for m in (self.raw, self.normalized):
             m.setflags(write=False)
 
-    def row_cdf(self) -> np.ndarray:
-        """Per-row cumulative distribution of the normalized weights."""
-        return np.cumsum(self.normalized, axis=1)
-
 
 def build_weights(graphon: Graphon, assign: LatentAssignment) -> WeightMatrix:
     """Materialize w_ij = W(alpha_i, alpha_j), w_ii = 0, and the normalized rows.

@@ -15,7 +15,7 @@ import pytest
 
 from gmfs.bellman import (
     QTable,
-    _MarginalEngine,
+    _FrozenEngine,
     exact_operator,
     off_policy_learn,
     OffPolicyConfig,
@@ -150,9 +150,9 @@ def test_criterion_7_empirical_operator_consistency():
     q = QTable.zeros("marginal", kappa, 2, 2, 0.9)
     q.values = rng.uniform(-env.reward_bound / 0.1, env.reward_bound / 0.1,
                            q.values.shape)
-    engine = _MarginalEngine(env, kappa, m, seed=77, neighbor_action_rule="uniform",
-                             aggregate_rule="leave_one_out")
-    empirical = (engine.reward_vector() + 0.9 * engine.sweep(q.values)).reshape(q.values.shape)
+    engine = _FrozenEngine(env, kappa, m, seed=77, mode="marginal",
+                           neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+    empirical = (engine.rewards + 0.9 * engine.sweep(q.values)).reshape(q.values.shape)
     idx = get_index(2, kappa)
     worst = 0.0
     for s in range(2):

@@ -8,11 +8,12 @@ from gmfs.bellman import (
     DEFAULT_ENUMERATION_CAP,
     OffPolicyConfig,
     QTable,
-    _MarginalEngine,
+    _FrozenEngine,
     empirical_operator,
     exact_operator,
     fiber_backup,
     fiber_argmax,
+    fiber_ranks,
     load_qtable,
     off_policy_learn,
     off_policy_update,
@@ -25,7 +26,7 @@ from gmfs.bellman import (
 )
 from gmfs.env import StochasticRewardEnv, linear_env, step_distribution
 from gmfs.errors import BudgetError, GmfsError
-from gmfs.histograms import Alphabet, Histogram, enumerate_histograms, fiber, get_index
+from gmfs.histograms import Alphabet, Histogram, enumerate_histograms, fiber, get_index, marginal
 from gmfs.rng import stream
 
 
@@ -68,6 +69,26 @@ def exact_backup_oracle(env, q, s, a, g_counts, kappa):
     for (s_next, counts), p in law.items():
         cont += p * q.values[s_next, :, idx.rank(Histogram(counts, kappa))].max()
     return r + q.gamma * cont
+
+
+def engine_and_reference(env, q, m, seed, rule, agg):
+    """One engine sweep of q, and the per-entry empirical operator on the
+    same frozen streams, both as (S, A, H) tables."""
+    eng = _FrozenEngine(env, q.kappa, m, seed, mode=q.mode, neighbor_action_rule=rule,
+                        aggregate_rule=agg)
+    fast = (eng.rewards + q.gamma * eng.sweep(q.values)).reshape(q.values.shape)
+    joint_shape = (q.n_states, q.n_actions) if q.mode == "joint" else None
+    hists = list(enumerate_histograms(q.alphabet_size(), q.kappa, joint_shape=joint_shape))
+    ref = np.empty_like(q.values)
+    e = 0
+    for s in range(q.n_states):
+        for a in range(q.n_actions):
+            for h, hist in enumerate(hists):
+                ref[s, a, h] = empirical_operator(
+                    env, q, s, a, hist, m, stream(seed, "vi-frozen", q.kappa, e),
+                    neighbor_action_rule=rule, aggregate_rule=agg)
+                e += 1
+    return fast, ref
 
 
 class TestSurrogateStep:
@@ -119,12 +140,15 @@ class TestSurrogateStep:
         for trial in range(20):
             counts = rng.multinomial(5, np.ones(6) / 6)
             z = Histogram(tuple(counts), 5, joint_shape=(2, 3))
-            st = expand_surrogate(1, 2, z)
-            assert st.focal == (1, 2) and st.kappa == 5
+            states, actions = expand_surrogate(z)
+            assert states.shape == actions.shape == (5,)
             tally = np.zeros(6, dtype=int)
-            for x, u in zip(st.neighbor_states, st.neighbor_actions):
+            for x, u in zip(states, actions):
                 tally[x * 3 + u] += 1
             assert tuple(tally) == z.counts
+            states, actions = expand_surrogate(marginal(z))
+            assert actions is None
+            assert tuple(np.bincount(states, minlength=2)) == marginal(z).counts
 
     def test_monte_carlo_matches_brute_force_oracle(self, small):
         kappa, trials = 2, 100_000
@@ -203,6 +227,26 @@ class TestFiberBackup:
                     for z in fiber(g, Alphabet(na))
                 )
                 assert fiber_backup(q, s, g) == pytest.approx(brute)
+
+    def test_vectorized_greedy_table_matches_fiber_argmax(self, rng):
+        from gmfs.execution import Policy
+
+        for ns, na, kappa in ((2, 2, 2), (3, 3, 2), (2, 3, 3)):
+            q = QTable.zeros("joint", kappa, ns, na, 0.9)
+            q.values = rng.integers(0, 3, q.values.shape).astype(float)  # full of ties
+            greedy = Policy(q).greedy_table()
+            g_total = get_index(ns, kappa).total
+            assert greedy.shape == (ns, g_total)
+            for s in range(ns):
+                for g in range(g_total):
+                    assert greedy[s, g] == fiber_argmax(q, s, g)
+
+    def test_fiber_ranks_are_the_fiber(self):
+        z_idx = get_index(6, 3)
+        for g in enumerate_histograms(2, 3):
+            want = sorted(z_idx.rank(z) for z in fiber(g, Alphabet(3)))
+            got = fiber_ranks(2, 3, 3, get_index(2, 3).rank(g))
+            assert got.tolist() == want
 
     def test_argmax_tie_breaks_low(self):
         q = QTable.zeros("marginal", 2, 2, 3, 0.9)
@@ -299,54 +343,49 @@ class TestValueIteration:
         assert np.all(q.values == 0.0) and q.iterations == 0
 
     def test_fast_engine_matches_reference_sweep(self, warehouse, rng):
-        for rule in ("uniform", "greedy"):
-            kappa, m, seed = 3, 7, 11
-            q = QTable.zeros("marginal", kappa, 3, 3, 0.95, env_name="warehouse")
+        # marginal mode at kappa 3; joint mode at kappa 2 (405 entries), where
+        # the uniform rule's discarded next-action draws must be replayed
+        cases = [("marginal", 3, rule, "leave_one_out") for rule in ("uniform", "greedy")]
+        cases += [("joint", 2, rule, agg) for rule in ("uniform", "greedy")
+                  for agg in ("leave_one_out", "shared")]
+        for mode, kappa, rule, agg in cases:
+            m, seed = 7, 11
+            q = QTable.zeros(mode, kappa, 3, 3, 0.95, env_name="warehouse")
             q.values = rng.uniform(-5, 5, q.values.shape)
-            eng = _MarginalEngine(warehouse, kappa, m, seed,
-                                  neighbor_action_rule=rule, aggregate_rule="leave_one_out")
-            fast = (eng.reward_vector() + 0.95 * eng.sweep(q.values)).reshape(q.values.shape)
-            idx = get_index(3, kappa)
-            ref = np.empty_like(q.values)
-            e = 0
-            for s in range(3):
-                for a in range(3):
-                    for g in range(idx.total):
-                        h = Histogram(tuple(idx.unrank_counts(g)), kappa)
-                        ref[s, a, g] = empirical_operator(
-                            warehouse, q, s, a, h, m, stream(seed, "vi-frozen", kappa, e),
-                            neighbor_action_rule=rule)
-                        e += 1
-            assert np.array_equal(fast, ref)
+            fast, ref = engine_and_reference(warehouse, q, m, seed, rule, agg)
+            assert np.array_equal(fast, ref), (mode, rule, agg)
 
     def test_fast_engine_matches_reference_on_random_envs(self, rng):
-        # equivalence must hold for arbitrary marginal-sufficient kernels,
-        # not just the benchmark instance
+        # equivalence must hold for arbitrary kernels, not just the benchmark
+        # instance
         from gmfs.env import linear_env
 
-        for trial in range(4):
+        for trial in range(8):
+            mode = ("marginal", "joint")[trial // 4]
             S, A = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             kernel = rng.dirichlet(np.ones(S), size=(S, A, S))
             rewards = rng.uniform(-3, 3, size=(S, A, S))
             env = linear_env(f"rand{trial}", kernel, rewards, discount=0.9)
-            kappa, m, seed = int(rng.integers(2, 5)), 5, 100 + trial
+            kappa = int(rng.integers(2, 5 if mode == "marginal" else 3))
             rule = ("uniform", "greedy")[trial % 2]
-            q = QTable.zeros("marginal", kappa, S, A, 0.9)
+            agg = ("leave_one_out", "shared")[trial // 2 % 2]
+            q = QTable.zeros(mode, kappa, S, A, 0.9)
             q.values = rng.uniform(-9, 9, q.values.shape)
-            eng = _MarginalEngine(env, kappa, m, seed, neighbor_action_rule=rule,
-                                  aggregate_rule="leave_one_out")
-            fast = (eng.reward_vector() + 0.9 * eng.sweep(q.values)).reshape(q.values.shape)
-            idx = get_index(S, kappa)
-            e = 0
-            for s in range(S):
-                for a in range(A):
-                    for g in range(idx.total):
-                        h = Histogram(tuple(idx.unrank_counts(g)), kappa)
-                        ref = empirical_operator(
-                            env, q, s, a, h, m, stream(seed, "vi-frozen", kappa, e),
-                            neighbor_action_rule=rule)
-                        assert fast[s, a, g] == ref
-                        e += 1
+            fast, ref = engine_and_reference(env, q, 5, 100 + trial, rule, agg)
+            assert np.array_equal(fast, ref), (mode, S, A, kappa, rule, agg)
+
+    def test_joint_mode_never_reaches_the_per_entry_path(self, small, monkeypatch):
+        from gmfs import bellman
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-entry path reached")
+
+        monkeypatch.setattr(bellman, "empirical_operator", refuse)
+        monkeypatch.setattr(bellman, "surrogate_step", refuse)
+        for rule in ("uniform", "greedy"):
+            q = value_iteration(small, 2, 4, 5, seed=0, mode="joint", gamma=0.9,
+                                neighbor_action_rule=rule)
+            assert q.iterations == 5 and np.all(np.isfinite(q.values))
 
     def test_boundedness_invariant(self, warehouse):
         q = value_iteration(warehouse, 3, 20, 80, seed=1)
@@ -407,6 +446,25 @@ class TestStochasticValueIteration:
         sto = value_iteration_stochastic(wrapped, 2, 10, 40, xi=1, seed=3)
         assert np.array_equal(det.values, sto.values)
         assert det.residual_history == sto.residual_history
+
+    def test_degenerate_noise_bitwise_equal_in_joint_mode(self, small):
+        det = value_iteration(small, 2, 6, 25, seed=3, mode="joint")
+        wrapped = StochasticRewardEnv(small, noise="degenerate")
+        sto = value_iteration_stochastic(wrapped, 2, 6, 25, xi=1, seed=3, mode="joint")
+        assert np.array_equal(det.values, sto.values)
+        assert det.residual_history == sto.residual_history
+
+    def test_reward_noise_reaches_joint_mode(self, small):
+        det = value_iteration(small, 2, 6, 25, seed=3, mode="joint")
+        wrapped = StochasticRewardEnv(small, noise="uniform", half_width=0.5)
+        sto = value_iteration_stochastic(wrapped, 2, 6, 25, xi=3, seed=3, mode="joint")
+        assert sto.values.shape == det.values.shape
+        assert 0.0 < np.abs(sto.values - det.values).max() < 0.5 / (1 - 0.9) + 1e-9
+
+    def test_reward_noise_needs_the_empirical_operator(self, small):
+        wrapped = StochasticRewardEnv(small, noise="uniform", half_width=0.5)
+        with pytest.raises(GmfsError, match="empirical operator"):
+            value_iteration_stochastic(wrapped, 2, 1, 3, xi=2, seed=0, operator="exact")
 
     def test_zero_half_width_equals_deterministic(self, warehouse):
         det = value_iteration(warehouse, 2, 10, 30, seed=4)

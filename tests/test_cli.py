@@ -108,6 +108,18 @@ class TestExecuteAndInspect:
             assert main(["execute", "--config", cfg, "--qtable", str(qpath),
                          "--seeds", bad, "--out", str(tmp_path / "e.csv")]) == 2
 
+    def test_execute_rejects_table_of_other_dimensions(self, tmp_path, capsys):
+        # a 2-state, 2-action table on the 3-state, 3-action warehouse
+        from gmfs.bellman import QTable, save_qtable
+
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 2, 2, 2, 0.95, env_name="warehouse"), qpath)
+        out = tmp_path / "e.csv"
+        assert main(["execute", "--config", write_config(tmp_path), "--qtable", str(qpath),
+                     "--out", str(out)]) == 2
+        assert "|S|=2, |A|=2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_prints_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         qpath = tmp_path / "q.bin"
