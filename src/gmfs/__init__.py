@@ -62,4 +62,4 @@ from .bellman import (
 )
 from .execution import EpisodeResult, Policy, act, evaluate_policy, run_episode
 from .harness import ExperimentConfig, SweepReport, parse_config, run_diagnostics, run_sweep
-from .errors import BudgetError, ConfigError, GmfsError
+from .errors import BudgetError, ConfigError, FormatError, GmfsError

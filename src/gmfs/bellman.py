@@ -33,6 +33,7 @@ import io
 import math
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import Environment, StochasticRewardEnv, local_reward, step_distribution
-from .errors import BudgetError, GmfsError
+from .errors import BudgetError, FormatError, GmfsError
 from .histograms import (
     Histogram,
     HistogramIndex,
@@ -60,6 +61,7 @@ DEFAULT_EPSILON = 1e-4
 DEFAULT_ITERATIONS = 250
 DEFAULT_ENUMERATION_CAP = 1_000_000
 MAX_TABLE_ENTRIES = 50_000_000
+_OFF_POLICY_BLOCK = 4096  # uniform rows per list conversion
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +533,16 @@ class _FrozenEngine:
         self.next_focal = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :],
                                              uni[:, :, 0])
 
+        slot_uni = uni[:, :, 1:].transpose(0, 2, 1)                   # (E, kappa, m)
         if self.greedy:
-            # coupled inverse-CDF outcome for each candidate action; advanced
+            # coupled inverse-CDF outcome of each slot under each candidate
+            # action, one row of m samples per (entry, slot, action); advanced
             # indices split by a slice land in front: (E, kappa, A, S)
-            slot_cdf = model.cdf[self.slot_states, :, self.slot_gm_rank][:, None]
-            self.next_by_action = _chunked_searchsorted(
-                slot_cdf, uni[:, :, 1:, None], chunk, np.int8)         # (E, m, kappa, A)
+            slot_cdf = model.cdf[self.slot_states, :, self.slot_gm_rank][:, :, :, None]
+            next_rows = _chunked_searchsorted(
+                slot_cdf, slot_uni[:, :, None], chunk, np.int8)       # (E, kappa, A, m)
+            self.next_rows = next_rows.reshape(-1, m)
+            self.slot_base = np.arange(self.n_entries * kappa).reshape(-1, kappa) * A
             return
         if mode == "joint":
             slot_actions = _slots(layout.counts)[e_h] % A
@@ -544,15 +550,16 @@ class _FrozenEngine:
         else:
             slot_cdf = model.uniform_cdf()[self.slot_states, self.slot_gm_rank]
         # the law of every slot is static, and so are the next marginals
-        nxt = _chunked_searchsorted(slot_cdf[:, None], uni[:, :, 1:], chunk, np.int64)
+        nxt = _chunked_searchsorted(slot_cdf[:, :, None], slot_uni, chunk, np.int64)
         self.next_g_rank = self._ranks_from_states(nxt)
 
     def _ranks_from_states(self, next_states: np.ndarray) -> np.ndarray:
+        """(E, m) marginal ranks of (E, kappa, m) neighbor next states."""
         S = self.index.alphabet_size
-        E, m, _ = next_states.shape
+        E, _, m = next_states.shape
         counts = np.empty((E, m, S), dtype=np.int64)
         for x in range(S):
-            counts[:, :, x] = (next_states == x).sum(axis=2)
+            counts[:, :, x] = (next_states == x).sum(axis=1)
         return self.index.rank_rows(counts.reshape(E * m, S)).reshape(E, m)
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
@@ -562,10 +569,7 @@ class _FrozenEngine:
         if self.greedy:
             greedy = np.argmax(values, axis=1)                         # (S, G)
             slot_actions = greedy[self.slot_states, self.slot_gm_rank]  # (E, kappa)
-            idx = np.broadcast_to(slot_actions[:, None, :, None],
-                                  self.next_by_action.shape[:3] + (1,))
-            nxt = np.take_along_axis(self.next_by_action, idx, axis=3)[:, :, :, 0]
-            ranks = self._ranks_from_states(nxt.astype(np.int64))
+            ranks = self._ranks_from_states(self.next_rows[self.slot_base + slot_actions])
         else:
             ranks = self.next_g_rank
         backups = m_values[self.next_focal, ranks]                     # (E, m)
@@ -599,11 +603,13 @@ def _chunked_searchsorted(cdf: np.ndarray, u: np.ndarray, chunk: int, dtype) -> 
 
 
 def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup matching searchsorted(..., side="right"): count of
-    cdf entries <= u, broadcast over leading axes; the last cdf axis is the
-    state axis."""
-    out = (u[..., None] >= cdf).sum(axis=-1)
-    return np.minimum(out, cdf.shape[-1] - 1)
+    """Inverse-CDF lookup matching min(searchsorted(row, u, side="right"),
+    S - 1) on non-decreasing rows: the count of the first S - 1 cdf entries
+    <= u, broadcast over leading axes; the last cdf axis is the state axis."""
+    out = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=np.int64)
+    for x in range(cdf.shape[-1] - 1):
+        out += u >= cdf[..., x]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -793,48 +799,47 @@ def off_policy_learn(env: Environment, kappa: int, steps: int | None = None,
                      env_name=env.name, seed=seed)
     S, A = env.n_states, env.n_actions
     model = tabulate(env, kappa, aggregate_rule)
-    index, cdf, rewards, gm_rank = model.index, model.cdf, model.rewards, model.gm_rank
-    slot_states, nb_cdf = model.slot_states, model.uniform_cdf()
-    G = index.total
-
-    uniform_behavior = config.behavior_policy is None
+    G = model.index.total
+    # The trajectory never reads Q, so each step is a few scalar lookups in
+    # Python-list tables. Every cdf row drops its last entry: bisect_right
+    # on the rest counts the entries <= u, capped at S - 1, exactly as
+    # min(searchsorted(row, u, side="right"), S - 1) does.
+    cdf = model.cdf[..., :-1].tolist()                         # [s][a][g]
+    rewards = model.rewards.tolist()                           # [s][a][g]
+    nb_cdf = model.uniform_cdf()[..., :-1]
+    nb_rows = [[[nb_cdf[x, model.gm_rank[g, s, x]].tolist() for x in model.slot_states[g]]
+                for s in range(S)] for g in range(G)]           # [g][s][slot]
+    rank_of = {tuple(c): g for g, c in enumerate(model.hist_counts.tolist())}
     behavior_cdf = None
-    if not uniform_behavior:
-        behavior_cdf = np.empty((S, G, A))
-        for s in range(S):
-            for g in range(G):
-                behavior_cdf[s, g] = np.cumsum(config.action_pmf(s, g, A))
+    if config.behavior_policy is not None:
+        behavior_cdf = [[np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()
+                         for g in range(G)] for s in range(S)]
+    values = [[[0.0] * A for _ in range(G)] for _ in range(S)]  # [s][g][a]
 
     rng = stream(seed, "off-policy", kappa)
     s_cur = int(rng.integers(0, S))
     g_cur = int(rng.integers(0, G))
-    values = q.values
-    block_len = max(1, 4_000_000 // (kappa + 2))  # bound the pre-drawn block
     t = 0
     while t < steps:
-        take = min(block_len, steps - t)
-        uniforms = rng.random((take, kappa + 2))
-        for row_idx in range(take):
-            u = uniforms[row_idx]
-            if uniform_behavior:
+        # the same rows whatever the block length; short blocks keep the
+        # list copy small
+        block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), kappa + 2)).tolist()
+        for u in block:
+            if behavior_cdf is None:
                 a = min(int(u[0] * A), A - 1)
             else:
-                a = min(int(np.searchsorted(behavior_cdf[s_cur, g_cur], u[0],
-                                            side="right")), A - 1)
-            r = rewards[s_cur, a, g_cur]
-            row = cdf[s_cur, a, g_cur]
-            s_next = min(int(np.searchsorted(row, u[1], side="right")), S - 1)
-            counts = np.zeros(S, dtype=np.int64)
-            for j, x in enumerate(slot_states[g_cur]):
-                nb_row = nb_cdf[x, gm_rank[g_cur, s_cur, x]]
-                nxt = min(int(np.searchsorted(nb_row, u[2 + j], side="right")), S - 1)
-                counts[nxt] += 1
-            g_next = int(index.rank_rows(counts[None, :])[0])
-            alpha = config.alpha(t + row_idx)
-            backup = r + gamma * values[s_next, :, g_next].max()
-            values[s_cur, a, g_cur] += alpha * (backup - values[s_cur, a, g_cur])
+                a = bisect_right(behavior_cdf[s_cur][g_cur], u[0])
+            s_next = bisect_right(cdf[s_cur][a][g_cur], u[1])
+            counts = [0] * S
+            for j, row in enumerate(nb_rows[g_cur][s_cur], 2):
+                counts[bisect_right(row, u[j])] += 1
+            g_next = rank_of[tuple(counts)]
+            backup = rewards[s_cur][a][g_cur] + gamma * max(values[s_next][g_next])
+            entry = values[s_cur][g_cur]
+            entry[a] += config.alpha(t) * (backup - entry[a])
             s_cur, g_cur = s_next, g_next
-        t += take
+            t += 1
+    q.values = np.array(values).transpose(0, 2, 1).copy()
     q.iterations = steps
     q.residual = float("nan")
     return q
@@ -890,37 +895,44 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
+    """Read a q-table file; any damage to it is a FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4:
-        raise GmfsError("q-table file is truncated")
+        raise FormatError("q-table file is truncated")
     data, crc_bytes = blob[:-4], blob[-4:]
     (stored_crc,) = struct.unpack("<I", crc_bytes)
     if zlib.crc32(data) & 0xFFFFFFFF != stored_crc:
-        raise GmfsError("q-table file failed its checksum; the file is corrupt")
+        raise FormatError("q-table file failed its checksum; the file is corrupt")
     if data[: len(MAGIC)] != MAGIC:
-        raise GmfsError(
+        raise FormatError(
             f"unrecognized q-table format (expected magic {MAGIC!r}); "
             "enumeration-order version mismatch"
         )
     off = len(MAGIC)
-    mode_code, n_states, n_actions, kappa = struct.unpack_from("<BIII", data, off)
-    off += struct.calcsize("<BIII")
-    gamma, residual, seed = struct.unpack_from("<ddQ", data, off)
-    off += struct.calcsize("<ddQ")
-    (name_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    env_name = data[off : off + name_len].decode("utf-8")
+    try:
+        mode_code, n_states, n_actions, kappa = struct.unpack_from("<BIII", data, off)
+        off += struct.calcsize("<BIII")
+        gamma, residual, seed = struct.unpack_from("<ddQ", data, off)
+        off += struct.calcsize("<ddQ")
+        (name_len,) = struct.unpack_from("<I", data, off)
+        off += 4
+        env_name = data[off : off + name_len].decode("utf-8")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FormatError(f"q-table header is truncated or malformed: {exc}") from exc
     off += name_len
     if mode_code not in _MODE_NAMES:
-        raise GmfsError(f"unknown mode code {mode_code}")
+        raise FormatError(f"unknown mode code {mode_code}")
     mode = _MODE_NAMES[mode_code]
+    if min(n_states, n_actions, kappa) < 1:
+        raise FormatError(f"q-table header dims |S|={n_states}, |A|={n_actions}, "
+                          f"kappa={kappa} must all be >= 1")
     alphabet = n_states * n_actions if mode == "joint" else n_states
     count = num_histograms(alphabet, kappa)
     expected = n_states * n_actions * count * 8
     payload = data[off:]
     if len(payload) != expected:
-        raise GmfsError(
+        raise FormatError(
             f"q-table payload holds {len(payload) // 8} values but the header "
             f"dims |S|={n_states}, |A|={n_actions}, kappa={kappa} require "
             f"{expected // 8}"

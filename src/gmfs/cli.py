@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: train, execute, sweep, diagnose, inspect. Exit codes: 0 success,
-2 config error, 3 budget error, 4 diagnostic acceptance failure.
+2 config error, 3 budget error, 4 diagnostic acceptance failure, 5 format
+error (a truncated, corrupt or unknown q-table file).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bellman import load_qtable, save_qtable
-from .errors import BudgetError, ConfigError, GmfsError
+from .errors import BudgetError, ConfigError, FormatError, GmfsError
 from .harness import (
     ExperimentConfig,
     _parse_seeds,
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_DIAGNOSTIC = 4
+EXIT_FORMAT = 5
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -164,6 +166,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except FormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except GmfsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,6 +14,7 @@ timings.json, which is deliberately outside the determinism contract.
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
 import json
@@ -34,11 +35,12 @@ from .bellman import (
     value_iteration_stochastic,
 )
 from .env import Environment, StochasticRewardEnv, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
-from .errors import ConfigError
+from .errors import ConfigError, GmfsError
 from .execution import Policy, PolicyEvaluation, evaluate_policy
 from .graphon import Graphon, LatentAssignment, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
+MAX_SEEDS = 1_000_000  # one episode per seed; a larger count or range is refused
 
 _ENV_KEYS = {"name", "file"} | set(WAREHOUSE_DEFAULTS)
 _GRAPHON_KEYS = {"kind", "radius", "beta", "blocks", "latent", "coords"}
@@ -129,11 +131,15 @@ def _parse_seeds(raw: str, section: str = "execute", key: str = "seeds") -> tupl
     'lo..hi', or a list of two or more seeds separated by spaces or commas."""
     raw = raw.strip()
     if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return tuple(range(_parse_number(section, key, lo, int),
-                           _parse_number(section, key, hi, int)))
-    seeds = _parse_numbers(section, key, raw.replace(",", " "), int)
-    return tuple(range(seeds[0])) if len(seeds) == 1 else seeds  # empty fails validate()
+        lo, hi = (_parse_number(section, key, end, int) for end in raw.split("..", 1))
+    else:
+        seeds = _parse_numbers(section, key, raw.replace(",", " "), int)
+        if len(seeds) != 1:
+            return seeds  # empty fails validate()
+        lo, hi = 0, seeds[0]
+    if hi - lo > MAX_SEEDS:  # checked before the tuple is built
+        raise ConfigError(f"[{section}] {key} = {raw!r}: more than {MAX_SEEDS} seeds")
+    return tuple(range(lo, hi))
 
 
 def _parse_init(raw: str):
@@ -300,7 +306,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out.write("\n[execute]\n")
     out.write(f"horizon = {cfg.horizon}\n")
     seeds = cfg.seed_list
-    contiguous = seeds == tuple(range(seeds[0], seeds[-1] + 1))
+    # builds at most len(seeds) items, however far apart the seeds are
+    contiguous = seeds == tuple(range(seeds[0], seeds[0] + len(seeds)))
     out.write(f"seeds = {seeds[0]}..{seeds[-1] + 1}\n" if contiguous
               else "seeds = " + " ".join(str(s) for s in seeds) + "\n")
     out.write(f"init = {_fmt(cfg.init)}\n")
@@ -424,7 +431,7 @@ def _sweep_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> 
                         returns=evaluation.returns,
                         sup_peak=max(q.sup_history) if q.sup_history else q.sup_norm(),
                         qtable=q)
-    except Exception as exc:  # per-kappa isolation: other kappas still run
+    except GmfsError as exc:  # a refused kappa is recorded; other kappas still run
         return SweepRow(kappa=kappa, table_size=size, train_iterations=0,
                         train_residual=float("nan"), train_wall_time=0.0,
                         mean_return=float("nan"), stderr_return=float("nan"),
@@ -467,12 +474,13 @@ def _provenance_lines(cfg: ExperimentConfig) -> str:
 def _write_sweep_csv(report: SweepReport, cfg: ExperimentConfig, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_provenance_lines(cfg))
-        fh.write("kappa,table_size,train_iterations,train_residual,"
-                 "mean_return,stderr_return,status\n")
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["kappa", "table_size", "train_iterations", "train_residual",
+                       "mean_return", "stderr_return", "status", "error"])
         for r in report.rows:
-            fh.write(f"{r.kappa},{r.table_size},{r.train_iterations},"
-                     f"{r.train_residual!r},{r.mean_return!r},{r.stderr_return!r},"
-                     f"{r.status}\n")
+            rows.writerow([r.kappa, r.table_size, r.train_iterations,
+                           repr(r.train_residual), repr(r.mean_return),
+                           repr(r.stderr_return), r.status, r.error])
 
 
 def write_episodes_csv(path, cfg: ExperimentConfig, returns_by_kappa: dict) -> None:

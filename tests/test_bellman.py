@@ -21,11 +21,12 @@ from gmfs.bellman import (
     save_qtable,
     surrogate_step,
     table_size,
+    tabulate,
     value_iteration,
     value_iteration_stochastic,
 )
 from gmfs.env import StochasticRewardEnv, linear_env, step_distribution
-from gmfs.errors import BudgetError, GmfsError
+from gmfs.errors import BudgetError, FormatError, GmfsError
 from gmfs.histograms import Alphabet, Histogram, enumerate_histograms, fiber, get_index, marginal
 from gmfs.rng import stream
 
@@ -89,6 +90,62 @@ def engine_and_reference(env, q, m, seed, rule, agg):
                     neighbor_action_rule=rule, aggregate_rule=agg)
                 e += 1
     return fast, ref
+
+
+def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
+                      aggregate_rule="leave_one_out"):
+    """The per-step numpy Q-learning loop that ``off_policy_learn`` replaced:
+    one searchsorted per draw, one rank_rows call per step, Q as an array."""
+    config = config or OffPolicyConfig()
+    gamma = env.discount if gamma is None else float(gamma)
+    q = QTable.zeros("marginal", kappa, env.n_states, env.n_actions, gamma,
+                     env_name=env.name, seed=seed)
+    S, A = env.n_states, env.n_actions
+    model = tabulate(env, kappa, aggregate_rule)
+    index, cdf, rewards, gm_rank = model.index, model.cdf, model.rewards, model.gm_rank
+    slot_states, nb_cdf = model.slot_states, model.uniform_cdf()
+    G = index.total
+
+    uniform_behavior = config.behavior_policy is None
+    behavior_cdf = None
+    if not uniform_behavior:
+        behavior_cdf = np.empty((S, G, A))
+        for s in range(S):
+            for g in range(G):
+                behavior_cdf[s, g] = np.cumsum(config.action_pmf(s, g, A))
+
+    rng = stream(seed, "off-policy", kappa)
+    s_cur = int(rng.integers(0, S))
+    g_cur = int(rng.integers(0, G))
+    values = q.values
+    block_len = max(1, 4_000_000 // (kappa + 2))  # bound the pre-drawn block
+    t = 0
+    while t < steps:
+        take = min(block_len, steps - t)
+        uniforms = rng.random((take, kappa + 2))
+        for row_idx in range(take):
+            u = uniforms[row_idx]
+            if uniform_behavior:
+                a = min(int(u[0] * A), A - 1)
+            else:
+                a = min(int(np.searchsorted(behavior_cdf[s_cur, g_cur], u[0],
+                                            side="right")), A - 1)
+            r = rewards[s_cur, a, g_cur]
+            row = cdf[s_cur, a, g_cur]
+            s_next = min(int(np.searchsorted(row, u[1], side="right")), S - 1)
+            counts = np.zeros(S, dtype=np.int64)
+            for j, x in enumerate(slot_states[g_cur]):
+                nb_row = nb_cdf[x, gm_rank[g_cur, s_cur, x]]
+                nxt = min(int(np.searchsorted(nb_row, u[2 + j], side="right")), S - 1)
+                counts[nxt] += 1
+            g_next = int(index.rank_rows(counts[None, :])[0])
+            alpha = config.alpha(t + row_idx)
+            backup = r + gamma * values[s_next, :, g_next].max()
+            values[s_cur, a, g_cur] += alpha * (backup - values[s_cur, a, g_cur])
+            s_cur, g_cur = s_next, g_next
+        t += take
+    q.iterations = steps
+    return q
 
 
 class TestSurrogateStep:
@@ -343,9 +400,11 @@ class TestValueIteration:
         assert np.all(q.values == 0.0) and q.iterations == 0
 
     def test_fast_engine_matches_reference_sweep(self, warehouse, rng):
-        # marginal mode at kappa 3; joint mode at kappa 2 (405 entries), where
+        # marginal mode at kappa 3 and 4; joint mode at kappa 2 (405 entries), where
         # the uniform rule's discarded next-action draws must be replayed
         cases = [("marginal", 3, rule, "leave_one_out") for rule in ("uniform", "greedy")]
+        # more slots than states: the greedy gather meets repeated slot states
+        cases += [("marginal", 4, "greedy", agg) for agg in ("leave_one_out", "shared")]
         cases += [("joint", 2, rule, agg) for rule in ("uniform", "greedy")
                   for agg in ("leave_one_out", "shared")]
         for mode, kappa, rule, agg in cases:
@@ -545,6 +604,25 @@ class TestOffPolicy:
         assert cfg.alpha(0) == 0.5
         assert cfg.alpha(10) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("env_name, kappa, steps, seed, kwargs", [
+        ("small", 2, 3000, 0, {}),
+        ("small", 2, 3000, 1, {"config": OffPolicyConfig(
+            behavior_policy=lambda s, g: (0.75 if g % 2 else 0.1, 0.25))}),
+        ("small", 3, 3000, 2, {"aggregate_rule": "shared"}),
+        ("small", 2, 3000, 3, {"config": OffPolicyConfig(learning_rate=0.5, decay=0.01)}),
+        ("warehouse", 3, 2 * 4096 + 811, 4, {"config": OffPolicyConfig(
+            learning_rate=0.2, behavior_policy=lambda s, g: (1.0, 2.0, 0.5 + s))}),
+        ("warehouse", 4, 1, 5, {}),
+    ])
+    def test_matches_the_per_step_numpy_oracle(self, request, env_name, kappa, steps,
+                                               seed, kwargs):
+        env = request.getfixturevalue(env_name)
+        got = off_policy_learn(env, kappa, steps, seed, **kwargs)
+        want = off_policy_oracle(env, kappa, steps, seed, **kwargs)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.iterations == steps
+        assert np.any(got.values != 0.0)
+
     def test_learning_approaches_fixed_point(self, small):
         fixed = value_iteration(small, 2, 1, 1200, seed=0, mode="marginal", gamma=0.9,
                                 epsilon=1e-13, operator="exact",
@@ -604,7 +682,7 @@ class TestQTableIO:
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(GmfsError, match="checksum"):
+        with pytest.raises(FormatError, match="checksum"):
             load_qtable(path)
 
     def test_truncated_payload_reports_dimensions(self, tmp_path):
@@ -618,7 +696,7 @@ class TestQTableIO:
         body = blob[:-4]
         body = body[:-8]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        with pytest.raises(GmfsError, match="dims"):
+        with pytest.raises(FormatError, match="dims"):
             load_qtable(path)
 
     def test_bad_magic(self, tmp_path):
@@ -627,8 +705,34 @@ class TestQTableIO:
         import zlib
         body = b"NOTGMFS0" + b"\x00" * 16
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        with pytest.raises(GmfsError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             load_qtable(path)
+
+    def test_every_damaged_file_is_a_format_error(self, tmp_path):
+        import struct
+        import zlib
+
+        q = QTable.zeros("marginal", 2, 2, 2, 0.9, env_name="small")
+        path = tmp_path / "q.bin"
+        save_qtable(q, path)
+        body = path.read_bytes()[:-4]
+
+        def sealed(data):
+            return data + struct.pack("<I", zlib.crc32(data) & 0xFFFFFFFF)
+
+        damaged = {
+            "truncated": body[:5],
+            "checksum": body[:-1] + bytes([body[-1] ^ 0x01]) + path.read_bytes()[-4:],
+            "magic": sealed(b"GMFSQT02" + body[8:]),
+            "mode code": sealed(body[:8] + b"\x07" + body[9:]),
+            "truncated or malformed": sealed(body[:14]),
+            "must all be >= 1": sealed(body[:13] + struct.pack("<I", 0) + body[17:]),
+            "values but the header": sealed(body + b"\x00" * 8),
+        }
+        for match, blob in damaged.items():
+            path.write_bytes(blob)
+            with pytest.raises(FormatError, match=match):
+                load_qtable(path)
 
     def test_header_residual_matches_recorded(self, tmp_path, warehouse):
         q = value_iteration(warehouse, 2, 5, 30, seed=9)

@@ -120,6 +120,22 @@ class TestExecuteAndInspect:
         assert "|S|=2, |A|=2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_damaged_qtable_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        qpath = tmp_path / "q.bin"
+        main(["train", "--config", cfg, "--kappa", "2", "--out", str(qpath)])
+        blob = qpath.read_bytes()
+        for damaged in (blob[:-9], blob[:30] + bytes([blob[30] ^ 0xFF]) + blob[31:]):
+            qpath.write_bytes(damaged)
+            capsys.readouterr()
+            assert main(["inspect", str(qpath)]) == 5
+            assert "format error" in capsys.readouterr().err
+            out = tmp_path / "e.csv"
+            assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                         "--out", str(out)]) == 5
+            assert "format error" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_inspect_prints_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         qpath = tmp_path / "q.bin"
@@ -131,6 +147,22 @@ class TestExecuteAndInspect:
 
 
 class TestSweep:
+    def test_refused_kappa_exit_code(self, tmp_path, capsys, monkeypatch):
+        from gmfs import harness
+        from gmfs.errors import BudgetError
+
+        real = harness.train_kappa
+
+        def refuse(cfg, env, kappa):
+            if kappa == 3:
+                raise BudgetError("synthetic refusal")
+            return real(cfg, env, kappa)
+
+        monkeypatch.setattr(harness, "train_kappa", refuse)
+        assert main(["sweep", "--config", write_config(tmp_path),
+                     "--out-dir", str(tmp_path / "sweep")]) == 3
+        assert "kappa=  3 FAILED: BudgetError: synthetic refusal" in capsys.readouterr().out
+
     def test_sweep_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")])

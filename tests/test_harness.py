@@ -1,10 +1,16 @@
+import csv
 import os
+import string
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmfs.errors import ConfigError
+from gmfs import harness
+from gmfs.env import WAREHOUSE_DEFAULTS
+from gmfs.errors import BudgetError, ConfigError
 from gmfs.harness import (
     ExperimentConfig,
     PAPER_KAPPAS,
@@ -143,6 +149,103 @@ horizon = 12
         with pytest.raises(ConfigError, match="blocks"):
             parse_config("[graphon]\nkind = block\nblocks = 0.5 0.9 0.1\n")
 
+    def test_seed_count_is_capped_before_it_is_built(self):
+        for raw in ("10000000000000", "0..10000000000000", "-5..999999"):
+            with pytest.raises(ConfigError, match="more than"):
+                parse_config(f"[execute]\nseeds = {raw}\n")
+        assert len(parse_config("[execute]\nseeds = 5..1000005\n").seed_list) == 1_000_000
+
+
+_SECTION_KEYS = {"env": harness._ENV_KEYS, "graphon": harness._GRAPHON_KEYS,
+                 "system": harness._SYSTEM_KEYS, "train": harness._TRAIN_KEYS,
+                 "execute": harness._EXECUTE_KEYS, "output": harness._OUTPUT_KEYS}
+_ALL_KEYS = sorted(set().union(*_SECTION_KEYS.values()))
+_NUMBERISH = st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,3})?([eE]-?[0-9])?", fullmatch=True)
+_VALUE = st.one_of(st.text(max_size=12), _NUMBERISH,
+                   st.lists(_NUMBERISH, min_size=1, max_size=4).map(" ".join),
+                   st.sampled_from(["..", "1..x", "uniform", "uniform 0.5", "idle", " | ",
+                                    "0.5 | 0.9 0.1 ; 0.1 0.7", "0,1 0.5", ",", "nan", "inf"]))
+_LINE = st.one_of(
+    st.sampled_from(sorted(_SECTION_KEYS) + ["DEFAULT", "plots"]).map("[{}]".format),
+    st.builds("{} = {}".format, st.sampled_from(_ALL_KEYS), _VALUE),
+    st.text(max_size=20),
+)
+_CONFIG_TEXT = st.one_of(st.text(), st.lists(_LINE, max_size=14).map("\n".join))
+
+_NAME = st.text(string.ascii_letters + string.digits + "_-./", min_size=1, max_size=10)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = st.lists(_FINITE, min_size=2, max_size=4).map(tuple)
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs whose every field the text form can carry."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["radial", "expdecay", "block", "uniform"]))
+    fields = dict(
+        env_name=draw(_NAME),
+        env_file=draw(st.none() | _NAME),
+        env_overrides=tuple(sorted(draw(st.dictionaries(
+            st.sampled_from(sorted(WAREHOUSE_DEFAULTS)), _FINITE | _FLOATS)).items())),
+        graphon_kind=kind,
+        latent=draw(st.sampled_from(["sequential", "grid", "explicit"])),
+        coords=draw(st.just(()) | st.lists(_FINITE, min_size=1, max_size=4).map(tuple)
+                    | st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4).map(tuple)),
+        n=n,
+        master_seed=draw(st.integers(-2 ** 63, 2 ** 64)),
+        gamma=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        iterations=draw(st.integers(1, 10 ** 6)),
+        mc_samples=draw(st.integers(1, 10 ** 6)),
+        kappa_list=tuple(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=5,
+                                       unique=True))),
+        mode=draw(st.sampled_from(["joint", "marginal"])),
+        epsilon=draw(_FINITE),
+        neighbor_action_rule=draw(st.sampled_from(["greedy", "uniform"])),
+        surrogate_aggregate=draw(st.sampled_from(["leave_one_out", "shared"])),
+        xi=draw(st.none() | st.integers(1, 1000)),
+        reward_noise=draw(st.none() | _FINITE),
+        horizon=draw(st.integers(0, 10 ** 6)),
+        seed_list=tuple(draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1,
+                                      max_size=6))),
+        init=draw(st.integers(-5, 5) | _FLOATS),
+        reward_aggregates=draw(st.sampled_from(["exact", "sampled"])),
+        baseline=draw(st.sampled_from(["none", "exact"])),
+        out_dir=draw(_NAME),
+    )
+    if kind == "radial":
+        fields["radius"] = draw(_FINITE)
+    elif kind == "expdecay":
+        fields["beta"] = draw(_FINITE)
+    elif kind == "block":
+        fields["boundaries"] = tuple(draw(st.lists(_FINITE, max_size=3)))
+        fields["block_values"] = tuple(draw(st.lists(
+            st.lists(_FINITE, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3)))
+    return ExperimentConfig(**fields).validate()
+
+
+class TestParseConfigProperties:
+    @given(_CONFIG_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_is_a_valid_config_or_a_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+        assert cfg.validate() is cfg
+
+    @given(_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_serialized_config_parses_back_equal(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_sparse_seed_list_serializes_without_its_span(self):
+        # the contiguity test must not materialize range(first, last + 1)
+        cfg = replace(ExperimentConfig(), seed_list=(-10 ** 15, 10 ** 15)).validate()
+        text = serialize_config(cfg)
+        assert f"seeds = {-10 ** 15} {10 ** 15}\n" in text
+        assert parse_config(text) == cfg
+
 
 class TestWorkerCount:
     def test_env_var_respected(self):
@@ -188,21 +291,32 @@ class TestRunSweep:
         assert table_size("marginal", 24, 3, 3) == 2925
 
     def test_failure_isolation(self, tmp_path, monkeypatch):
-        import gmfs.harness as harness
-
         real = harness.train_kappa
 
-        def boom(cfg, env, kappa):
+        def refuse(cfg, env, kappa):
             if kappa == 2:
-                raise RuntimeError("synthetic failure")
+                raise BudgetError("synthetic refusal, with a comma")
             return real(cfg, env, kappa)
 
-        monkeypatch.setattr(harness, "train_kappa", boom)
+        monkeypatch.setattr(harness, "train_kappa", refuse)
         report = run_sweep(small_sweep_config(), out_dir=tmp_path)
         by_kappa = {r.kappa: r for r in report.rows}
         assert by_kappa[1].status == "ok"
         assert by_kappa[2].status == "error"
-        assert "synthetic failure" in by_kappa[2].error
+        assert by_kappa[2].error == "BudgetError: synthetic refusal, with a comma"
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+        assert lines[1].startswith("1,") and lines[1].endswith(",ok,")
+        assert lines[2].endswith(',error,"BudgetError: synthetic refusal, with a comma"')
+        rows = list(csv.DictReader(lines))
+        assert [r["error"] for r in rows] == ["", by_kappa[2].error]
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(cfg, env, kappa):
+            raise RuntimeError("synthetic bug")
+
+        monkeypatch.setattr(harness, "train_kappa", broken)
+        with pytest.raises(RuntimeError, match="synthetic bug"):
+            run_sweep(small_sweep_config(), out_dir=tmp_path)
 
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
         cfg = small_sweep_config()
