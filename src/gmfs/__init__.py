@@ -1,6 +1,6 @@
 """Graphon mean-field subsampling for cooperative multi-agent RL."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights, evaluate
 from .histograms import (

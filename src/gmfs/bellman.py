@@ -14,17 +14,20 @@ over the other kappa agents (focal included, neighbor m excluded, weight
 Neighbor actions u_m come from the joint histogram in joint mode; in marginal
 mode they are assigned by ``neighbor_action_rule``: "greedy" picks the argmax
 action of the current Q at (x_m, g_m), "uniform" draws uniformly over actions.
+Every backup reads only the neighbors' next state marginal g'.
 
 One tabulated surrogate model (``tabulate``: kernel, cdf and reward at the
-histogram points, leave-one-out ranks, neighbor slots) feeds every learner.
-Value iteration with the empirical operator runs, in both modes, on one
-frozen-sample engine: per-entry sample sets are drawn once (streams keyed by
-seed and entry rank) and frozen across sweeps, so the iteration is a fixed
+histogram points, leave-one-out ranks, neighbor slots) feeds every learner,
+and one engine runs value iteration with either Bellman operator in both
+modes. The empirical operator freezes per-entry sample sets (streams keyed by
+seed and entry rank) across sweeps, so the iteration is a fixed
 gamma-contraction and the residual decays geometrically to the
-sample-operator fixed point. ``surrogate_step``, ``empirical_operator`` and
-``exact_operator`` work per entry; they are the reference the engine is
-tested against bit for bit, and the exact operator also trains small
-instances.
+sample-operator fixed point. The exact operator takes the expectation
+instead: per entry, the focal next-state pmf and the law of g', the kappa
+neighbor laws convolved over histogram ranks. The greedy rule makes that law
+depend on Q, so the exact operator runs under the uniform rule (or in joint
+mode) only. ``surrogate_step`` and ``empirical_operator`` work per entry;
+they are the reference the engine is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .errors import BudgetError, FormatError, GmfsError
 from .histograms import (
     Histogram,
     HistogramIndex,
-    enumerate_histograms,
     get_index,
     marginal as hist_marginal,
     num_histograms,
@@ -59,7 +61,6 @@ OPERATORS = ("empirical", "exact")
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_ITERATIONS = 250
-DEFAULT_ENUMERATION_CAP = 1_000_000
 MAX_TABLE_ENTRIES = 50_000_000
 _OFF_POLICY_BLOCK = 4096  # uniform rows per list conversion
 
@@ -207,7 +208,8 @@ def fiber_argmax(q: QTable, s: int, g_rank: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Surrogate one-step dynamics, per entry (the reference for the engine)
+# Surrogate one-step dynamics and the empirical operator, per entry (the
+# reference for the engine)
 # ---------------------------------------------------------------------------
 
 
@@ -244,10 +246,9 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
                    aggregate_rule: str = "leave_one_out"):
     """One draw of the (kappa+1)-agent surrogate transition.
 
-    Returns (s_next, next_aggregate): the focal agent's next state and the
-    empirical histogram of the neighbors' next states (marginal input) or
-    next (state, action) pairs (joint input; next actions assigned by
-    ``neighbor_action_rule``).
+    Returns (s_next, g_next): the focal agent's next state and the histogram
+    of the neighbors' next states, for marginal and for joint input alike
+    (joint input fixes the neighbors' current actions).
 
     Draw order is fixed: one uniform for the focal transition, then one per
     neighbor in state-major histogram order (the uniform action rule draws
@@ -258,10 +259,9 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
         raise ValueError(f"aggregate_rule must be one of {AGGREGATE_RULES}")
     if neighbor_action_rule not in ACTION_RULES:
         raise ValueError(f"neighbor_action_rule must be one of {ACTION_RULES}")
-    joint_input = hist.joint_shape is not None
     kappa = hist.kappa
     nb_states, nb_actions = expand_surrogate(hist)
-    g_counts = (hist_marginal(hist) if joint_input else hist).counts_array()
+    g_counts = (hist_marginal(hist) if hist.joint_shape else hist).counts_array()
     g_probs = g_counts / kappa
 
     if nb_actions is None and neighbor_action_rule == "greedy" and q is None:
@@ -281,31 +281,8 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
         nxt = int(np.searchsorted(np.cumsum(pmf), uniforms[1 + m], side="right"))
         next_states[m] = min(nxt, env.n_states - 1)
 
-    if not joint_input:
-        counts = np.bincount(next_states, minlength=env.n_states)
-        return s_next, Histogram(tuple(int(c) for c in counts), kappa)
-
-    # joint input: assign next actions to report a full histogram; operators
-    # only consume its marginal
-    next_g = np.bincount(next_states, minlength=env.n_states)
-    if neighbor_action_rule == "uniform":
-        next_actions = rng.integers(0, env.n_actions, size=kappa)
-    else:
-        if q is None:
-            raise ValueError("greedy neighbor actions need the current Q-table")
-        g_rank = int(get_index(env.n_states, kappa).rank_rows(next_g[None, :])[0])
-        next_actions = np.asarray(
-            [fiber_argmax(q, int(x), g_rank) for x in next_states], dtype=np.int64
-        )
-    cells = next_states * env.n_actions + next_actions
-    counts = np.bincount(cells, minlength=env.n_states * env.n_actions)
-    return s_next, Histogram(tuple(int(c) for c in counts), kappa,
-                             joint_shape=(env.n_states, env.n_actions))
-
-
-# ---------------------------------------------------------------------------
-# Per-entry operators: empirical (reference) and exact
-# ---------------------------------------------------------------------------
+    counts = np.bincount(next_states, minlength=env.n_states)
+    return s_next, Histogram(tuple(int(c) for c in counts), kappa)
 
 
 def empirical_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
@@ -322,11 +299,10 @@ def empirical_operator(env: Environment, q: QTable, s: int, a: int, hist: Histog
         return r
     backups = np.empty(m)
     for ell in range(m):
-        s_next, agg = surrogate_step(
+        s_next, g_next = surrogate_step(
             env, s, a, hist, rng, q=q,
             neighbor_action_rule=neighbor_action_rule, aggregate_rule=aggregate_rule,
         )
-        g_next = hist_marginal(agg) if agg.joint_shape else agg
         backups[ell] = fiber_backup(q, s_next, g_next)
     return r + q.gamma * float(np.mean(backups))
 
@@ -346,89 +322,15 @@ def _neighbor_pmf(env: Environment, q: QTable, x: int, gm_counts: np.ndarray,
     return step_distribution(env, x, _greedy_action(q, x, gm_counts), gm_probs)
 
 
-def _histogram_distribution(pmfs, counts, n_states: int, kappa: int):
-    """Distribution of the sum of independent multinomial draws.
-
-    ``pmfs[k]`` is the next-state law shared by ``counts[k]`` neighbors.
-    Returns (count_matrix, probabilities) over all reachable kappa-histograms.
-    """
-    dist = {(0,) * n_states: 1.0}
-    for pmf, cnt in zip(pmfs, counts):
-        for _ in range(cnt):
-            nxt: dict = {}
-            for key, p in dist.items():
-                for x in range(n_states):
-                    px = pmf[x]
-                    if px == 0.0:
-                        continue
-                    new = list(key)
-                    new[x] += 1
-                    tk = tuple(new)
-                    nxt[tk] = nxt.get(tk, 0.0) + p * px
-            dist = nxt
-    keys = np.asarray(sorted(dist.keys()), dtype=np.int64)
-    probs = np.asarray([dist[tuple(k)] for k in keys])
-    return keys, probs
-
-
-def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram, *,
-                   neighbor_action_rule: str = "uniform",
-                   aggregate_rule: str = "leave_one_out",
-                   enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Exact expectation of the sampled backup; deterministic.
-
-    Only legal while the worst-case surrogate outcome count |S|^(kappa+1)
-    stays under the enumeration cap; larger instances must use the empirical
-    operator.
-    """
-    kappa = hist.kappa
-    outcomes = env.n_states ** (kappa + 1)
-    if outcomes > enumeration_cap:
-        raise BudgetError(
-            f"exact operator needs {outcomes} outcome evaluations, "
-            f"over the cap {enumeration_cap}; use the empirical operator"
-        )
-    joint_input = hist.joint_shape is not None
-    nb_states, nb_actions = expand_surrogate(hist)
-    g_counts = (hist_marginal(hist) if joint_input else hist).counts_array()
-    g_probs = g_counts / kappa
-    r = local_reward(env, s, a, g_probs)
-    if q.gamma == 0.0:
-        return r
-
-    # group neighbors sharing (state, action, aggregate): identical next-state laws
-    groups: dict = {}
-    for m in range(kappa):
-        x = int(nb_states[m])
-        u = None if nb_actions is None else int(nb_actions[m])
-        gm = _neighbor_marginal(g_counts, s, x, aggregate_rule)
-        key = (x, u, tuple(gm))
-        groups[key] = groups.get(key, 0) + 1
-    pmfs, counts = [], []
-    group_order = sorted(groups.items(),
-                         key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1], kv[0][2]))
-    for (x, u, gm), cnt in group_order:
-        pmfs.append(_neighbor_pmf(env, q, x, np.asarray(gm), kappa,
-                                  neighbor_action_rule, known_action=u))
-        counts.append(cnt)
-    hists, hist_probs = _histogram_distribution(pmfs, counts, env.n_states, kappa)
-    g_index = get_index(env.n_states, kappa)
-    g_ranks = g_index.rank_rows(hists)
-
-    m_values = fiber_max(q.values, q.mode, q.kappa).max(axis=1)  # (S, G)
-
-    focal_pmf = step_distribution(env, s, a, g_probs)
-    cont = 0.0
-    for s_next in range(env.n_states):
-        ps = focal_pmf[s_next]
-        if ps == 0.0:
-            continue
-        cont += ps * float(np.dot(hist_probs, m_values[s_next, g_ranks]))
-    return r + q.gamma * cont
+def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
+                   **rules) -> float:
+    """Exact expectation of the sampled backup at one entry: a read of
+    ``exact_sweep``, which computes the whole table."""
+    return float(exact_sweep(env, q, **rules)[s, a, q.index().rank(hist)])
 
 
 # ---------------------------------------------------------------------------
-# The tabulated surrogate model and the frozen-sample engine
+# The tabulated surrogate model and the value-iteration engine
 # ---------------------------------------------------------------------------
 
 
@@ -486,35 +388,50 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
 
 
 class _FrozenEngine:
-    """Frozen-sample value iteration, in joint and in marginal mode.
+    """Value iteration with either Bellman operator, in joint and in
+    marginal mode.
 
     Entries e = (s * A + a) * H + h range over the table's histogram ranks h:
     state marginals, or joint histograms whose neighbor slots take state and
-    action from the histogram in cell-major order. Per-entry uniforms are
-    drawn once from the stream the reference ``empirical_operator`` reads,
-    ``stream(seed, "vi-frozen", kappa, e)``; a sweep is then a gather over
-    the current table, which keeps the iteration an exact contraction and
+    action from the histogram in cell-major order. The empirical operator
+    draws per-entry uniforms once from the stream the reference
+    ``empirical_operator`` reads, ``stream(seed, "vi-frozen", kappa, e)``;
+    the exact operator holds per entry the focal next-state pmf and the law
+    of the neighbors' next marginal. A sweep is then a gather over the
+    current table, which keeps the iteration an exact contraction and
     bit-reproducible for any worker count.
     """
 
     def __init__(self, env: Environment, kappa: int, m: int, seed: int, *, mode: str,
-                 neighbor_action_rule: str, aggregate_rule: str):
-        if m < 1:
-            raise ValueError("m must be >= 1")
+                 neighbor_action_rule: str, aggregate_rule: str,
+                 operator: str = "empirical"):
         if neighbor_action_rule not in ACTION_RULES:
             raise ValueError(f"neighbor_action_rule must be one of {ACTION_RULES}")
-        model = tabulate(env, kappa, aggregate_rule)
         S, A = env.n_states, env.n_actions
-        self.mode, self.kappa, self.index = mode, kappa, model.index
+        self.mode, self.kappa = mode, kappa
         # only marginal mode lets the current table pick neighbor actions
         self.greedy = mode == "marginal" and neighbor_action_rule == "greedy"
+        self.exact = operator == "exact"
+        self.n_entries = table_size(mode, kappa, S, A)
+        if self.exact:
+            if self.greedy:
+                raise GmfsError("the greedy neighbor rule makes the exact operator's law "
+                                "depend on Q; use the uniform rule or the empirical operator")
+            law_entries = self.n_entries * num_histograms(S, kappa)
+            if law_entries > MAX_TABLE_ENTRIES:
+                raise BudgetError(
+                    f"exact operator law with {law_entries} entries exceeds the memory "
+                    f"budget ({MAX_TABLE_ENTRIES}); use the empirical operator")
+        elif m < 1:
+            raise ValueError("m must be >= 1")
+        model = tabulate(env, kappa, aggregate_rule)
+        self.index = model.index
         if mode == "joint":
             layout = joint_layout(S, A, kappa)
             h_marginal = layout.marginal_rank
         else:
             h_marginal = np.arange(model.index.total)
         H = h_marginal.size
-        self.n_entries = S * A * H
 
         entries = np.arange(self.n_entries)
         e_h = entries % H
@@ -525,15 +442,12 @@ class _FrozenEngine:
         self.slot_states = model.slot_states[e_g]                      # (E, kappa)
         self.slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], self.slot_states]
 
-        # joint input under the uniform rule: surrogate_step also draws the
-        # neighbors' next actions, which the engine replays and discards
-        discard = A if mode == "joint" and neighbor_action_rule == "uniform" else 0
-        uni = _frozen_uniforms(seed, kappa, self.n_entries, m, discard)
-        chunk = max(1, 2_000_000 // max(1, m * kappa * A))  # entries per lookup
-        self.next_focal = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :],
-                                             uni[:, :, 0])
-
-        slot_uni = uni[:, :, 1:].transpose(0, 2, 1)                   # (E, kappa, m)
+        if not self.exact:
+            uni = _frozen_uniforms(seed, kappa, self.n_entries, m)
+            self.next_focal = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :],
+                                                 uni[:, :, 0])
+            slot_uni = uni[:, :, 1:].transpose(0, 2, 1)               # (E, kappa, m)
+            chunk = max(1, 2_000_000 // max(1, m * kappa * A))  # entries per lookup
         if self.greedy:
             # coupled inverse-CDF outcome of each slot under each candidate
             # action, one row of m samples per (entry, slot, action); advanced
@@ -544,12 +458,18 @@ class _FrozenEngine:
             self.next_rows = next_rows.reshape(-1, m)
             self.slot_base = np.arange(self.n_entries * kappa).reshape(-1, kappa) * A
             return
+        # otherwise the law of every slot is static, and so are the next marginals
         if mode == "joint":
             slot_actions = _slots(layout.counts)[e_h] % A
-            slot_cdf = model.cdf[self.slot_states, slot_actions, self.slot_gm_rank]
+            slot_pmf = model.pmf[self.slot_states, slot_actions, self.slot_gm_rank]
         else:
-            slot_cdf = model.uniform_cdf()[self.slot_states, self.slot_gm_rank]
-        # the law of every slot is static, and so are the next marginals
+            slot_pmf = model.pmf.mean(axis=1)[self.slot_states, self.slot_gm_rank]
+        if self.exact:
+            self.focal_pmf = model.pmf[e_s, e_a, e_g]                  # (E, S)
+            self.law = _marginal_law(slot_pmf, model.index)            # (E, G)
+            return
+        # in place, so the build peaks with one (E, kappa, S) array, not two
+        slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
         nxt = _chunked_searchsorted(slot_cdf[:, :, None], slot_uni, chunk, np.int64)
         self.next_g_rank = self._ranks_from_states(nxt)
 
@@ -563,9 +483,11 @@ class _FrozenEngine:
         return self.index.rank_rows(counts.reshape(E * m, S)).reshape(E, m)
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
-        """Continuation vector: mean fiber backup per entry under the frozen
-        samples and the current table."""
+        """Continuation vector: the expected (exact operator) or mean frozen
+        (empirical operator) fiber backup per entry under the current table."""
         m_values = fiber_max(values, self.mode, self.kappa).max(axis=1)  # (S, G)
+        if self.exact:
+            return ((self.focal_pmf @ m_values) * self.law).sum(axis=1)
         if self.greedy:
             greedy = np.argmax(values, axis=1)                         # (S, G)
             slot_actions = greedy[self.slot_states, self.slot_gm_rank]  # (E, kappa)
@@ -576,20 +498,32 @@ class _FrozenEngine:
         return backups.mean(axis=1)
 
 
-def _frozen_uniforms(seed: int, kappa: int, n_entries: int, m: int,
-                     discard_actions: int) -> np.ndarray:
+def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
+    """(E, G) law of the histogram of kappa independent draws, draw k from
+    ``slot_pmf[:, k]`` ((E, kappa, S)), by rank of ``index``. One draw at a
+    time: the mass of each histogram of k draws moves, per state x, to the
+    histogram of k + 1 draws with one more agent in x."""
+    E, kappa, S = slot_pmf.shape
+    counts = np.zeros((1, S), dtype=np.int64)  # the one histogram of no draws
+    law = np.ones((E, 1))
+    for k in range(kappa):
+        grown = (counts[:, None, :] + np.eye(S, dtype=np.int64)).reshape(-1, S)
+        ranks = index.rank_rows(grown).reshape(-1, S)  # ranks among histograms of k + 1
+        counts = np.empty((num_histograms(S, k + 1), S), dtype=np.int64)
+        counts[ranks.ravel()] = grown
+        nxt = np.zeros((E, counts.shape[0]))
+        for x in range(S):  # adding one agent in x is injective
+            nxt[:, ranks[:, x]] += law * slot_pmf[:, k, x, None]
+        law = nxt
+    return law
+
+
+def _frozen_uniforms(seed: int, kappa: int, n_entries: int, m: int) -> np.ndarray:
     """(E, m, kappa + 1) uniforms: per sample, the focal one, then one per
-    neighbor. With ``discard_actions`` = A, each sample is followed by the
-    kappa action draws in [0, A) that the reference spends on them."""
+    neighbor."""
     uni = np.empty((n_entries, m, kappa + 1))
     for e in range(n_entries):
-        gen = stream(seed, "vi-frozen", kappa, e)
-        if not discard_actions:
-            uni[e] = gen.random((m, kappa + 1))
-            continue
-        for ell in range(m):
-            gen.random(out=uni[e, ell])
-            gen.integers(0, discard_actions, size=kappa)
+        uni[e] = stream(seed, "vi-frozen", kappa, e).random((m, kappa + 1))
     return uni
 
 
@@ -617,18 +551,14 @@ def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exact_sweep(env: Environment, q: QTable, *,
-                enumeration_cap: int = DEFAULT_ENUMERATION_CAP, **rules) -> np.ndarray:
-    """The exact operator applied to every entry of ``q``, per entry."""
-    joint_shape = (q.n_states, q.n_actions) if q.mode == "joint" else None
-    hists = list(enumerate_histograms(q.alphabet_size(), q.kappa, joint_shape=joint_shape))
-    out = np.empty_like(q.values)
-    for s in range(q.n_states):
-        for a in range(q.n_actions):
-            for h_rank, hist in enumerate(hists):
-                out[s, a, h_rank] = exact_operator(env, q, s, a, hist,
-                                                   enumeration_cap=enumeration_cap, **rules)
-    return out
+def exact_sweep(env: Environment, q: QTable, *, neighbor_action_rule: str = "uniform",
+                aggregate_rule: str = "leave_one_out") -> np.ndarray:
+    """The exact operator applied to every entry of ``q``."""
+    # m and seed are unused by the exact operator
+    engine = _FrozenEngine(env, q.kappa, 1, 0, mode=q.mode, operator="exact",
+                           neighbor_action_rule=neighbor_action_rule,
+                           aggregate_rule=aggregate_rule)
+    return (engine.rewards + q.gamma * engine.sweep(q.values)).reshape(q.values.shape)
 
 
 def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFAULT_ITERATIONS,
@@ -637,15 +567,15 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
                     neighbor_action_rule: str = "uniform",
                     aggregate_rule: str = "leave_one_out",
                     operator: str = "empirical",
-                    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
                     reward_noise=None) -> QTable:
     """Synchronous value iteration from zero initialization.
 
     Runs at most ``iterations`` sweeps, recording the residual
     ||Q_{t+1} - Q_t||_inf per sweep, and stops early once the residual drops
     below ``epsilon``. ``operator`` selects the frozen-sample empirical
-    operator (default; the vectorized engine in either mode) or the exact
-    expectation (per entry, budget-gated).
+    operator (default; m samples per entry) or the exact expectation (m is
+    unused; refused under the greedy rule in marginal mode, and when its
+    law exceeds the table budget). Both run on the same vectorized engine.
 
     ``reward_noise`` is used by the stochastic-reward variant: a callable
     (iteration, engine) -> per-entry reward perturbation vector.
@@ -664,21 +594,14 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
         raise ValueError("gamma must lie in [0, 1)")
     q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
-    rules = dict(neighbor_action_rule=neighbor_action_rule, aggregate_rule=aggregate_rule)
-
-    if operator == "empirical":
-        engine = _FrozenEngine(env, kappa, m, seed, mode=mode, **rules)
-    elif reward_noise is not None:
-        raise GmfsError("stochastic rewards are only wired to the empirical operator")
-
+    engine = _FrozenEngine(env, kappa, m, seed, mode=mode, operator=operator,
+                           neighbor_action_rule=neighbor_action_rule,
+                           aggregate_rule=aggregate_rule)
     for t in range(iterations):
-        if operator == "empirical":
-            r_t = engine.rewards
-            if reward_noise is not None:
-                r_t = r_t + reward_noise(t, engine)
-            new_values = (r_t + gamma * engine.sweep(q.values)).reshape(q.values.shape)
-        else:
-            new_values = exact_sweep(env, q, enumeration_cap=enumeration_cap, **rules)
+        r_t = engine.rewards
+        if reward_noise is not None:
+            r_t = r_t + reward_noise(t, engine)
+        new_values = (r_t + gamma * engine.sweep(q.values)).reshape(q.values.shape)
         residual = float(np.abs(new_values - q.values).max())
         q.values = new_values
         q.iterations = t + 1

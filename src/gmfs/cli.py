@@ -2,7 +2,9 @@
 
 Subcommands: train, execute, sweep, diagnose, inspect. Exit codes: 0 success,
 2 config error, 3 budget error, 4 diagnostic acceptance failure, 5 format
-error (a truncated, corrupt or unknown q-table file).
+error (a truncated, corrupt or unknown q-table file), 6 I/O error (a path
+that cannot be read or written: a missing config, environment or q-table
+file, or an output in a missing directory).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .harness import (
     build_assignment,
     build_environment,
     build_graphon,
+    check_init,
     evaluate_table,
     parse_config,
     run_diagnostics,
@@ -35,6 +38,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_DIAGNOSTIC = 4
 EXIT_FORMAT = 5
+EXIT_IO = 6
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -62,6 +66,7 @@ def cmd_execute(args) -> int:
     cfg = _load_config(args.config)
     q = load_qtable(args.qtable)
     env = build_environment(cfg)
+    check_init(cfg, env)
     if q.env_name and q.env_name != env.name:
         print(f"warning: q-table was trained on {q.env_name!r} but the config "
               f"builds {env.name!r}", file=sys.stderr)
@@ -172,6 +177,9 @@ def main(argv=None) -> int:
     except GmfsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # its message names the path
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 ConfigError, BudgetError and FormatError map to CLI exit codes 2, 3 and 5;
-any other GmfsError exits 2; everything else is ordinary ValueError-style
-misuse.
+any other GmfsError exits 2; an OSError (a path that cannot be read or
+written) exits 6; everything else is ordinary ValueError-style misuse.
 """
 
 
@@ -16,7 +16,7 @@ class ConfigError(GmfsError):
 
 class BudgetError(GmfsError):
     """A computation was refused because it exceeds a configured budget
-    (table size, exact-enumeration cap, 64-bit count overflow)."""
+    (table size, the exact operator's law size, 64-bit count overflow)."""
 
 
 class FormatError(GmfsError):

@@ -85,19 +85,38 @@ class EpisodeResult:
     trajectory: list | None = None
 
 
-def _initial_states(init, n: int, n_states: int, rng: np.random.Generator) -> np.ndarray:
-    """A single state id, a pmf over states (i.i.d. draws), or one state per
-    agent; a length-n_states vector summing to 1 is read as a pmf."""
+def read_init(init, n: int, n_states: int):
+    """(states, pmf): ``init`` read as a single state id or one state per
+    agent (the (n,) initial states, pmf None), or as a pmf over states
+    (states None); a length-n_states vector summing to 1 is read as a pmf.
+    Any other value, or a state outside [0, n_states) or a negative pmf
+    entry, is a ValueError."""
     if isinstance(init, (int, np.integer)):
-        return np.full(n, int(init), dtype=np.int64)
+        if not 0 <= init < n_states:
+            raise ValueError(f"initial state {init} is outside [0, {n_states})")
+        return np.full(n, int(init), dtype=np.int64), None
     arr = np.asarray(init, dtype=np.float64)
     if arr.shape == (n_states,) and abs(arr.sum() - 1.0) <= 1e-9:
-        cdf = np.cumsum(arr / arr.sum())
-        u = rng.random(n)
-        return np.minimum(np.searchsorted(cdf, u, side="right"), n_states - 1).astype(np.int64)
-    if arr.shape == (n,) and np.all(arr == arr.astype(np.int64)):
-        return arr.astype(np.int64)
-    raise ValueError("init must be a state id, a pmf over states, or per-agent states")
+        if np.any(arr < 0):
+            raise ValueError("the initial pmf has a negative entry")
+        return None, arr
+    if arr.shape == (n,) and np.all(arr == np.round(arr)):
+        if np.any((arr < 0) | (arr >= n_states)):
+            raise ValueError(f"a per-agent initial state is outside [0, {n_states})")
+        return arr.astype(np.int64), None
+    raise ValueError(f"init must be a state id, a pmf over the {n_states} states, "
+                     f"or one state per agent ({n} ids)")
+
+
+def _initial_states(init, n: int, n_states: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n,) initial states of ``init`` (see ``read_init``), pmf entries
+    drawn i.i.d. from ``rng``."""
+    states, pmf = read_init(init, n, n_states)
+    if pmf is None:
+        return states
+    cdf = np.cumsum(pmf / pmf.sum())
+    u = rng.random(n)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), n_states - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .bellman import (
 )
 from .env import Environment, StochasticRewardEnv, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
-from .execution import Policy, PolicyEvaluation, evaluate_policy
+from .execution import Policy, PolicyEvaluation, evaluate_policy, read_init
 from .graphon import Graphon, LatentAssignment, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
@@ -405,6 +405,15 @@ def train_kappa(cfg: ExperimentConfig, env: Environment, kappa: int) -> QTable:
                            seed=cfg.master_seed, **kwargs)
 
 
+def check_init(cfg: ExperimentConfig, env: Environment) -> None:
+    """Refuse an ``[execute] init`` that is no initial state, pmf or
+    per-agent state list of ``env`` and ``cfg.n`` agents (ConfigError)."""
+    try:
+        read_init(cfg.init, cfg.n, env.n_states)
+    except ValueError as exc:
+        raise ConfigError(f"[execute] init = {_fmt(cfg.init)}: {exc}") from exc
+
+
 def evaluate_table(cfg: ExperimentConfig, env: Environment, weights,
                    q: QTable) -> PolicyEvaluation:
     """Run the configured episodes, one per seed of ``cfg.seed_list``, under
@@ -442,6 +451,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
               save_tables: bool = True) -> SweepReport:
     """Train and evaluate every kappa in the config; write CSV reports."""
     env = build_environment(cfg)
+    check_init(cfg, env)
     weights = build_weights(build_graphon(cfg), build_assignment(cfg))
     directory = Path(out_dir if out_dir is not None else cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)

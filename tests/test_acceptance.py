@@ -16,7 +16,7 @@ import pytest
 from gmfs.bellman import (
     QTable,
     _FrozenEngine,
-    exact_operator,
+    exact_sweep,
     off_policy_learn,
     OffPolicyConfig,
     value_iteration,
@@ -25,7 +25,7 @@ from gmfs.bellman import (
 from gmfs.env import StochasticRewardEnv
 from gmfs.diagnostics import concentration_suite, ht_suite, small_env
 from gmfs.harness import ExperimentConfig, run_sweep
-from gmfs.histograms import Histogram, enumerate_histograms, get_index
+from gmfs.histograms import get_index
 from gmfs.rng import stream
 
 GAMMA = 0.95
@@ -89,19 +89,13 @@ def test_criterion_4_contraction_suite():
     gamma, kappa, pairs = 0.9, 2, 100
     rng = stream(0, "acceptance-contraction")
     scale = env.reward_bound / (1.0 - gamma)
-    hists = list(enumerate_histograms(4, kappa, joint_shape=(2, 2)))
+    shape = (2, 2, get_index(4, kappa).total)
     worst = 0.0
     for _ in range(pairs):
-        q1 = QTable("joint", kappa, 2, 2, rng.uniform(-scale, scale, (2, 2, len(hists))), gamma)
-        q2 = QTable("joint", kappa, 2, 2, rng.uniform(-scale, scale, (2, 2, len(hists))), gamma)
-        t1, t2 = np.empty_like(q1.values), np.empty_like(q2.values)
-        for s in range(2):
-            for a in range(2):
-                for h_rank, h in enumerate(hists):
-                    t1[s, a, h_rank] = exact_operator(env, q1, s, a, h,
-                                                      neighbor_action_rule="uniform")
-                    t2[s, a, h_rank] = exact_operator(env, q2, s, a, h,
-                                                      neighbor_action_rule="uniform")
+        q1 = QTable("joint", kappa, 2, 2, rng.uniform(-scale, scale, shape), gamma)
+        q2 = QTable("joint", kappa, 2, 2, rng.uniform(-scale, scale, shape), gamma)
+        t1 = exact_sweep(env, q1, neighbor_action_rule="uniform")
+        t2 = exact_sweep(env, q2, neighbor_action_rule="uniform")
         num = float(np.abs(t1 - t2).max())
         den = float(np.abs(q1.values - q2.values).max())
         worst = max(worst, num / den)
@@ -153,14 +147,8 @@ def test_criterion_7_empirical_operator_consistency():
     engine = _FrozenEngine(env, kappa, m, seed=77, mode="marginal",
                            neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
     empirical = (engine.rewards + 0.9 * engine.sweep(q.values)).reshape(q.values.shape)
-    idx = get_index(2, kappa)
-    worst = 0.0
-    for s in range(2):
-        for a in range(2):
-            for g_rank in range(idx.total):
-                h = Histogram(tuple(idx.unrank_counts(g_rank)), kappa)
-                exact = exact_operator(env, q, s, a, h, neighbor_action_rule="uniform")
-                worst = max(worst, abs(empirical[s, a, g_rank] - exact))
+    exact = exact_sweep(env, q, neighbor_action_rule="uniform")
+    worst = float(np.abs(empirical - exact).max())
     ok = worst <= tol
     report("criterion 7 (empirical vs exact operator at m=1e5)", ok,
            f"max |empirical - exact| {worst:.4f} vs 3*span/sqrt(m) = {tol:.4f}")

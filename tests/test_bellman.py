@@ -1,16 +1,17 @@
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from gmfs.bellman import (
-    DEFAULT_ENUMERATION_CAP,
     OffPolicyConfig,
     QTable,
     _FrozenEngine,
     empirical_operator,
     exact_operator,
+    exact_sweep,
     fiber_backup,
     fiber_argmax,
     fiber_ranks,
@@ -31,22 +32,29 @@ from gmfs.histograms import Alphabet, Histogram, enumerate_histograms, fiber, ge
 from gmfs.rng import stream
 
 
-def surrogate_outcome_oracle(env, s, a, g_counts, kappa):
-    """Brute-force law of (s', g'-counts) for a marginal entry under the
-    uniform action rule and leave-one-out aggregates: plain nested loops,
-    independent of the bellman module's grouping/DP."""
+def surrogate_outcome_oracle(env, s, a, counts, kappa, aggregate_rule="leave_one_out"):
+    """Brute-force law of (s', g'-counts) for the entry (s, a, h) with h given
+    by its counts: a state marginal (neighbors act under the uniform action
+    rule) or a joint (state, action) histogram (neighbor actions known).
+    Plain nested loops over every neighbor outcome, independent of the
+    bellman module's tabulation and convolution."""
     S, A = env.n_states, env.n_actions
-    neighbor_states = [x for x in range(S) for _ in range(g_counts[x])]
-    focal = step_distribution(env, s, a, np.asarray(g_counts) / kappa)
+    joint = len(counts) == S * A
+    cells = [c for c in range(len(counts)) for _ in range(counts[c])]
+    neighbors = [divmod(c, A) if joint else (c, None) for c in cells]
+    g_counts = np.zeros(S)
+    for x, _ in neighbors:
+        g_counts[x] += 1
+    focal = step_distribution(env, s, a, g_counts / kappa)
     per_neighbor = []
-    for x in neighbor_states:
-        loo = np.asarray(g_counts, dtype=float).copy()
-        loo[x] -= 1
-        loo[s] += 1
-        pmf = np.zeros(S)
-        for u in range(A):
-            pmf += step_distribution(env, x, u, loo / kappa)
-        per_neighbor.append(pmf / A)
+    for x, u in neighbors:
+        gm = g_counts.copy()
+        if aggregate_rule == "leave_one_out":
+            gm[x] -= 1
+            gm[s] += 1
+        actions = range(A) if u is None else (u,)
+        pmf = sum(step_distribution(env, x, b, gm / kappa) for b in actions)
+        per_neighbor.append(pmf / len(actions))
     law = {}
     for s_next in range(S):
         for combo in itertools.product(range(S), repeat=kappa):
@@ -55,20 +63,35 @@ def surrogate_outcome_oracle(env, s, a, g_counts, kappa):
                 p *= per_neighbor[m][x_next]
             if p == 0.0:
                 continue
-            counts = tuple(np.bincount(combo, minlength=S))
-            law[(s_next, counts)] = law.get((s_next, counts), 0.0) + p
+            key = (s_next, tuple(np.bincount(combo, minlength=S)))
+            law[key] = law.get(key, 0.0) + p
     return law
 
 
-def exact_backup_oracle(env, q, s, a, g_counts, kappa):
-    """r + gamma * E[max_a' Q(s', g')] from the oracle law above."""
-    g = np.asarray(g_counts) / kappa
+@lru_cache(maxsize=None)
+def completion_ranks(mode, n_actions, g_counts, kappa):
+    """Table ranks of every completion of the marginal g: its joint
+    histograms, enumerated by brute force, or g itself."""
+    g = Histogram(g_counts, kappa)
+    if mode == "marginal":
+        return [get_index(len(g_counts), kappa).rank(g)]
+    idx = get_index(len(g_counts) * n_actions, kappa)
+    return [idx.rank(z) for z in fiber(g, Alphabet(n_actions))]
+
+
+def exact_backup_oracle(env, q, s, a, counts, kappa, aggregate_rule="leave_one_out"):
+    """r + gamma * E[max over a' and the fiber of g' of Q(s', a', .)] from
+    the oracle law above."""
+    S = env.n_states
+    g = np.zeros(S)
+    for c, n in enumerate(counts):
+        g[c // q.n_actions if q.mode == "joint" else c] += n / kappa
     r = env.reward(s, a, g)
-    law = surrogate_outcome_oracle(env, s, a, g_counts, kappa)
-    idx = get_index(env.n_states, kappa)
+    law = surrogate_outcome_oracle(env, s, a, counts, kappa, aggregate_rule)
     cont = 0.0
-    for (s_next, counts), p in law.items():
-        cont += p * q.values[s_next, :, idx.rank(Histogram(counts, kappa))].max()
+    for (s_next, g_next), p in law.items():
+        ranks = completion_ranks(q.mode, q.n_actions, g_next, kappa)
+        cont += p * q.values[s_next][:, ranks].max()
     return r + q.gamma * cont
 
 
@@ -157,13 +180,13 @@ class TestSurrogateStep:
         env = linear_env("det", kernel, np.zeros((2, 2, 2)), discount=0.9)
         z = Histogram((0, 1, 1, 0), 2, joint_shape=(2, 2))  # neighbors (0,1), (1,0)
         for trial in range(5):
-            s_next, agg = surrogate_step(env, 0, 1, z, stream(trial, "sur"),
-                                         neighbor_action_rule="uniform")
+            s_next, g_next = surrogate_step(env, 0, 1, z, stream(trial, "sur"),
+                                            neighbor_action_rule="uniform")
             assert s_next == 1
-            assert agg.joint_shape == (2, 2)
-            # neighbor with action 1 -> state 1, neighbor with action 0 -> state 0
-            g_next = np.asarray(agg.counts).reshape(2, 2).sum(axis=1)
-            assert tuple(g_next) == (1, 1)
+            # joint input gives the next state marginal: neighbor with
+            # action 1 -> state 1, neighbor with action 0 -> state 0
+            assert g_next.joint_shape is None
+            assert g_next.counts == (1, 1)
 
     def test_warehouse_congested_work_crowd(self, warehouse):
         # kappa=2 neighbors all at (working, work-action), g(2)=1: each stays
@@ -173,11 +196,10 @@ class TestSurrogateStep:
         trials = 40_000
         gen = stream(17, "sur")
         for _ in range(trials):
-            _, agg = surrogate_step(warehouse, 0, 0, z, gen,
-                                    neighbor_action_rule="uniform",
-                                    aggregate_rule="shared")
-            g_next = np.asarray(agg.counts).reshape(3, 3).sum(axis=1)
-            stays += g_next[2]
+            _, g_next = surrogate_step(warehouse, 0, 0, z, gen,
+                                       neighbor_action_rule="uniform",
+                                       aggregate_rule="shared")
+            stays += g_next.counts[2]
         p_hat = stays / (2 * trials)
         se = math.sqrt(0.1 * 0.9 / (2 * trials))
         assert abs(p_hat - 0.1) <= 5 * se
@@ -226,22 +248,6 @@ class TestSurrogateStep:
         with pytest.raises(ValueError):
             surrogate_step(small, 0, 0, Histogram((2, 0), 2), stream(0, "sur"),
                            neighbor_action_rule="greedy")
-
-    def test_joint_input_with_greedy_next_actions(self, small, rng):
-        q = QTable.zeros("joint", 2, 2, 2, 0.9)
-        q.values = rng.normal(size=q.values.shape)
-        z = Histogram((1, 0, 0, 1), 2, joint_shape=(2, 2))
-        s_next, agg = surrogate_step(small, 1, 0, z, stream(5, "sur"), q=q,
-                                     neighbor_action_rule="greedy")
-        assert 0 <= s_next < 2
-        assert agg.joint_shape == (2, 2) and sum(agg.counts) == 2
-        # reported next actions are the fiber-argmax picks at the shared g'
-        g_next = np.asarray(agg.counts).reshape(2, 2).sum(axis=1)
-        g_rank = get_index(2, 2).rank(Histogram(tuple(int(c) for c in g_next), 2))
-        grid = np.asarray(agg.counts).reshape(2, 2)
-        for x in range(2):
-            if grid[x].sum():
-                assert grid[x, fiber_argmax(q, x, g_rank)] == grid[x].sum()
 
 
 class TestFiberBackup:
@@ -325,19 +331,28 @@ class TestOperators:
         got = empirical_operator(small, q, 1, 0, h, 5, stream(1, "op"))
         assert got == pytest.approx(small.reward(1, 0, np.array([1.0, 0.0])))
 
-    def test_exact_matches_independent_oracle(self, small, rng):
-        kappa = 2
-        q = QTable.zeros("marginal", kappa, 2, 2, 0.9)
+    def test_exact_matches_independent_oracle(self, small, action_blind, rng):
+        kernel = rng.dirichlet(np.ones(3), size=(3, 2, 3))
+        rand3 = linear_env("rand3", kernel, rng.uniform(-3, 3, (3, 2, 3)), discount=0.9)
+        for env in (small, action_blind, rand3):
+            S, A = env.n_states, env.n_actions
+            for mode, kappa, agg in itertools.product(
+                    ("marginal", "joint"), (1, 2, 3), ("leave_one_out", "shared")):
+                q = QTable.zeros(mode, kappa, S, A, 0.9)
+                q.values = rng.uniform(-3, 3, size=q.values.shape)
+                got = exact_sweep(env, q, aggregate_rule=agg)
+                idx = q.index()
+                for s, a, h in itertools.product(range(S), range(A), range(idx.total)):
+                    want = exact_backup_oracle(env, q, s, a, tuple(idx.unrank_counts(h)),
+                                               kappa, agg)
+                    assert abs(got[s, a, h] - want) <= 1e-12, (env.name, mode, kappa, agg)
+
+    def test_exact_operator_reads_the_sweep(self, small, rng):
+        q = QTable.zeros("joint", 2, 2, 2, 0.9)
         q.values = rng.uniform(-3, 3, size=q.values.shape)
-        idx = get_index(2, kappa)
-        for s in range(2):
-            for a in range(2):
-                for g_rank in range(idx.total):
-                    counts = tuple(idx.unrank_counts(g_rank))
-                    got = exact_operator(small, q, s, a, Histogram(counts, kappa),
-                                         neighbor_action_rule="uniform")
-                    want = exact_backup_oracle(small, q, s, a, counts, kappa)
-                    assert got == pytest.approx(want, abs=1e-12)
+        table = exact_sweep(small, q, aggregate_rule="shared")
+        for h, z in enumerate(enumerate_histograms(4, 2, joint_shape=(2, 2))):
+            assert exact_operator(small, q, 1, 0, z, aggregate_rule="shared") == table[1, 0, h]
 
     def test_empirical_converges_to_exact(self, small, rng):
         kappa, m = 2, 40_000
@@ -354,20 +369,10 @@ class TestOperators:
         kappa, gamma = 2, 0.9
         for mode in ("joint", "marginal"):
             q = QTable.zeros(mode, kappa, 2, 2, gamma)
-            joint_shape = (2, 2) if mode == "joint" else None
-            hists = list(enumerate_histograms(q.alphabet_size(), kappa,
-                                              joint_shape=joint_shape))
             for _ in range(20):
                 q1 = QTable(mode, kappa, 2, 2, rng.uniform(-20, 20, q.values.shape), gamma)
                 q2 = QTable(mode, kappa, 2, 2, rng.uniform(-20, 20, q.values.shape), gamma)
-                t1, t2 = np.empty_like(q1.values), np.empty_like(q2.values)
-                for s in range(2):
-                    for a in range(2):
-                        for h_rank, h in enumerate(hists):
-                            t1[s, a, h_rank] = exact_operator(
-                                small, q1, s, a, h, neighbor_action_rule="uniform")
-                            t2[s, a, h_rank] = exact_operator(
-                                small, q2, s, a, h, neighbor_action_rule="uniform")
+                t1, t2 = exact_sweep(small, q1), exact_sweep(small, q2)
                 lhs = np.abs(t1 - t2).max()
                 rhs = gamma * np.abs(q1.values - q2.values).max()
                 assert lhs <= rhs + 1e-12
@@ -377,21 +382,29 @@ class TestOperators:
         q1 = QTable.zeros("marginal", kappa, 2, 2, 0.9)
         q1.values = rng.uniform(-5, 5, q1.values.shape)
         q2 = QTable("marginal", kappa, 2, 2, q1.values + rng.uniform(0, 3, q1.values.shape), 0.9)
-        idx = get_index(2, kappa)
-        for s in range(2):
-            for a in range(2):
-                for g_rank in range(idx.total):
-                    h = Histogram(tuple(idx.unrank_counts(g_rank)), kappa)
-                    v1 = exact_operator(small, q1, s, a, h, neighbor_action_rule="uniform")
-                    v2 = exact_operator(small, q2, s, a, h, neighbor_action_rule="uniform")
-                    assert v1 <= v2 + 1e-12
+        assert np.all(exact_sweep(small, q1) <= exact_sweep(small, q2) + 1e-12)
 
-    def test_enumeration_budget_guard(self, warehouse):
-        q = QTable.zeros("marginal", 30, 3, 3, 0.95)
-        h = Histogram((10, 10, 10), 30)
-        with pytest.raises(BudgetError):
-            exact_operator(warehouse, q, 0, 0, h, enumeration_cap=1000)
-        assert 3 ** 31 > DEFAULT_ENUMERATION_CAP
+    def test_law_budget_is_checked_before_tabulating(self, warehouse, monkeypatch):
+        from gmfs import bellman
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tabulate reached")
+
+        monkeypatch.setattr(bellman, "tabulate", refuse)
+        # kappa 70: G = 2556 marginals, a table of 9 G = 23 004 entries (inside
+        # the table budget) and a law of 9 G^2 = 58.8M entries (over it)
+        assert table_size("marginal", 70, 3, 3) * 2556 > bellman.MAX_TABLE_ENTRIES
+        with pytest.raises(BudgetError, match="exact operator law"):
+            value_iteration(warehouse, 70, 1, 1, operator="exact")
+        with pytest.raises(BudgetError, match="exact operator law"):
+            exact_sweep(warehouse, QTable.zeros("marginal", 70, 3, 3, 0.95))
+
+    def test_greedy_rule_is_refused_by_the_exact_operator(self, small):
+        with pytest.raises(GmfsError, match="greedy"):
+            value_iteration(small, 2, 1, 3, operator="exact", neighbor_action_rule="greedy")
+        q = QTable.zeros("marginal", 2, 2, 2, 0.9)
+        with pytest.raises(GmfsError, match="greedy"):
+            exact_sweep(small, q, neighbor_action_rule="greedy")
 
 
 class TestValueIteration:
@@ -400,8 +413,7 @@ class TestValueIteration:
         assert np.all(q.values == 0.0) and q.iterations == 0
 
     def test_fast_engine_matches_reference_sweep(self, warehouse, rng):
-        # marginal mode at kappa 3 and 4; joint mode at kappa 2 (405 entries), where
-        # the uniform rule's discarded next-action draws must be replayed
+        # marginal mode at kappa 3 and 4; joint mode at kappa 2 (405 entries)
         cases = [("marginal", 3, rule, "leave_one_out") for rule in ("uniform", "greedy")]
         # more slots than states: the greedy gather meets repeated slot states
         cases += [("marginal", 4, "greedy", agg) for agg in ("leave_one_out", "shared")]
@@ -520,10 +532,20 @@ class TestStochasticValueIteration:
         assert sto.values.shape == det.values.shape
         assert 0.0 < np.abs(sto.values - det.values).max() < 0.5 / (1 - 0.9) + 1e-9
 
-    def test_reward_noise_needs_the_empirical_operator(self, small):
+    def test_degenerate_noise_bitwise_equal_with_the_exact_operator(self, small):
+        for mode in ("marginal", "joint"):
+            det = value_iteration(small, 2, 1, 40, seed=3, mode=mode, operator="exact")
+            wrapped = StochasticRewardEnv(small, noise="degenerate")
+            sto = value_iteration_stochastic(wrapped, 2, 1, 40, xi=1, seed=3, mode=mode,
+                                             operator="exact")
+            assert np.array_equal(det.values, sto.values)
+            assert det.residual_history == sto.residual_history
+
+    def test_reward_noise_reaches_the_exact_operator(self, small):
+        det = value_iteration(small, 2, 1, 25, seed=3, operator="exact")
         wrapped = StochasticRewardEnv(small, noise="uniform", half_width=0.5)
-        with pytest.raises(GmfsError, match="empirical operator"):
-            value_iteration_stochastic(wrapped, 2, 1, 3, xi=2, seed=0, operator="exact")
+        sto = value_iteration_stochastic(wrapped, 2, 1, 25, xi=3, seed=3, operator="exact")
+        assert 0.0 < np.abs(sto.values - det.values).max() < 0.5 / (1 - 0.9) + 1e-9
 
     def test_zero_half_width_equals_deterministic(self, warehouse):
         det = value_iteration(warehouse, 2, 10, 30, seed=4)

@@ -188,3 +188,79 @@ class TestDiagnose:
         monkeypatch.setitem(diag.SUITES, "concentration", fake)
         code = main(["diagnose", "concentration", "--out-dir", str(tmp_path)])
         assert code == 4
+
+
+class TestIOErrors:
+    """A path that cannot be read or written exits 6 and names the path."""
+
+    def assert_io_error(self, capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and str(path) in err
+
+    def test_missing_qtable(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent.bin"
+        self.assert_io_error(capsys, ["inspect", str(path)], path)
+
+    def test_missing_config(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent.cfg"
+        self.assert_io_error(capsys, ["train", "--config", str(path),
+                                      "--out", str(tmp_path / "q.bin")], path)
+
+    def test_missing_environment_file(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent_env.txt"
+        cfg = write_config(tmp_path, SMALL_CONFIG + f"\n[env]\nfile = {path}\n")
+        self.assert_io_error(capsys, ["train", "--config", cfg,
+                                      "--out", str(tmp_path / "q.bin")], path)
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "q.bin"
+        self.assert_io_error(capsys, ["train", "--config", write_config(tmp_path),
+                                      "--kappa", "2", "--out", str(path)], path)
+
+
+class TestMalformedInit:
+    """An [execute] init that names no state, pmf or per-agent state list of
+    the warehouse (3 states) and n = 9 agents is a config error, found
+    before any training."""
+
+    CASES = {
+        "state id out of range": "5",
+        "negative state id": "-1",
+        "vector of no recognized shape": "0.5 0.5 0.5",
+        "pmf with a negative entry": "1.5 -0.5 0",
+        "per-agent id out of range": "0 1 2 0 1 2 0 1 3",
+    }
+
+    @pytest.mark.parametrize("init", CASES.values(), ids=CASES.keys())
+    def test_sweep_refuses_before_training(self, tmp_path, capsys, monkeypatch, init):
+        from gmfs import harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training reached")
+
+        monkeypatch.setattr(harness, "train_kappa", refuse)
+        cfg = write_config(tmp_path, SMALL_CONFIG + f"init = {init}\n")
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: [execute] init" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("init", CASES.values(), ids=CASES.keys())
+    def test_execute_refuses(self, tmp_path, capsys, init):
+        from gmfs.bellman import QTable, save_qtable
+
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 2, 3, 3, 0.95, env_name="warehouse"), qpath)
+        cfg = write_config(tmp_path, SMALL_CONFIG + f"init = {init}\n")
+        out = tmp_path / "e.csv"
+        assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                     "--out", str(out)]) == 2
+        assert "config error: [execute] init" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_valid_forms_still_run(self, tmp_path, capsys):
+        for init in ("idle", "2", "0.4 0.3 0.3", "0 1 2 0 1 2 0 1 2"):
+            cfg = write_config(tmp_path, SMALL_CONFIG.replace("kappa_list = 2 3", "kappa_list = 2")
+                               + f"init = {init}\n")
+            assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
