@@ -18,13 +18,11 @@ from .histograms import (
 )
 from .env import (
     Environment,
-    StochasticRewardEnv,
     linear_env,
     load_tabular_env,
     local_reward,
     make_env,
     rewards,
-    sample_reward,
     step_distribution,
     team_reward,
     transitions,
@@ -58,7 +56,6 @@ from .bellman import (
     surrogate_step,
     table_size,
     value_iteration,
-    value_iteration_stochastic,
 )
 from .execution import EpisodeResult, Policy, act, evaluate_policy, run_episode
 from .harness import ExperimentConfig, SweepReport, parse_config, run_diagnostics, run_sweep

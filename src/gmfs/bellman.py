@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import Environment, StochasticRewardEnv, local_reward, step_distribution
+from .env import Environment, local_reward, rewards as env_rewards, step_distribution, transitions
 from .errors import BudgetError, FormatError, GmfsError
 from .histograms import (
     Histogram,
@@ -366,14 +366,17 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
     index = get_index(S, kappa)
     G = index.total
     hist_counts = np.array([index.unrank_counts(g) for g in range(G)], dtype=np.int64)
-    hist_probs = hist_counts / kappa
-    pmf = np.empty((S, A, G, S))
-    rewards = np.empty((S, A, G))
-    for s in range(S):
-        for a in range(A):
-            for g in range(G):
-                pmf[s, a, g] = step_distribution(env, s, a, hist_probs[g])
-                rewards[s, a, g] = local_reward(env, s, a, hist_probs[g])
+    s_grid, a_grid, _ = np.indices((S, A, G))
+    g_grid = np.broadcast_to(hist_counts / kappa, (S, A, G, S))
+    pmf = transitions(env, s_grid, a_grid, g_grid)
+    rewards = env_rewards(env, s_grid, a_grid, g_grid)
+    if pmf.shape != (S, A, G, S) or rewards.shape != (S, A, G):
+        raise ValueError("environment kernel returned a malformed table")
+    invalid = (np.abs(pmf.sum(axis=3) - 1.0) > 1e-12) | np.any(pmf < 0, axis=3)
+    if invalid.any():
+        s, a, g = np.argwhere(invalid)[0]
+        raise ValueError(f"transition kernel returned an invalid pmf at (s={s}, a={a}), "
+                         f"g = {hist_counts[g]} / {kappa}")
 
     gm = np.broadcast_to(hist_counts[:, None, None, :], (G, S, S, S)).copy()  # [g, s, x]
     if aggregate_rule == "leave_one_out":
@@ -567,7 +570,8 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
                     neighbor_action_rule: str = "uniform",
                     aggregate_rule: str = "leave_one_out",
                     operator: str = "empirical",
-                    reward_noise=None) -> QTable:
+                    reward_noise: float = 0.0, xi: int = 1,
+                    noise_seed: int | None = None) -> QTable:
     """Synchronous value iteration from zero initialization.
 
     Runs at most ``iterations`` sweeps, recording the residual
@@ -577,13 +581,20 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
     unused; refused under the greedy rule in marginal mode, and when its
     law exceeds the table budget). Both run on the same vectorized engine.
 
-    ``reward_noise`` is used by the stochastic-reward variant: a callable
-    (iteration, engine) -> per-entry reward perturbation vector.
+    Stochastic rewards: with ``reward_noise`` > 0, each sweep replaces the
+    reward of every entry with the mean of ``xi`` fresh draws, uniform within
+    ``reward_noise`` of it, from the stream keyed by ``noise_seed`` (defaults
+    to ``seed``) and the sweep. The transition samples stay frozen, so zero
+    noise reproduces the deterministic trajectory bit for bit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if operator not in OPERATORS:
         raise ValueError(f"operator must be one of {OPERATORS}")
+    if xi < 1:
+        raise ValueError("xi must be >= 1")
+    if not 0 <= reward_noise < math.inf:
+        raise ValueError("reward_noise must be a finite half-width >= 0")
     if mode == "marginal" and not env.marginal_sufficient:
         raise GmfsError(
             f"environment {env.name!r} does not declare marginal sufficiency; "
@@ -592,6 +603,7 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
     gamma = env.discount if gamma is None else float(gamma)
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
+    noise_key = seed if noise_seed is None else noise_seed
     q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
     engine = _FrozenEngine(env, kappa, m, seed, mode=mode, operator=operator,
@@ -599,8 +611,9 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
                            aggregate_rule=aggregate_rule)
     for t in range(iterations):
         r_t = engine.rewards
-        if reward_noise is not None:
-            r_t = r_t + reward_noise(t, engine)
+        if reward_noise > 0:
+            u = stream(noise_key, "reward-noise", kappa, t).random((engine.n_entries, xi))
+            r_t = r_t + reward_noise * (2.0 * u - 1.0).mean(axis=1)
         new_values = (r_t + gamma * engine.sweep(q.values)).reshape(q.values.shape)
         residual = float(np.abs(new_values - q.values).max())
         q.values = new_values
@@ -611,35 +624,6 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
         if residual < epsilon:
             break
     return q
-
-
-def value_iteration_stochastic(env: StochasticRewardEnv, kappa: int, m: int,
-                               iterations: int = DEFAULT_ITERATIONS, xi: int = 1,
-                               seed: int = 0, noise_seed: int | None = None,
-                               **kwargs) -> QTable:
-    """Offline learning with stochastic rewards.
-
-    Each sweep replaces the deterministic reward with the mean of xi fresh
-    draws per entry; the frozen transition samples are shared across the xi
-    evaluations, so degenerate noise with xi=1 reproduces the deterministic
-    trajectory bit for bit. ``noise_seed`` keys the reward noise separately
-    (defaults to ``seed``) for paired-transition comparisons.
-    """
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
-    base = env.base
-    noise_key = seed if noise_seed is None else noise_seed
-
-    if env.noise == "degenerate" or env.half_width == 0.0:
-        noise_fn = None
-    else:
-        def noise_fn(t, engine):
-            rng = stream(noise_key, "reward-noise", kappa, t)
-            u = rng.random((engine.n_entries, xi))
-            return env.half_width * (2.0 * u - 1.0).mean(axis=1)
-
-    return value_iteration(base, kappa, m, iterations, seed,
-                           reward_noise=noise_fn, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ file, or an output in a missing directory).
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 import time
 from dataclasses import replace
@@ -47,14 +48,24 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
+def _output_path(raw: str) -> Path:
+    """``raw`` as a path, refused (OSError) when its directory is missing, so
+    that a command fails before its work rather than after."""
+    out = Path(raw)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, f"no directory {out.parent} for the output", raw)
+    return out
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
+    out = _output_path(args.out)
     kappa = args.kappa if args.kappa is not None else cfg.kappa_list[0]
     if args.kappa is not None:
         cfg = replace(cfg, kappa_list=(kappa,)).validate()
     env = build_environment(cfg)
     q = train_kappa(cfg, env, kappa)
-    save_qtable(q, args.out)
+    save_qtable(q, out)
     print(f"trained kappa={kappa}: {q.iterations} sweeps, "
           f"residual {q.residual:.3e}, table entries {q.values.size}, "
           f"saved to {args.out}")
@@ -64,6 +75,7 @@ def cmd_train(args) -> int:
 def cmd_execute(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_config(args.config)
+    out = _output_path(args.out)
     q = load_qtable(args.qtable)
     env = build_environment(cfg)
     check_init(cfg, env)
@@ -75,7 +87,6 @@ def cmd_execute(args) -> int:
         cfg = replace(cfg, seed_list=seeds).validate()
     weights = build_weights(build_graphon(cfg), build_assignment(cfg))
     evaluation = evaluate_table(cfg, env, weights, q)
-    out = Path(args.out)
     write_episodes_csv(out, cfg, {q.kappa: evaluation.returns})
     print(f"executed {len(evaluation.returns)} episode(s) in "
           f"{time.perf_counter() - t0:.3f} s, mean discounted return "

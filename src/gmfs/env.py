@@ -1,18 +1,14 @@
 """Environment abstraction and the warehouse benchmark.
 
-An environment is a pair of pure functions, a transition kernel
-P(s' | s, a, g) and a local reward r(s, a, g), both conditioned on a
-neighborhood state marginal g (a pmf over states), plus metadata. Pure
-functions rather than tables because g ranges over a continuum; tabulation
-against histogram points happens in the learning core.
-
-An environment may also carry batched forms of both functions,
-``transition_batch(s, a, g)`` and ``reward_batch(s, a, g)``, which take
+An environment is one kernel pair, a transition kernel P(s' | s, a, g) and a
+local reward r(s, a, g), both conditioned on a neighborhood state marginal g
+(a pmf over states), plus metadata. Both functions are batched: they take
 integer arrays ``s`` and ``a`` of one shape and marginals ``g`` of that shape
 plus a trailing state axis, and return the pmfs (trailing state axis) or the
-rewards elementwise. They must agree with the per-agent functions; the
-simulator reaches them only through ``transitions`` and ``rewards``, which
-fall back to per-agent calls when an environment has none.
+rewards elementwise. Functions rather than tables because g ranges over a
+continuum; the learning core tabulates them at the histogram points in one
+call, and the simulator evaluates them for the whole population in one call.
+``step_distribution`` and ``local_reward`` validate and read one point.
 
 All functions are stateless; RNG is passed explicitly, so everything here is
 safe under arbitrary concurrent use with per-worker streams.
@@ -33,14 +29,12 @@ class Environment:
     name: str
     n_states: int
     n_actions: int
-    transition: Callable[[int, int, np.ndarray], np.ndarray]
-    reward: Callable[[int, int, np.ndarray], float]
+    transition: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    reward: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     reward_bound: float
     discount: float = 0.95
     lipschitz_p: float | None = None  # None means "unknown"
     marginal_sufficient: bool = False
-    transition_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-    reward_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0 < self.discount < 1:
@@ -69,7 +63,7 @@ def step_distribution(env: Environment, s: int, a: int, g) -> np.ndarray:
     """Next-state pmf P(. | s, a, g); validated to sum to 1."""
     g = _check_marginal(env, g)
     _check_ids(env, s, a)
-    pmf = np.asarray(env.transition(s, a, g), dtype=np.float64)
+    pmf = transitions(env, s, a, g)
     if pmf.shape != (env.n_states,):
         raise ValueError("transition kernel returned a malformed pmf")
     if abs(float(pmf.sum()) - 1.0) > 1e-12 or np.any(pmf < 0):
@@ -80,35 +74,23 @@ def step_distribution(env: Environment, s: int, a: int, g) -> np.ndarray:
 def local_reward(env: Environment, s: int, a: int, g) -> float:
     g = _check_marginal(env, g)
     _check_ids(env, s, a)
-    return float(env.reward(s, a, g))
+    return float(rewards(env, s, a, g))
 
 
 def transitions(env: Environment, s, a, g) -> np.ndarray:
     """Next-state pmfs P(. | s, a, g) elementwise over same-shaped state and
     action arrays; ``g`` carries a trailing state axis, as does the result."""
-    s = np.asarray(s, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64)
-    g = np.asarray(g, dtype=np.float64)
-    if env.transition_batch is not None:
-        return env.transition_batch(s, a, g)
-    out = np.empty(s.shape + (env.n_states,))
-    for idx in np.ndindex(s.shape):
-        out[idx] = env.transition(int(s[idx]), int(a[idx]), g[idx])
-    return out
+    return np.asarray(env.transition(np.asarray(s, dtype=np.int64),
+                                     np.asarray(a, dtype=np.int64),
+                                     np.asarray(g, dtype=np.float64)), dtype=np.float64)
 
 
 def rewards(env: Environment, s, a, g) -> np.ndarray:
     """Local rewards r(s, a, g) elementwise over same-shaped state and action
     arrays; ``g`` carries a trailing state axis."""
-    s = np.asarray(s, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64)
-    g = np.asarray(g, dtype=np.float64)
-    if env.reward_batch is not None:
-        return env.reward_batch(s, a, g)
-    out = np.empty(s.shape)
-    for idx in np.ndindex(s.shape):
-        out[idx] = env.reward(int(s[idx]), int(a[idx]), g[idx])
-    return out
+    return np.asarray(env.reward(np.asarray(s, dtype=np.int64),
+                                 np.asarray(a, dtype=np.int64),
+                                 np.asarray(g, dtype=np.float64)), dtype=np.float64)
 
 
 def team_reward(env: Environment, states, actions, aggregates):
@@ -143,43 +125,51 @@ WAREHOUSE_DEFAULTS = dict(
 )
 
 
+def _warehouse_vector(params: dict, key: str) -> np.ndarray:
+    values = np.atleast_1d(np.asarray(params[key], dtype=np.float64))
+    if values.shape != (3,):
+        raise ConfigError(f"warehouse parameter {key} must hold 3 values, got {params[key]!r}")
+    return values
+
+
+def _warehouse_scalar(params: dict, key: str, low=-np.inf, high=np.inf) -> float:
+    value = np.asarray(params[key], dtype=np.float64)
+    if value.ndim != 0 or not (np.isfinite(value) and low <= value <= high):
+        within = "" if np.isinf(low) else f" in [{low}, {high}]"
+        raise ConfigError(f"warehouse parameter {key} = {params[key]!r} "
+                          f"must be one finite number{within}")
+    return float(value)
+
+
 def warehouse_env(**overrides) -> Environment:
     """The congestion-sensitive warehouse robot environment.
 
     Working attempts succeed with probability max(0.1, 0.9 - 0.8 * g(2)) and
     fail into transit; idle/transit attempts succeed with probability 0.9 and
     fail in place. Reward is V(s) * max(0.4, 1 - 5 * g(2)) - C(a).
+    Parameters under which some g gives an invalid pmf are refused
+    (ConfigError).
     """
     params = dict(WAREHOUSE_DEFAULTS)
     unknown = set(overrides) - set(params)
     if unknown:
         raise ConfigError(f"unknown warehouse parameter(s): {sorted(unknown)}")
     params.update(overrides)
-    values = np.asarray(params["state_values"], dtype=np.float64)
-    costs = np.asarray(params["action_costs"], dtype=np.float64)
-    sens = float(params["congestion_sensitivity"])
-    floor = float(params["min_utility"])
-    base = float(params["base_success"])
-    min_work = float(params["min_work_success"])
-    slope = float(params["congestion_slope"])
+    values = _warehouse_vector(params, "state_values")
+    costs = _warehouse_vector(params, "action_costs")
+    sens = _warehouse_scalar(params, "congestion_sensitivity")
+    floor = _warehouse_scalar(params, "min_utility")
+    base = _warehouse_scalar(params, "base_success", 0.0, 1.0)
+    min_work = _warehouse_scalar(params, "min_work_success", 0.0, 1.0)
+    slope = _warehouse_scalar(params, "congestion_slope")
+    # the work success probability max(min_work, base - slope * g(2)) stays
+    # in [0, 1] for every g(2) in [0, 1] exactly when this holds
+    if base - slope > 1:
+        raise ConfigError(f"warehouse parameters base_success = {base!r} and "
+                          f"congestion_slope = {slope!r} give a work success "
+                          "probability above 1 (base_success - congestion_slope > 1)")
 
-    def transition(s: int, a: int, g: np.ndarray) -> np.ndarray:
-        pmf = np.zeros(3)
-        if a == WORKING:
-            p = max(min_work, base - slope * g[WORKING])
-            pmf[WORKING] += p
-            pmf[TRANSIT] += 1.0 - p
-        else:
-            pmf[a] += base
-            pmf[s] += 1.0 - base
-        return pmf
-
-    def reward(s: int, a: int, g: np.ndarray) -> float:
-        return float(values[s] * max(floor, 1.0 - sens * g[WORKING]) - costs[a])
-
-    # the batched forms repeat the arithmetic above operation for operation,
-    # so they agree with the per-agent functions bit for bit
-    def transition_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def transition(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         work = a == WORKING
         p = np.maximum(min_work, base - slope * g[..., WORKING])
         pmf = np.zeros(s.shape + (3,))
@@ -189,7 +179,7 @@ def warehouse_env(**overrides) -> Environment:
         pmf += (np.arange(3) == fail_to[..., None]) * np.where(work, 1.0 - p, 1.0 - base)[..., None]
         return pmf
 
-    def reward_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def reward(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return values[s] * np.maximum(floor, 1.0 - sens * g[..., WORKING]) - costs[a]
 
     bound = float(np.max(values) * 1.0 - np.min(costs))
@@ -200,13 +190,11 @@ def warehouse_env(**overrides) -> Environment:
         transition=transition,
         reward=reward,
         reward_bound=bound,
-        discount=float(params["discount"]),
+        discount=_warehouse_scalar(params, "discount"),
         # the kernel is affine in g(2) with slope 0.8 before clipping and
         # |g(2) - g'(2)| <= 2 TV(g, g'), so TV(P, P') <= 1.6 TV(g, g')
         lipschitz_p=2.0 * slope,
         marginal_sufficient=True,
-        transition_batch=transition_batch,
-        reward_batch=reward_batch,
     )
 
 
@@ -231,16 +219,10 @@ def linear_env(name: str, kernel: np.ndarray, rewards: np.ndarray,
     if np.any(kernel < 0) or not np.allclose(kernel.sum(axis=3), 1.0, atol=1e-12):
         raise ValueError("every kernel coefficient row must be a pmf")
 
-    def transition(s: int, a: int, g: np.ndarray) -> np.ndarray:
-        return g @ kernel[s, a]
-
-    def reward(s: int, a: int, g: np.ndarray) -> float:
-        return float(g @ rewards[s, a])
-
-    def transition_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def transition(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return (g[..., None, :] @ kernel[s, a])[..., 0, :]
 
-    def reward_batch(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def reward(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return (g[..., None, :] @ rewards[s, a][..., None])[..., 0, 0]
 
     return Environment(
@@ -253,8 +235,6 @@ def linear_env(name: str, kernel: np.ndarray, rewards: np.ndarray,
         discount=discount,
         lipschitz_p=1.0,
         marginal_sufficient=marginal_sufficient,
-        transition_batch=transition_batch,
-        reward_batch=reward_batch,
     )
 
 
@@ -290,6 +270,11 @@ def load_tabular_env(text: str, name: str = "custom") -> Environment:
                 if parts[4] != ":":
                     raise ValueError("missing ':'")
                 vals = [float(v) for v in parts[5:]]
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError("values must be finite")
+                if parts[0] == "kernel" and (min(vals, default=0.0) < 0
+                                             or not abs(float(np.sum(vals)) - 1.0) <= 1e-12):
+                    raise ValueError(f"kernel row {vals} is not a pmf")
                 target = kernel_rows if parts[0] == "kernel" else reward_rows
                 target[(s, a, x)] = vals
             else:
@@ -314,46 +299,6 @@ def load_tabular_env(text: str, name: str = "custom") -> Environment:
                     raise ConfigError(f"reward row (s={s}, a={a}, x={x}) must list one value")
                 rewards[s, a, x] = rw[0]
     return linear_env(name, kernel, rewards, discount=discount)
-
-
-# ---------------------------------------------------------------------------
-# Stochastic reward wrapper: the mean stays the base reward, draws stay inside
-# declared support bounds.
-# ---------------------------------------------------------------------------
-
-NOISE_FAMILIES = ("degenerate", "uniform")
-
-
-@dataclass(frozen=True)
-class StochasticRewardEnv:
-    base: Environment
-    noise: str = "degenerate"
-    half_width: float = 0.0
-    averaging: int = 1
-
-    def __post_init__(self):
-        if self.noise not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.noise!r}")
-        if self.noise == "uniform" and self.half_width < 0:
-            raise ValueError("half_width must be >= 0")
-        if self.averaging < 1:
-            raise ValueError("averaging parameter must be >= 1")
-
-    @property
-    def support_low(self) -> float:
-        return -self.base.reward_bound - (self.half_width if self.noise == "uniform" else 0.0)
-
-    @property
-    def support_high(self) -> float:
-        return self.base.reward_bound + (self.half_width if self.noise == "uniform" else 0.0)
-
-
-def sample_reward(env: StochasticRewardEnv, s: int, a: int, g, rng: np.random.Generator) -> float:
-    """One draw from the reward distribution at (s, a, g); mean-unbiased."""
-    mean = local_reward(env.base, s, a, g)
-    if env.noise == "degenerate" or env.half_width == 0.0:
-        return mean
-    return mean + env.half_width * (2.0 * rng.random() - 1.0)
 
 
 def make_env(name: str, **overrides) -> Environment:

@@ -27,14 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bellman import (
-    QTable,
-    save_qtable,
-    table_size,
-    value_iteration,
-    value_iteration_stochastic,
-)
-from .env import Environment, StochasticRewardEnv, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
+from .bellman import QTable, save_qtable, table_size, value_iteration
+from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
 from .execution import Policy, PolicyEvaluation, evaluate_policy, read_init
 from .graphon import Graphon, LatentAssignment, build_weights
@@ -103,6 +97,9 @@ class ExperimentConfig:
             raise ConfigError("train.surrogate_aggregate must be 'leave_one_out' or 'shared'")
         if self.xi is not None and self.xi < 1:
             raise ConfigError("train.xi must be >= 1 when given")
+        if self.reward_noise is not None and not 0 <= self.reward_noise < np.inf:
+            raise ConfigError(f"train.reward_noise = uniform {_fmt(self.reward_noise)}: "
+                              "the half-width must be finite and >= 0")
         if self.reward_aggregates not in ("exact", "sampled"):
             raise ConfigError("execute.reward_aggregates must be 'exact' or 'sampled'")
         if self.baseline not in ("none", "exact"):
@@ -323,9 +320,18 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_environment(cfg: ExperimentConfig) -> Environment:
+    """The configured environment; parameters or an environment file that
+    give no valid environment are a ConfigError."""
     if cfg.env_file:
-        return load_tabular_env(Path(cfg.env_file).read_text(), name=cfg.env_name)
-    return make_env(cfg.env_name, **dict(cfg.env_overrides))
+        text = Path(cfg.env_file).read_text()
+        try:
+            return load_tabular_env(text, name=cfg.env_name)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"[env] file {cfg.env_file}: {exc}") from exc
+    try:
+        return make_env(cfg.env_name, **dict(cfg.env_overrides))
+    except ValueError as exc:
+        raise ConfigError(f"[env] {exc}") from exc
 
 
 def build_graphon(cfg: ExperimentConfig) -> Graphon:
@@ -392,17 +398,11 @@ class SweepReport:
 
 
 def train_kappa(cfg: ExperimentConfig, env: Environment, kappa: int) -> QTable:
-    kwargs = dict(mode=cfg.mode, gamma=cfg.gamma, epsilon=cfg.epsilon,
-                  neighbor_action_rule=cfg.neighbor_action_rule,
-                  aggregate_rule=cfg.surrogate_aggregate)
-    if cfg.xi is not None or cfg.reward_noise is not None:
-        wrapped = StochasticRewardEnv(
-            env, noise="uniform" if cfg.reward_noise else "degenerate",
-            half_width=cfg.reward_noise or 0.0)
-        return value_iteration_stochastic(wrapped, kappa, cfg.mc_samples, cfg.iterations,
-                                          xi=cfg.xi or 1, seed=cfg.master_seed, **kwargs)
-    return value_iteration(env, kappa, cfg.mc_samples, cfg.iterations,
-                           seed=cfg.master_seed, **kwargs)
+    return value_iteration(env, kappa, cfg.mc_samples, cfg.iterations, seed=cfg.master_seed,
+                           mode=cfg.mode, gamma=cfg.gamma, epsilon=cfg.epsilon,
+                           neighbor_action_rule=cfg.neighbor_action_rule,
+                           aggregate_rule=cfg.surrogate_aggregate,
+                           reward_noise=cfg.reward_noise or 0.0, xi=cfg.xi or 1)
 
 
 def check_init(cfg: ExperimentConfig, env: Environment) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from functools import lru_cache
@@ -24,9 +25,8 @@ from gmfs.bellman import (
     table_size,
     tabulate,
     value_iteration,
-    value_iteration_stochastic,
 )
-from gmfs.env import StochasticRewardEnv, linear_env, step_distribution
+from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, FormatError, GmfsError
 from gmfs.histograms import Alphabet, Histogram, enumerate_histograms, fiber, get_index, marginal
 from gmfs.rng import stream
@@ -86,7 +86,7 @@ def exact_backup_oracle(env, q, s, a, counts, kappa, aggregate_rule="leave_one_o
     g = np.zeros(S)
     for c, n in enumerate(counts):
         g[c // q.n_actions if q.mode == "joint" else c] += n / kappa
-    r = env.reward(s, a, g)
+    r = local_reward(env, s, a, g)
     law = surrogate_outcome_oracle(env, s, a, counts, kappa, aggregate_rule)
     cont = 0.0
     for (s_next, g_next), p in law.items():
@@ -169,6 +169,53 @@ def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
         t += take
     q.iterations = steps
     return q
+
+
+def random_linear_env(seed=3):
+    rng = np.random.default_rng(seed)
+    return linear_env("random", rng.dirichlet(np.ones(3), size=(3, 2, 3)),
+                      rng.normal(size=(3, 2, 3)))
+
+
+class TestTabulate:
+    @pytest.mark.parametrize("aggregate_rule", ["leave_one_out", "shared"])
+    @pytest.mark.parametrize("kappa", [1, 2, 5])
+    @pytest.mark.parametrize("env_name", ["warehouse", "small", "action_blind", "random"])
+    def test_matches_per_entry_reads_bitwise(self, request, env_name, kappa, aggregate_rule):
+        env = random_linear_env() if env_name == "random" else request.getfixturevalue(env_name)
+        model = tabulate(env, kappa, aggregate_rule)
+        S, A, G = env.n_states, env.n_actions, model.index.total
+        pmf = np.empty((S, A, G, S))
+        rewards = np.empty((S, A, G))
+        for s, a, g in itertools.product(range(S), range(A), range(G)):
+            point = model.hist_counts[g] / kappa
+            pmf[s, a, g] = step_distribution(env, s, a, point)
+            rewards[s, a, g] = local_reward(env, s, a, point)
+        assert model.pmf.tobytes() == pmf.tobytes()
+        assert model.rewards.tobytes() == rewards.tobytes()
+
+    @pytest.mark.parametrize("breakage", [
+        lambda pmf: 1.1 * pmf,  # sums to 1.1
+        lambda pmf: pmf + np.array([-1.0, 1.0]),  # sums to 1, one entry negative
+    ], ids=["unnormalized", "negative"])
+    def test_invalid_pmf_at_one_point_is_refused(self, small, breakage):
+        def kernel(s, a, g):
+            pmf = small.transition(s, a, g)
+            broken = (s == 1) & (a == 0) & (g[..., 1] == 0.5)
+            return np.where(broken[..., None], breakage(pmf), pmf)
+
+        env = dataclasses.replace(small, transition=kernel)
+        with pytest.raises(ValueError, match=r"invalid pmf at \(s=1, a=0\)"):
+            step_distribution(env, 1, 0, np.array([0.5, 0.5]))
+        step_distribution(env, 1, 0, np.array([1.0, 0.0]))
+        tabulate(env, 1, "leave_one_out")  # kappa 1 has no histogram at g = (0.5, 0.5)
+        for rule in ("leave_one_out", "shared"):
+            with pytest.raises(ValueError, match=r"invalid pmf at \(s=1, a=0\)"):
+                tabulate(env, 2, rule)
+        for mode, operator in (("marginal", "empirical"), ("joint", "empirical"),
+                               ("marginal", "exact")):
+            with pytest.raises(ValueError, match=r"invalid pmf at \(s=1, a=0\)"):
+                value_iteration(env, 2, 5, 3, mode=mode, operator=operator)
 
 
 class TestSurrogateStep:
@@ -322,14 +369,14 @@ class TestOperators:
         q = QTable.zeros("marginal", 2, 2, 2, 0.9)
         h = Histogram((1, 1), 2)
         got = empirical_operator(small, q, 0, 1, h, 20, stream(0, "op"))
-        assert got == pytest.approx(small.reward(0, 1, np.array([0.5, 0.5])))
+        assert got == pytest.approx(local_reward(small, 0, 1, np.array([0.5, 0.5])))
 
     def test_gamma_zero_ignores_table(self, small, rng):
         q = QTable.zeros("marginal", 2, 2, 2, 0.0)
         q.values = rng.normal(size=q.values.shape)
         h = Histogram((2, 0), 2)
         got = empirical_operator(small, q, 1, 0, h, 5, stream(1, "op"))
-        assert got == pytest.approx(small.reward(1, 0, np.array([1.0, 0.0])))
+        assert got == pytest.approx(local_reward(small, 1, 0, np.array([1.0, 0.0])))
 
     def test_exact_matches_independent_oracle(self, small, action_blind, rng):
         kernel = rng.dirichlet(np.ones(3), size=(3, 2, 3))
@@ -513,45 +560,60 @@ class TestValueIteration:
 class TestStochasticValueIteration:
     def test_degenerate_noise_bitwise_equal(self, warehouse):
         det = value_iteration(warehouse, 2, 10, 40, seed=3)
-        wrapped = StochasticRewardEnv(warehouse, noise="degenerate")
-        sto = value_iteration_stochastic(wrapped, 2, 10, 40, xi=1, seed=3)
+        sto = value_iteration(warehouse, 2, 10, 40, seed=3, reward_noise=0.0, xi=1)
         assert np.array_equal(det.values, sto.values)
         assert det.residual_history == sto.residual_history
 
     def test_degenerate_noise_bitwise_equal_in_joint_mode(self, small):
         det = value_iteration(small, 2, 6, 25, seed=3, mode="joint")
-        wrapped = StochasticRewardEnv(small, noise="degenerate")
-        sto = value_iteration_stochastic(wrapped, 2, 6, 25, xi=1, seed=3, mode="joint")
+        sto = value_iteration(small, 2, 6, 25, seed=3, mode="joint", reward_noise=0.0, xi=1)
         assert np.array_equal(det.values, sto.values)
         assert det.residual_history == sto.residual_history
 
     def test_reward_noise_reaches_joint_mode(self, small):
         det = value_iteration(small, 2, 6, 25, seed=3, mode="joint")
-        wrapped = StochasticRewardEnv(small, noise="uniform", half_width=0.5)
-        sto = value_iteration_stochastic(wrapped, 2, 6, 25, xi=3, seed=3, mode="joint")
+        sto = value_iteration(small, 2, 6, 25, seed=3, mode="joint", reward_noise=0.5, xi=3)
         assert sto.values.shape == det.values.shape
         assert 0.0 < np.abs(sto.values - det.values).max() < 0.5 / (1 - 0.9) + 1e-9
 
     def test_degenerate_noise_bitwise_equal_with_the_exact_operator(self, small):
         for mode in ("marginal", "joint"):
             det = value_iteration(small, 2, 1, 40, seed=3, mode=mode, operator="exact")
-            wrapped = StochasticRewardEnv(small, noise="degenerate")
-            sto = value_iteration_stochastic(wrapped, 2, 1, 40, xi=1, seed=3, mode=mode,
-                                             operator="exact")
+            sto = value_iteration(small, 2, 1, 40, seed=3, mode=mode, operator="exact",
+                                  reward_noise=0.0, xi=1)
             assert np.array_equal(det.values, sto.values)
             assert det.residual_history == sto.residual_history
 
     def test_reward_noise_reaches_the_exact_operator(self, small):
         det = value_iteration(small, 2, 1, 25, seed=3, operator="exact")
-        wrapped = StochasticRewardEnv(small, noise="uniform", half_width=0.5)
-        sto = value_iteration_stochastic(wrapped, 2, 1, 25, xi=3, seed=3, operator="exact")
+        sto = value_iteration(small, 2, 1, 25, seed=3, operator="exact", reward_noise=0.5, xi=3)
         assert 0.0 < np.abs(sto.values - det.values).max() < 0.5 / (1 - 0.9) + 1e-9
 
     def test_zero_half_width_equals_deterministic(self, warehouse):
         det = value_iteration(warehouse, 2, 10, 30, seed=4)
-        wrapped = StochasticRewardEnv(warehouse, noise="uniform", half_width=0.0)
-        sto = value_iteration_stochastic(wrapped, 2, 10, 30, xi=5, seed=4)
+        sto = value_iteration(warehouse, 2, 10, 30, seed=4, reward_noise=0.0, xi=5)
         assert np.array_equal(det.values, sto.values)
+
+    def test_uniform_noise_mean_and_support(self, warehouse):
+        # with gamma = 0 one sweep is the reward plus one noise draw per entry
+        det = value_iteration(warehouse, 6, 1, 1, seed=0, gamma=0.0)
+        draws = np.concatenate([
+            (value_iteration(warehouse, 6, 1, 1, seed=0, gamma=0.0, reward_noise=0.5,
+                             noise_seed=k).values - det.values).ravel()
+            for k in range(40)])
+        assert np.all(np.abs(draws) <= 0.5 + 1e-12)
+        # CLT: std of uniform(-0.5, 0.5) is 1/sqrt(12)
+        sigma = 0.5 / np.sqrt(3.0) / np.sqrt(draws.size)
+        assert abs(draws.mean()) <= 3.0 * sigma
+        assert draws.std() == pytest.approx(0.5 / np.sqrt(3.0), rel=0.05)
+
+    @pytest.mark.parametrize("noise", [
+        dict(reward_noise=-0.5), dict(reward_noise=math.inf), dict(reward_noise=math.nan),
+        dict(xi=0),
+    ], ids=["negative", "infinite", "nan", "no-draws"])
+    def test_rejects_invalid_noise(self, small, noise):
+        with pytest.raises(ValueError):
+            value_iteration(small, 2, 1, 1, **noise)
 
     def test_averaging_shrinks_error(self, warehouse):
         det = value_iteration(warehouse, 2, 10, 60, seed=5)
@@ -559,9 +621,8 @@ class TestStochasticValueIteration:
         for xi in (1, 25):
             gaps = []
             for seed in range(6):
-                wrapped = StochasticRewardEnv(warehouse, noise="uniform", half_width=1.0)
-                sto = value_iteration_stochastic(wrapped, 2, 10, 60, xi=xi, seed=5,
-                                                 noise_seed=seed)
+                sto = value_iteration(warehouse, 2, 10, 60, seed=5, reward_noise=1.0, xi=xi,
+                                      noise_seed=seed)
                 gaps.append(np.abs(sto.values - det.values).max())
             errs[xi] = float(np.median(gaps))
         assert errs[25] < errs[1]

@@ -219,6 +219,33 @@ class TestIOErrors:
         self.assert_io_error(capsys, ["train", "--config", write_config(tmp_path),
                                       "--kappa", "2", "--out", str(path)], path)
 
+    def test_train_output_directory_is_checked_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        from gmfs import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training reached")
+
+        monkeypatch.setattr(cli, "train_kappa", refuse)
+        path = tmp_path / "missing" / "q.bin"
+        self.assert_io_error(capsys, ["train", "--config", write_config(tmp_path),
+                                      "--kappa", "2", "--out", str(path)], path)
+
+    def test_execute_output_directory_is_checked_before_evaluating(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        from gmfs import cli
+        from gmfs.bellman import QTable, save_qtable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluation reached")
+
+        monkeypatch.setattr(cli, "evaluate_table", refuse)
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 2, 3, 3, 0.95, env_name="warehouse"), qpath)
+        path = tmp_path / "missing" / "e.csv"
+        self.assert_io_error(capsys, ["execute", "--config", write_config(tmp_path),
+                                      "--qtable", str(qpath), "--out", str(path)], path)
+
 
 class TestMalformedInit:
     """An [execute] init that names no state, pmf or per-agent state list of
@@ -264,3 +291,59 @@ class TestMalformedInit:
             cfg = write_config(tmp_path, SMALL_CONFIG.replace("kappa_list = 2 3", "kappa_list = 2")
                                + f"init = {init}\n")
             assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+class TestMalformedEnvironment:
+    """Environment parameters that name no valid environment, or that give
+    an invalid pmf at some marginal, exit 2 before any training, with a
+    message naming the key or the environment file line."""
+
+    CONFIG_CASES = {
+        "two state values": ("[env]\n", "state_values = 1 2", "state_values"),
+        "one state value": ("[env]\n", "state_values = 5", "state_values"),
+        "discount above 1": ("[env]\n", "discount = 1.5", "discount"),
+        "base success above 1": ("[env]\n", "base_success = 1.5", "base_success"),
+        "negative congestion slope": ("[env]\n", "congestion_slope = -2", "congestion_slope"),
+        "negative reward noise": ("[train]\n", "reward_noise = uniform -1", "reward_noise"),
+    }
+    SPEC = ("states 2\nactions 1\ndiscount 0.9\nkernel 0 0 0 : 1.0 0.0\n"
+            "kernel 0 0 1 : 0.5 0.5\nkernel 1 0 0 : 0.25 0.75\nkernel 1 0 1 : 0.0 1.0\n")
+    FILE_CASES = {
+        "discount above 1": (SPEC.replace("discount 0.9", "discount 1.5"), "discount"),
+        "kernel row not a pmf": (SPEC.replace("0.25 0.75", "0.25 0.5"), "line 6"),
+    }
+
+    @staticmethod
+    def refuse_training(monkeypatch):
+        from gmfs import cli, harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training reached")
+
+        monkeypatch.setattr(harness, "train_kappa", refuse)
+        monkeypatch.setattr(cli, "train_kappa", refuse)
+
+    def assert_refused(self, tmp_path, capsys, cfg, named):
+        for argv in (["train", "--config", cfg, "--out", str(tmp_path / "q.bin")],
+                     ["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, line, named", CONFIG_CASES.values(),
+                             ids=CONFIG_CASES.keys())
+    def test_config_value(self, tmp_path, capsys, monkeypatch, section, line, named):
+        self.refuse_training(monkeypatch)
+        text = (SMALL_CONFIG.replace(section, f"{section}{line}\n") if section in SMALL_CONFIG
+                else SMALL_CONFIG + f"{section}{line}\n")
+        self.assert_refused(tmp_path, capsys, write_config(tmp_path, text), named)
+
+    @pytest.mark.parametrize("spec, named", FILE_CASES.values(), ids=FILE_CASES.keys())
+    def test_environment_file(self, tmp_path, capsys, monkeypatch, spec, named):
+        self.refuse_training(monkeypatch)
+        env_file = tmp_path / "env.txt"
+        env_file.write_text(spec)
+        cfg = write_config(tmp_path, SMALL_CONFIG + f"[env]\nname = toy\nfile = {env_file}\n")
+        self.assert_refused(tmp_path, capsys, cfg, named)

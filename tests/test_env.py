@@ -1,16 +1,12 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from gmfs.env import (
-    StochasticRewardEnv,
     linear_env,
     load_tabular_env,
     local_reward,
     make_env,
     rewards,
-    sample_reward,
     step_distribution,
     team_reward,
     transitions,
@@ -18,7 +14,6 @@ from gmfs.env import (
 )
 from gmfs.errors import ConfigError
 from gmfs.histograms import tv_distance
-from gmfs.rng import stream
 
 
 def g_of(*probs):
@@ -130,6 +125,21 @@ class TestTeamReward:
             team_reward(warehouse, [0, 1], [0], [g_of(1, 0, 0)] * 2)
 
 
+def warehouse_oracle(s: int, a: int, g: np.ndarray):
+    """The warehouse's pmf and reward at one point, written out with the
+    default parameters of WAREHOUSE_DEFAULTS."""
+    pmf = np.zeros(3)
+    if a == 2:
+        p = max(0.1, 0.9 - 0.8 * g[2])
+        pmf[2] += p
+        pmf[1] += 1.0 - p
+    else:
+        pmf[a] += 0.9
+        pmf[s] += 1.0 - 0.9
+    reward = (10.0, 5.0, 20.0)[s] * max(0.4, 1.0 - 5.0 * g[2]) - (0.0, 0.0, 5.0)[a]
+    return pmf, reward
+
+
 class TestBatchedHooks:
     @staticmethod
     def grid(env, rng, batch=(4, 5)):
@@ -139,12 +149,11 @@ class TestBatchedHooks:
         return s, a, g
 
     @staticmethod
-    def per_agent(env, s, a, g):
-        pmfs = np.empty(s.shape + (env.n_states,))
+    def per_agent(oracle, n_states, s, a, g):
+        pmfs = np.empty(s.shape + (n_states,))
         rs = np.empty(s.shape)
         for idx in np.ndindex(s.shape):
-            pmfs[idx] = env.transition(int(s[idx]), int(a[idx]), g[idx])
-            rs[idx] = env.reward(int(s[idx]), int(a[idx]), g[idx])
+            pmfs[idx], rs[idx] = oracle(int(s[idx]), int(a[idx]), g[idx])
         return pmfs, rs
 
     def test_warehouse_hooks_match_per_agent_bitwise(self, warehouse, rng):
@@ -153,22 +162,22 @@ class TestBatchedHooks:
         s, a = np.repeat(s[..., None], 40, -1), np.repeat(a[..., None], 40, -1)
         g = rng.dirichlet(np.ones(3), size=s.shape)
         g[..., 0, :] = (0.0, 0.0, 1.0)
-        pmfs, rs = self.per_agent(warehouse, s, a, g)
+        pmfs, rs = self.per_agent(warehouse_oracle, 3, s, a, g)
         assert np.array_equal(transitions(warehouse, s, a, g), pmfs)
         assert np.array_equal(rewards(warehouse, s, a, g), rs)
 
-    def test_linear_hooks_match_per_agent(self, small, rng):
-        s, a, g = self.grid(small, rng)
-        pmfs, rs = self.per_agent(small, s, a, g)
-        assert np.allclose(transitions(small, s, a, g), pmfs, rtol=1e-15, atol=1e-15)
-        assert np.allclose(rewards(small, s, a, g), rs, rtol=1e-15, atol=1e-15)
+    def test_linear_hooks_match_per_agent(self, rng):
+        kernel = rng.dirichlet(np.ones(3), size=(3, 2, 3))
+        reward_table = rng.normal(size=(3, 2, 3))
+        env = linear_env("random", kernel, reward_table)
 
-    def test_fallback_without_hooks(self, small, rng):
-        bare = dataclasses.replace(small, transition_batch=None, reward_batch=None)
-        s, a, g = self.grid(bare, rng)
-        pmfs, rs = self.per_agent(bare, s, a, g)
-        assert np.array_equal(transitions(bare, s, a, g), pmfs)
-        assert np.array_equal(rewards(bare, s, a, g), rs)
+        def oracle(s, a, g):
+            return g @ kernel[s, a], g @ reward_table[s, a]
+
+        s, a, g = self.grid(env, rng)
+        pmfs, rs = self.per_agent(oracle, 3, s, a, g)
+        assert np.allclose(transitions(env, s, a, g), pmfs, rtol=1e-15, atol=1e-15)
+        assert np.allclose(rewards(env, s, a, g), rs, rtol=1e-15, atol=1e-15)
 
     def test_team_reward_over_a_batch(self, warehouse, rng):
         s, a, g = self.grid(warehouse, rng, batch=(3, 7))
@@ -176,31 +185,6 @@ class TestBatchedHooks:
         assert batched.shape == (3,)
         for e in range(3):
             assert batched[e] == team_reward(warehouse, s[e], a[e], g[e])
-
-
-class TestStochasticRewards:
-    def test_degenerate_equals_base(self, warehouse):
-        env = StochasticRewardEnv(warehouse, noise="degenerate")
-        g = g_of(0.2, 0.3, 0.5)
-        got = sample_reward(env, 2, 1, g, stream(0, "noise"))
-        assert got == local_reward(warehouse, 2, 1, g)
-
-    def test_uniform_noise_mean_and_support(self, warehouse):
-        env = StochasticRewardEnv(warehouse, noise="uniform", half_width=0.5)
-        g = g_of(1, 0, 0)
-        base = local_reward(warehouse, 0, 0, g)
-        rng = stream(7, "noise")
-        draws = np.array([sample_reward(env, 0, 0, g, rng) for _ in range(100_000)])
-        assert np.all(draws >= env.support_low)
-        assert np.all(draws <= env.support_high)
-        assert np.all(np.abs(draws - base) <= 0.5 + 1e-12)
-        # CLT: std of uniform(-0.5, 0.5) is 1/sqrt(12)
-        sigma = 0.5 / np.sqrt(3.0) / np.sqrt(len(draws))
-        assert abs(draws.mean() - base) <= 3.0 * sigma
-
-    def test_rejects_unknown_family(self, warehouse):
-        with pytest.raises(ValueError):
-            StochasticRewardEnv(warehouse, noise="gaussian")
 
 
 class TestLinearEnv:

@@ -1,9 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from gmfs.bellman import QTable, value_iteration
+from gmfs.env import local_reward, step_distribution
 from gmfs.execution import Policy, _initial_states, act, evaluate_policy, run_episode
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
 from gmfs.histograms import Histogram, get_index, nearest_histogram
@@ -189,8 +188,8 @@ def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed
                 counts = np.bincount(states[ids], minlength=S)
             actions[i] = greedy[states[i], g_index.rank(counts)]
             g_reward = exact_g[i] if reward_aggregates == "exact" else counts / kappa
-            total += env.reward(int(states[i]), int(actions[i]), g_reward)
-            pmf = env.transition(int(states[i]), int(actions[i]), exact_g[i])
+            total += local_reward(env, int(states[i]), int(actions[i]), g_reward)
+            pmf = step_distribution(env, int(states[i]), int(actions[i]), exact_g[i])
             nxt = int(np.searchsorted(np.cumsum(pmf), block[i, 2 * kappa], side="right"))
             next_states[i] = min(nxt, S - 1)
         trajectory.append((states, actions))
@@ -214,23 +213,13 @@ def hetero_weights():
     return build_weights(Graphon.expdecay_graphon(2.0), LatentAssignment.sequential(12))
 
 
-def oracle_env(name, warehouse, small):
-    """The warehouse and linear envs run on their batched hooks; 'fallback'
-    strips the hooks so the simulator makes per-agent calls."""
-    if name == "warehouse":
-        return warehouse
-    if name == "small":
-        return small
-    return dataclasses.replace(small, transition_batch=None, reward_batch=None)
-
-
 class TestSimulatorOracle:
-    @pytest.mark.parametrize("env_name", ["warehouse", "small", "fallback"])
+    @pytest.mark.parametrize("env_name", ["warehouse", "small"])
     @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
     @pytest.mark.parametrize("reward_aggregates", ["exact", "sampled"])
     def test_matches_per_agent_reference(self, env_name, policy_inputs, reward_aggregates,
-                                         warehouse, small, hetero_weights):
-        env = oracle_env(env_name, warehouse, small)
+                                         request, hetero_weights):
+        env = request.getfixturevalue(env_name)
         kappa, horizon, gamma = 4, 15, 0.9
         init = tuple(np.full(env.n_states, 1.0 / env.n_states))
         policy = random_policy(env, kappa, seed=1)
@@ -249,9 +238,9 @@ class TestSimulatorOracle:
         # the chain actually moves, so the comparison covers transitions
         assert len({tuple(s) for s, _ in trajectory}) > 1
 
-    @pytest.mark.parametrize("env_name", ["warehouse", "fallback"])
-    def test_batch_invariance(self, env_name, warehouse, small, warehouse_weights):
-        env = oracle_env(env_name, warehouse, small)
+    @pytest.mark.parametrize("env_name", ["warehouse", "small"])
+    def test_batch_invariance(self, env_name, request, warehouse_weights):
+        env = request.getfixturevalue(env_name)
         policy = random_policy(env, 6, seed=2)
         init = tuple(np.full(env.n_states, 1.0 / env.n_states))
         seeds = [3, 7, 3, 11, 7, 0]
