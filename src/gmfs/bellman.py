@@ -403,6 +403,14 @@ class _FrozenEngine:
     of the neighbors' next marginal. A sweep is then a gather over the
     current table, which keeps the iteration an exact contraction and
     bit-reproducible for any worker count.
+
+    The empirical operator reads each sample's next marginal as a sum of
+    additive slot codes (``HistogramIndex.cell_codes``), which a code -> rank
+    map turns into a rank. Where the slot laws are static, every sample's
+    backup sits at one frozen flat index ``s' * G + rank`` of the (S, G)
+    backup table. Under the greedy rule each (entry, slot, action) keeps its
+    m next-state codes; a sweep gathers the rows of the current greedy slot
+    actions, sums them over the slots and ranks the sums.
     """
 
     def __init__(self, env: Environment, kappa: int, m: int, seed: int, *, mode: str,
@@ -427,13 +435,15 @@ class _FrozenEngine:
                     f"budget ({MAX_TABLE_ENTRIES}); use the empirical operator")
         elif m < 1:
             raise ValueError("m must be >= 1")
+        else:
+            cell_codes = get_index(S, kappa).cell_codes()
         model = tabulate(env, kappa, aggregate_rule)
-        self.index = model.index
+        G = model.index.total
         if mode == "joint":
             layout = joint_layout(S, A, kappa)
             h_marginal = layout.marginal_rank
         else:
-            h_marginal = np.arange(model.index.total)
+            h_marginal = np.arange(G)
         H = h_marginal.size
 
         entries = np.arange(self.n_entries)
@@ -442,48 +452,52 @@ class _FrozenEngine:
         e_s = entries // H // A
         e_g = h_marginal[e_h]
         self.rewards = model.rewards[e_s, e_a, e_g]
-        self.slot_states = model.slot_states[e_g]                      # (E, kappa)
-        self.slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], self.slot_states]
+        slot_states = model.slot_states[e_g]                           # (E, kappa)
+        slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], slot_states]
 
         if not self.exact:
             uni = _frozen_uniforms(seed, kappa, self.n_entries, m)
-            self.next_focal = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :],
-                                                 uni[:, :, 0])
+            # the next focal state's offset in the flat (S, G) backup table
+            flat = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :], uni[:, :, 0])
+            flat *= G                                                  # (E, m)
             slot_uni = uni[:, :, 1:].transpose(0, 2, 1)               # (E, kappa, m)
             chunk = max(1, 2_000_000 // max(1, m * kappa * A))  # entries per lookup
+            code_rank = _code_ranker(model.hist_counts @ cell_codes, flat.size)
+            # the smallest dtype that holds a code sum, kappa (kappa+1)^(S-2)
+            cell_codes = cell_codes.astype(next(
+                t for t in (np.int8, np.int16, np.int32, np.int64)
+                if kappa * cell_codes[-1] <= np.iinfo(t).max))
         if self.greedy:
-            # coupled inverse-CDF outcome of each slot under each candidate
-            # action, one row of m samples per (entry, slot, action); advanced
-            # indices split by a slice land in front: (E, kappa, A, S)
-            slot_cdf = model.cdf[self.slot_states, :, self.slot_gm_rank][:, :, :, None]
-            next_rows = _chunked_searchsorted(
-                slot_cdf, slot_uni[:, :, None], chunk, np.int8)       # (E, kappa, A, m)
-            self.next_rows = next_rows.reshape(-1, m)
-            self.slot_base = np.arange(self.n_entries * kappa).reshape(-1, kappa) * A
+            # coupled inverse-CDF outcome code of each slot under each
+            # candidate action, one row of m samples per (entry, slot,
+            # action); advanced indices split by a slice land in front:
+            # (E, kappa, A, S)
+            slot_cdf = model.cdf[slot_states, :, slot_gm_rank][:, :, :, None]
+            next_codes = _chunked_searchsorted(
+                slot_cdf, slot_uni[:, :, None], chunk, cell_codes)   # (E, kappa, A, m)
+            self.next_codes = next_codes.reshape(-1, m)
+            # slot-major (kappa, E) lookups: a sweep's row gather comes out
+            # (kappa, E, m), and its sum over the slots adds whole blocks
+            self.slot_key = (slot_states * G + slot_gm_rank).T.copy()
+            self.slot_base = (np.arange(kappa)[:, None]
+                              + np.arange(self.n_entries) * kappa) * A
+            self.focal_offset, self.code_rank = flat, code_rank
             return
         # otherwise the law of every slot is static, and so are the next marginals
         if mode == "joint":
             slot_actions = _slots(layout.counts)[e_h] % A
-            slot_pmf = model.pmf[self.slot_states, slot_actions, self.slot_gm_rank]
+            slot_pmf = model.pmf[slot_states, slot_actions, slot_gm_rank]
         else:
-            slot_pmf = model.pmf.mean(axis=1)[self.slot_states, self.slot_gm_rank]
+            slot_pmf = model.pmf.mean(axis=1)[slot_states, slot_gm_rank]
         if self.exact:
             self.focal_pmf = model.pmf[e_s, e_a, e_g]                  # (E, S)
             self.law = _marginal_law(slot_pmf, model.index)            # (E, G)
             return
         # in place, so the build peaks with one (E, kappa, S) array, not two
         slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
-        nxt = _chunked_searchsorted(slot_cdf[:, :, None], slot_uni, chunk, np.int64)
-        self.next_g_rank = self._ranks_from_states(nxt)
-
-    def _ranks_from_states(self, next_states: np.ndarray) -> np.ndarray:
-        """(E, m) marginal ranks of (E, kappa, m) neighbor next states."""
-        S = self.index.alphabet_size
-        E, _, m = next_states.shape
-        counts = np.empty((E, m, S), dtype=np.int64)
-        for x in range(S):
-            counts[:, :, x] = (next_states == x).sum(axis=1)
-        return self.index.rank_rows(counts.reshape(E * m, S)).reshape(E, m)
+        codes = _chunked_searchsorted(slot_cdf[:, :, None], slot_uni, chunk, cell_codes)
+        flat += code_rank(codes.sum(axis=1, dtype=codes.dtype))
+        self.flat = flat
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Continuation vector: the expected (exact operator) or mean frozen
@@ -492,13 +506,26 @@ class _FrozenEngine:
         if self.exact:
             return ((self.focal_pmf @ m_values) * self.law).sum(axis=1)
         if self.greedy:
-            greedy = np.argmax(values, axis=1)                         # (S, G)
-            slot_actions = greedy[self.slot_states, self.slot_gm_rank]  # (E, kappa)
-            ranks = self._ranks_from_states(self.next_rows[self.slot_base + slot_actions])
+            greedy = np.argmax(values, axis=1).ravel().take(self.slot_key)  # (kappa, E)
+            codes = self.next_codes.take(self.slot_base + greedy, axis=0)  # (kappa, E, m)
+            flat = self.code_rank(codes.sum(axis=0, dtype=codes.dtype))
+            flat += self.focal_offset
         else:
-            ranks = self.next_g_rank
-        backups = m_values[self.next_focal, ranks]                     # (E, m)
-        return backups.mean(axis=1)
+            flat = self.flat
+        return m_values.ravel().take(flat).mean(axis=1)                # (E, m) -> (E,)
+
+
+def _code_ranker(codes_by_rank: np.ndarray, lookups: int):
+    """Map histogram codes to ranks, given every histogram's code by rank:
+    through a dense code -> rank table when it is no larger than the
+    ``lookups`` codes it serves per call, else by binary search. Codes ascend
+    with rank, so both give the same ranks."""
+    size = int(codes_by_rank[-1]) + 1
+    if size > lookups:
+        return lambda codes: np.searchsorted(codes_by_rank, codes)
+    table = np.zeros(size, dtype=np.int64)
+    table[codes_by_rank] = np.arange(codes_by_rank.size)
+    return table.take
 
 
 def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
@@ -530,12 +557,14 @@ def _frozen_uniforms(seed: int, kappa: int, n_entries: int, m: int) -> np.ndarra
     return uni
 
 
-def _chunked_searchsorted(cdf: np.ndarray, u: np.ndarray, chunk: int, dtype) -> np.ndarray:
-    """``_searchsorted_rows`` over ``chunk`` entries (the first axis) at a
-    time, which bounds the size of its intermediates."""
-    out = np.empty(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=dtype)
+def _chunked_searchsorted(cdf: np.ndarray, u: np.ndarray, chunk: int,
+                          codes: np.ndarray) -> np.ndarray:
+    """``codes`` of the states ``_searchsorted_rows`` finds, over ``chunk``
+    entries (the first axis) at a time, which bounds the size of its
+    intermediates; the result has the dtype of ``codes``."""
+    out = np.empty(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=codes.dtype)
     for lo in range(0, u.shape[0], chunk):
-        out[lo:lo + chunk] = _searchsorted_rows(cdf[lo:lo + chunk], u[lo:lo + chunk])
+        out[lo:lo + chunk] = codes.take(_searchsorted_rows(cdf[lo:lo + chunk], u[lo:lo + chunk]))
     return out
 
 

@@ -182,7 +182,11 @@ def warehouse_env(**overrides) -> Environment:
     def reward(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return values[s] * np.maximum(floor, 1.0 - sens * g[..., WORKING]) - costs[a]
 
-    bound = float(np.max(values) * 1.0 - np.min(costs))
+    # the utility max(floor, 1 - sens * g(2)) is monotone in g(2), so it
+    # ranges between its values at g(2) = 0 and 1, and |V(s) u - C(a)|, convex
+    # in u, peaks at one of them
+    utility = np.maximum(floor, [1.0, 1.0 - sens])
+    bound = float(np.abs(values[:, None, None] * utility - costs[None, :, None]).max())
     return Environment(
         name="warehouse",
         n_states=3,
@@ -191,9 +195,10 @@ def warehouse_env(**overrides) -> Environment:
         reward=reward,
         reward_bound=bound,
         discount=_warehouse_scalar(params, "discount"),
-        # the kernel is affine in g(2) with slope 0.8 before clipping and
-        # |g(2) - g'(2)| <= 2 TV(g, g'), so TV(P, P') <= 1.6 TV(g, g')
-        lipschitz_p=2.0 * slope,
+        # the kernel is affine in g(2) with slope -congestion_slope before
+        # clipping and |g(2) - g'(2)| <= 2 TV(g, g'), so
+        # TV(P, P') <= 2 |congestion_slope| TV(g, g')
+        lipschitz_p=2.0 * abs(slope),
         marginal_sufficient=True,
     )
 
@@ -216,7 +221,8 @@ def linear_env(name: str, kernel: np.ndarray, rewards: np.ndarray,
         raise ValueError("kernel must have shape (S, A, S, S)")
     if rewards.shape != (ns, na, ns):
         raise ValueError("rewards must have shape (S, A, S)")
-    if np.any(kernel < 0) or not np.allclose(kernel.sum(axis=3), 1.0, atol=1e-12):
+    rows_sum_to_one = np.allclose(kernel.sum(axis=3), 1.0, rtol=0, atol=1e-12)
+    if np.any(kernel < 0) or not rows_sum_to_one:
         raise ValueError("every kernel coefficient row must be a pmf")
 
     def transition(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -276,13 +282,21 @@ def load_tabular_env(text: str, name: str = "custom") -> Environment:
                                              or not abs(float(np.sum(vals)) - 1.0) <= 1e-12):
                     raise ValueError(f"kernel row {vals} is not a pmf")
                 target = kernel_rows if parts[0] == "kernel" else reward_rows
-                target[(s, a, x)] = vals
+                if (s, a, x) in target:
+                    raise ValueError(f"{parts[0]} (s={s}, a={a}, x={x}) repeats line "
+                                     f"{target[(s, a, x)][0]}")
+                target[(s, a, x)] = (lineno, vals)
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"environment spec line {lineno}: {exc}") from exc
     if ns is None or na is None:
         raise ConfigError("environment spec must declare states and actions")
+    for kind, rows in (("kernel", kernel_rows), ("reward", reward_rows)):
+        for (s, a, x), (lineno, _) in rows.items():
+            if not (0 <= s < ns and 0 <= a < na and 0 <= x < ns):
+                raise ConfigError(f"environment spec line {lineno}: {kind} (s={s}, a={a}, "
+                                  f"x={x}) lies outside the {ns} states and {na} actions")
     kernel = np.zeros((ns, na, ns, ns))
     rewards = np.zeros((ns, na, ns))
     for s in range(ns):
@@ -290,11 +304,11 @@ def load_tabular_env(text: str, name: str = "custom") -> Environment:
             for x in range(ns):
                 if (s, a, x) not in kernel_rows:
                     raise ConfigError(f"missing kernel row for (s={s}, a={a}, x={x})")
-                row = kernel_rows[(s, a, x)]
+                row = kernel_rows[(s, a, x)][1]
                 if len(row) != ns:
                     raise ConfigError(f"kernel row (s={s}, a={a}, x={x}) must list {ns} probabilities")
                 kernel[s, a, x] = row
-                rw = reward_rows.get((s, a, x), [0.0])
+                rw = reward_rows.get((s, a, x), (None, [0.0]))[1]
                 if len(rw) != 1:
                     raise ConfigError(f"reward row (s={s}, a={a}, x={x}) must list one value")
                 rewards[s, a, x] = rw[0]

@@ -160,6 +160,22 @@ class HistogramIndex:
             ranks += ch[pre[:, j - 1] + j - 1, j - 1] - ch[pre[:, j - 2] + j - 1, j - 1]
         return ranks
 
+    def cell_codes(self) -> np.ndarray:
+        """Additive code of one agent per cell: 0 in cell 0, (kappa+1)^(x-1)
+        in cell x >= 1.
+
+        A histogram's code, the sum over its agents, reads ``counts[1:]`` in
+        base kappa + 1 with the last cell most significant; that is colex
+        order, so codes ascend strictly with rank.
+        """
+        d, base = self.alphabet_size, self.kappa + 1
+        codes = [0] + [base ** (x - 1) for x in range(1, d)]
+        if self.kappa * codes[-1] > _INT64_MAX:
+            raise BudgetError(
+                f"histogram codes for alphabet {d}, kappa {self.kappa} exceed 64-bit range"
+            )
+        return np.array(codes, dtype=np.int64)
+
     def unrank(self, idx: int) -> Histogram:
         """Histogram at position ``idx`` of the colex enumeration."""
         if not 0 <= idx < self.total:

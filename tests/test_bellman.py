@@ -491,6 +491,73 @@ class TestValueIteration:
             q.values = rng.uniform(-9, 9, q.values.shape)
             fast, ref = engine_and_reference(env, q, 5, 100 + trial, rule, agg)
             assert np.array_equal(fast, ref), (mode, S, A, kappa, rule, agg)
+        # the greedy rule at up to 5 states and at kappa 1 and 8
+        for trial, (S, A, kappa) in enumerate([(5, 2, 1), (5, 2, 2), (4, 3, 3),
+                                               (2, 3, 8), (3, 2, 8)]):
+            kernel = rng.dirichlet(np.ones(S), size=(S, A, S))
+            env = linear_env(f"greedy{trial}", kernel, rng.uniform(-3, 3, size=(S, A, S)),
+                             discount=0.9)
+            agg = ("leave_one_out", "shared")[trial % 2]
+            q = QTable.zeros("marginal", kappa, S, A, 0.9)
+            q.values = rng.uniform(-9, 9, q.values.shape)
+            fast, ref = engine_and_reference(env, q, 5, 200 + trial, "greedy", agg)
+            assert np.array_equal(fast, ref), (S, A, kappa, agg)
+
+    def test_codes_past_the_int16_range_match_the_reference(self, rng):
+        # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs
+        # int32, and the dense code table (49 153 entries) would outgrow the
+        # 2 970 lookups per sweep, so the codes are ranked by binary search
+        S, A, kappa = 9, 2, 3
+        assert kappa * (kappa + 1) ** (S - 2) > np.iinfo(np.int16).max
+        env = linear_env("wide", rng.dirichlet(np.ones(S), size=(S, A, S)),
+                         rng.uniform(-3, 3, size=(S, A, S)), discount=0.9)
+        q = QTable.zeros("marginal", kappa, S, A, 0.9)
+        q.values = rng.uniform(-9, 9, q.values.shape)
+        for rule in ("greedy", "uniform"):
+            fast, ref = engine_and_reference(env, q, 1, 5, rule, "leave_one_out")
+            assert np.array_equal(fast, ref), rule
+
+    def test_code_ranks_agree_by_table_and_by_search(self, rng):
+        from gmfs.bellman import _code_ranker
+
+        index = get_index(4, 6)
+        counts = np.array([index.unrank_counts(g) for g in range(index.total)])
+        codes_by_rank = counts @ index.cell_codes()
+        ranks = rng.integers(0, index.total, size=(50, 7))
+        by_table = _code_ranker(codes_by_rank, ranks.size)(codes_by_rank[ranks])
+        by_search = _code_ranker(codes_by_rank, 0)(codes_by_rank[ranks])
+        assert np.array_equal(by_table, ranks) and np.array_equal(by_search, ranks)
+
+    def test_codes_past_64_bits_are_refused_at_build(self, monkeypatch):
+        from gmfs import bellman
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tabulation reached")
+
+        monkeypatch.setattr(bellman, "tabulate", refuse)
+        S = 42  # kappa 2: the largest code, 2 * 3^40, exceeds 64 bits
+        env = linear_env("long", np.broadcast_to(np.eye(S), (S, 1, S, S)).copy(),
+                         np.zeros((S, 1, S)))
+        for rule in ("uniform", "greedy"):
+            with pytest.raises(BudgetError, match="codes"):
+                value_iteration(env, 2, 1, 1, neighbor_action_rule=rule)
+
+    def test_sweeps_never_rank_rows(self, warehouse, monkeypatch):
+        from gmfs import histograms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank_rows reached")
+
+        for mode, rule in (("marginal", "greedy"), ("marginal", "uniform"), ("joint", "greedy")):
+            engine = _FrozenEngine(warehouse, 2 if mode == "joint" else 5, 4, 0, mode=mode,
+                                   neighbor_action_rule=rule, aggregate_rule="leave_one_out")
+            q = QTable.zeros(mode, engine.kappa, 3, 3, 0.95)
+            with monkeypatch.context() as patch:
+                patch.setattr(histograms.HistogramIndex, "rank_rows", refuse)
+                for _ in range(3):
+                    q.values = (engine.rewards + 0.95 * engine.sweep(q.values)).reshape(
+                        q.values.shape)
+            assert np.all(np.isfinite(q.values))
 
     def test_joint_mode_never_reaches_the_per_entry_path(self, small, monkeypatch):
         from gmfs import bellman

@@ -311,6 +311,10 @@ class TestMalformedEnvironment:
     FILE_CASES = {
         "discount above 1": (SPEC.replace("discount 0.9", "discount 1.5"), "discount"),
         "kernel row not a pmf": (SPEC.replace("0.25 0.75", "0.25 0.5"), "line 6"),
+        "kernel state outside the states": (SPEC + "kernel 7 0 0 : 1.0 0.0\n", "line 8"),
+        "reward action outside the actions": (SPEC + "reward 0 1 0 : 1.0\n", "line 8"),
+        "repeated kernel line": (SPEC + "kernel 0 0 1 : 0.5 0.5\n", "line 8"),
+        "repeated reward line": (SPEC + "reward 0 0 0 : 1.0\nreward 0 0 0 : 5.0\n", "line 9"),
     }
 
     @staticmethod

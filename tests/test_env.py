@@ -88,6 +88,19 @@ class TestWarehouseRewards:
             s, a = int(rng.integers(3)), int(rng.integers(3))
             assert abs(local_reward(warehouse, s, a, g)) <= warehouse.reward_bound
 
+    def test_bound_covers_negative_state_values(self):
+        from gmfs.bellman import tabulate
+
+        env = warehouse_env(state_values=(-30.0, 5.0, 20.0))
+        tabulated = np.abs(tabulate(env, 6, "leave_one_out").rewards)
+        # |V(s) u - C(a)| peaks at s = 0, a = 2, u = 1: |-30 - 5|
+        assert env.reward_bound == 35.0 == tabulated.max()
+        assert warehouse_env().reward_bound == 20.0
+
+    def test_lipschitz_constant_of_a_negative_slope(self):
+        assert warehouse_env(congestion_slope=-0.05).lipschitz_p == 0.1
+        assert warehouse_env().lipschitz_p == 1.6
+
     def test_reward_lipschitz_diagnostic(self, warehouse, rng):
         values = (10.0, 5.0, 20.0)
         for _ in range(300):
@@ -191,6 +204,14 @@ class TestLinearEnv:
     def test_rows_must_be_pmfs(self):
         kernel = np.zeros((2, 1, 2, 2))
         with pytest.raises(ValueError):
+            linear_env("bad", kernel, np.zeros((2, 1, 2)))
+
+    def test_rows_must_sum_to_one_within_1e_12(self):
+        kernel = np.zeros((2, 1, 2, 2))
+        kernel[..., 0] = 1.0
+        linear_env("ok", kernel, np.zeros((2, 1, 2)))
+        kernel[0, 0, 0] = [0.5, 0.500004]
+        with pytest.raises(ValueError, match="pmf"):
             linear_env("bad", kernel, np.zeros((2, 1, 2)))
 
     def test_mixture_semantics(self, small):

@@ -176,6 +176,23 @@ class TestRankUnrank:
         with pytest.raises(BudgetError):
             HistogramIndex(40, 200)
 
+    @given(st.integers(2, 6), st.integers(1, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_cell_code_order_is_rank_order(self, d, kappa):
+        idx = get_index(d, kappa)
+        counts = np.array([h.counts for h in enumerate_histograms(d, kappa)])
+        assert np.array_equal(idx.rank_rows(counts), np.arange(idx.total))
+        codes = counts @ idx.cell_codes()
+        assert np.all(np.diff(codes) > 0)
+
+    @pytest.mark.parametrize("d, kappa", [(41, 2), (64, 1)])
+    def test_cell_codes_refused_past_64_bits(self, d, kappa):
+        # the largest code is kappa (kappa + 1)^(d - 2)
+        assert kappa * (kappa + 1) ** (d - 2) <= np.iinfo(np.int64).max
+        assert HistogramIndex(d, kappa).cell_codes()[-1] == (kappa + 1) ** (d - 2)
+        with pytest.raises(BudgetError, match="codes"):
+            HistogramIndex(d + 1, kappa).cell_codes()
+
 
 class TestFiber:
     def test_single_action_fiber_is_singleton(self):
