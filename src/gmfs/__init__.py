@@ -4,14 +4,11 @@ __version__ = "0.3.0"
 
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights, evaluate
 from .histograms import (
-    Alphabet,
     Histogram,
     HistogramIndex,
     enumerate_histograms,
     fiber,
-    fiber_size,
     marginal,
-    nearest_histogram,
     nearest_histograms,
     num_histograms,
     tv_distance,
@@ -30,14 +27,9 @@ from .env import (
 )
 from .sampler import (
     HTEstimate,
-    NeighborSample,
-    empirical_joint,
-    empirical_marginal,
     exact_aggregate,
-    exact_state_aggregate,
     exact_state_aggregates,
     ht_estimate,
-    sample_neighbors,
     stacked_alias,
     tv_concentration_bound,
 )
@@ -46,17 +38,14 @@ from .bellman import (
     QTable,
     empirical_operator,
     exact_operator,
-    expand_surrogate,
-    fiber_backup,
     load_qtable,
     off_policy_learn,
-    off_policy_update,
     sample_budget,
     save_qtable,
     surrogate_step,
     table_size,
     value_iteration,
 )
-from .execution import EpisodeResult, Policy, act, evaluate_policy, run_episode
+from .execution import EpisodeResult, Policy, evaluate_policy, run_episode
 from .harness import ExperimentConfig, SweepReport, parse_config, run_diagnostics, run_sweep
 from .errors import BudgetError, ConfigError, FormatError, GmfsError

@@ -182,12 +182,9 @@ def fiber_max(values: np.ndarray, mode: str, kappa: int) -> np.ndarray:
     return values[:, :, joint_layout(n_states, n_actions, kappa).fibers].max(axis=3)
 
 
-def fiber_backup(q: QTable, s_next: int, g_next) -> float:
+def fiber_backup(q: QTable, s_next: int, g_next: Histogram) -> float:
     """max over a' (and, in joint mode, all completions z' of g') of Q."""
-    if isinstance(g_next, Histogram):
-        g_rank = get_index(q.n_states, q.kappa).rank(g_next)
-    else:
-        g_rank = int(g_next)
+    g_rank = get_index(q.n_states, q.kappa).rank(g_next)
     if q.mode == "marginal":
         return float(q.values[s_next, :, g_rank].max())
     ranks = fiber_ranks(q.n_states, q.n_actions, q.kappa, g_rank)
@@ -599,8 +596,7 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
                     neighbor_action_rule: str = "uniform",
                     aggregate_rule: str = "leave_one_out",
                     operator: str = "empirical",
-                    reward_noise: float = 0.0, xi: int = 1,
-                    noise_seed: int | None = None) -> QTable:
+                    reward_noise: float = 0.0, xi: int = 1) -> QTable:
     """Synchronous value iteration from zero initialization.
 
     Runs at most ``iterations`` sweeps, recording the residual
@@ -612,9 +608,9 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
 
     Stochastic rewards: with ``reward_noise`` > 0, each sweep replaces the
     reward of every entry with the mean of ``xi`` fresh draws, uniform within
-    ``reward_noise`` of it, from the stream keyed by ``noise_seed`` (defaults
-    to ``seed``) and the sweep. The transition samples stay frozen, so zero
-    noise reproduces the deterministic trajectory bit for bit.
+    ``reward_noise`` of it, from the stream keyed by ``seed`` and the sweep.
+    The transition samples stay frozen, so zero noise reproduces the
+    deterministic trajectory bit for bit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -632,7 +628,6 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
     gamma = env.discount if gamma is None else float(gamma)
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
-    noise_key = seed if noise_seed is None else noise_seed
     q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
     engine = _FrozenEngine(env, kappa, m, seed, mode=mode, operator=operator,
@@ -641,7 +636,7 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
     for t in range(iterations):
         r_t = engine.rewards
         if reward_noise > 0:
-            u = stream(noise_key, "reward-noise", kappa, t).random((engine.n_entries, xi))
+            u = stream(seed, "reward-noise", kappa, t).random((engine.n_entries, xi))
             r_t = r_t + reward_noise * (2.0 * u - 1.0).mean(axis=1)
         new_values = (r_t + gamma * engine.sweep(q.values)).reshape(q.values.shape)
         residual = float(np.abs(new_values - q.values).max())
@@ -671,7 +666,6 @@ class OffPolicyConfig:
 
     learning_rate: float = 0.05
     decay: float = 0.0  # alpha_t = learning_rate / (1 + decay * t)
-    trajectory_length: int = 100_000
     behavior_policy: object = None
 
     def alpha(self, t: int) -> float:
@@ -690,28 +684,9 @@ class OffPolicyConfig:
             raise ValueError("learning rate must lie in (0, 1]")
         if self.decay < 0:
             raise ValueError("decay must be >= 0")
-        if self.trajectory_length < 1:
-            raise ValueError("trajectory_length must be >= 1")
 
 
-def off_policy_update(q: QTable, transition, alpha: float) -> float:
-    """One tabular update from a logged transition (s, a, h, r, s', g').
-
-    Returns the new entry value; only that entry changes. alpha in (0, 1) per
-    the schedule contract; alpha = 1 is tolerated for boundary tests.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    s, a, hist, reward, s_next, g_next = transition
-    h_rank = q.index().rank(hist) if isinstance(hist, Histogram) else int(hist)
-    backup = reward + q.gamma * fiber_backup(q, s_next, g_next)
-    new_value = (1.0 - alpha) * q.values[s, a, h_rank] + alpha * backup
-    q.values[s, a, h_rank] = new_value
-    return float(new_value)
-
-
-def off_policy_learn(env: Environment, kappa: int, steps: int | None = None,
-                     seed: int = 0, *,
+def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
                      gamma: float | None = None, config: OffPolicyConfig | None = None,
                      mode: str = "marginal",
                      neighbor_action_rule: str = "uniform",
@@ -728,8 +703,6 @@ def off_policy_learn(env: Environment, kappa: int, steps: int | None = None,
     if neighbor_action_rule != "uniform":
         raise GmfsError("surrogate neighbors explore uniformly in off-policy mode")
     config = config or OffPolicyConfig()
-    if steps is None:
-        steps = config.trajectory_length
     gamma = env.discount if gamma is None else float(gamma)
     q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
@@ -864,14 +837,16 @@ def load_qtable(path) -> QTable:
         raise FormatError(f"q-table header dims |S|={n_states}, |A|={n_actions}, "
                           f"kappa={kappa} must all be >= 1")
     alphabet = n_states * n_actions if mode == "joint" else n_states
-    count = num_histograms(alphabet, kappa)
-    expected = n_states * n_actions * count * 8
     payload = data[off:]
-    if len(payload) != expected:
+    # the histogram count is bounded by the payload through its logarithm
+    # before it is computed, so that no header builds a huge integer
+    log_count = math.lgamma(kappa + alphabet) - math.lgamma(kappa + 1) - math.lgamma(alphabet)
+    count = num_histograms(alphabet, kappa) if log_count <= math.log(len(payload) + 1) else None
+    if count is None or len(payload) != n_states * n_actions * count * 8:
+        need = "more" if count is None else n_states * n_actions * count
         raise FormatError(
             f"q-table payload holds {len(payload) // 8} values but the header "
-            f"dims |S|={n_states}, |A|={n_actions}, kappa={kappa} require "
-            f"{expected // 8}"
+            f"dims |S|={n_states}, |A|={n_actions}, kappa={kappa} require {need}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(n_states, n_actions, count).copy()
     return QTable(mode, kappa, n_states, n_actions, values, gamma,

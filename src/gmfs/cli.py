@@ -17,13 +17,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bellman import load_qtable, save_qtable
+from .diagnostics import SUITES
 from .errors import BudgetError, ConfigError, FormatError, GmfsError
 from .harness import (
     ExperimentConfig,
     _parse_seeds,
-    build_assignment,
     build_environment,
-    build_graphon,
+    build_system_weights,
     check_init,
     evaluate_table,
     parse_config,
@@ -32,7 +32,6 @@ from .harness import (
     train_kappa,
     write_episodes_csv,
 )
-from .graphon import build_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,7 +84,7 @@ def cmd_execute(args) -> int:
     if args.seeds:
         seeds = _parse_seeds(args.seeds, "command line", "--seeds")
         cfg = replace(cfg, seed_list=seeds).validate()
-    weights = build_weights(build_graphon(cfg), build_assignment(cfg))
+    weights = build_system_weights(cfg)
     evaluation = evaluate_table(cfg, env, weights, q)
     write_episodes_csv(out, cfg, {q.kappa: evaluation.returns})
     print(f"executed {len(evaluation.returns)} episode(s) in "
@@ -158,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("diagnose", help="run property suites")
-    p.add_argument("suites", nargs="+",
-                   choices=["contraction", "concentration", "lipschitz",
-                            "ht_unbiasedness", "offpolicy"])
+    p.add_argument("suites", nargs="+", choices=list(SUITES))
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--out-dir", help="output directory (default from config)")
     p.set_defaults(func=cmd_diagnose)

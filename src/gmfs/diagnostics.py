@@ -59,21 +59,6 @@ def small_env(gamma: float = 0.9) -> Environment:
     return linear_env("small", kernel, rewards, discount=gamma)
 
 
-def action_blind_env(gamma: float = 0.9) -> Environment:
-    """Marginal-sufficient instance whose kernel ignores the acting agent's
-    own action; on it the joint-mode fixed point is exactly fiber-constant."""
-    row = np.array([
-        [[0.85, 0.15], [0.55, 0.45]],
-        [[0.75, 0.25], [0.35, 0.65]],
-    ])
-    kernel = np.stack([row, row], axis=1)  # identical for both actions
-    rewards = np.array([
-        [[1.0, 0.4], [1.8, 0.2]],
-        [[0.7, 0.9], [0.3, 1.5]],
-    ])
-    return linear_env("action-blind", kernel, rewards, discount=gamma)
-
-
 def contraction_suite(cfg=None, *, pairs: int = 100, gamma: float = 0.9,
                       kappa: int = 2, seed: int = 0) -> DiagnosticResult:
     """sup-norm contraction of the exact sampled operator on random table

@@ -30,7 +30,7 @@ from .bellman import QTable, fiber_max
 from .env import Environment, team_reward, transitions
 from .errors import GmfsError
 from .graphon import WeightMatrix
-from .histograms import Histogram, get_index, nearest_histograms
+from .histograms import get_index, nearest_histograms
 from .rng import stream
 from .sampler import exact_state_aggregates, stacked_alias
 
@@ -61,20 +61,6 @@ class Policy:
             t = self.table
             self._greedy = fiber_max(t.values, t.mode, t.kappa).argmax(axis=1)
         return self._greedy
-
-
-def act(policy: Policy, s: int, g_hat) -> int:
-    """Greedy action at local state s and observed neighborhood histogram."""
-    if isinstance(g_hat, Histogram):
-        if g_hat.kappa != policy.kappa:
-            raise ValueError(
-                f"histogram denominator {g_hat.kappa} does not match the "
-                f"policy's kappa {policy.kappa}"
-            )
-        g_rank = get_index(policy.n_states, policy.kappa).rank(g_hat)
-    else:
-        g_rank = int(g_hat)
-    return int(policy.greedy_table()[s, g_rank])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .bellman import QTable, save_qtable, table_size, value_iteration
 from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
 from .execution import Policy, PolicyEvaluation, evaluate_policy, read_init
-from .graphon import Graphon, LatentAssignment, build_weights
+from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
 MAX_SEEDS = 1_000_000  # one episode per seed; a larger count or range is refused
@@ -343,7 +343,7 @@ def build_graphon(cfg: ExperimentConfig) -> Graphon:
         return Graphon.expdecay_graphon(cfg.beta)
     if cfg.graphon_kind == "block":
         return Graphon.block_graphon(cfg.boundaries, cfg.block_values)
-    return Graphon.uniform_graphon()
+    return Graphon(cfg.graphon_kind)  # uniform; any other kind is a ValueError
 
 
 def build_assignment(cfg: ExperimentConfig) -> LatentAssignment:
@@ -354,6 +354,18 @@ def build_assignment(cfg: ExperimentConfig) -> LatentAssignment:
     if not cfg.coords:
         raise ConfigError("explicit latent assignment needs graphon.coords")
     return LatentAssignment.explicit(np.asarray(cfg.coords, dtype=np.float64))
+
+
+def build_system_weights(cfg: ExperimentConfig) -> WeightMatrix:
+    """The interaction weights of the configured graphon and ``cfg.n``
+    agents; ``[graphon]`` values that give none are a ConfigError."""
+    try:
+        assignment = build_assignment(cfg)
+        if assignment.n != cfg.n:
+            raise ValueError(f"coords place {assignment.n} agents but [system] n = {cfg.n}")
+        return build_weights(build_graphon(cfg), assignment)
+    except ValueError as exc:
+        raise ConfigError(f"[graphon] {exc}") from exc
 
 
 def worker_count() -> int:
@@ -452,7 +464,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
     """Train and evaluate every kappa in the config; write CSV reports."""
     env = build_environment(cfg)
     check_init(cfg, env)
-    weights = build_weights(build_graphon(cfg), build_assignment(cfg))
+    weights = build_system_weights(cfg)
     directory = Path(out_dir if out_dir is not None else cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
 

@@ -32,20 +32,6 @@ def num_histograms(alphabet_size: int, kappa: int) -> int:
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """A finite cell set, optionally labelled."""
-
-    size: int
-    labels: tuple | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("labels length must equal alphabet size")
-
-
-@dataclass(frozen=True)
 class Histogram:
     """Integer count vector summing to ``kappa``.
 
@@ -83,22 +69,14 @@ class Histogram:
         return np.asarray(self.counts, dtype=np.int64)
 
 
-def marginal(z: Histogram, axis: str = "state") -> Histogram:
-    """Collapse a joint S x A histogram onto states or actions.
-
-    The returned histogram keeps the same denominator.
-    """
+def marginal(z: Histogram) -> Histogram:
+    """Collapse a joint S x A histogram onto states, keeping the same
+    denominator."""
     if z.joint_shape is None:
         raise ValueError("histogram does not declare a product alphabet")
     ns, na = z.joint_shape
     grid = np.asarray(z.counts, dtype=np.int64).reshape(ns, na)
-    if axis == "state":
-        out = grid.sum(axis=1)
-    elif axis == "action":
-        out = grid.sum(axis=0)
-    else:
-        raise ValueError("axis must be 'state' or 'action'")
-    return Histogram(tuple(int(c) for c in out), z.kappa)
+    return Histogram(tuple(int(c) for c in grid.sum(axis=1)), z.kappa)
 
 
 def _as_prob_vector(p) -> np.ndarray:
@@ -242,28 +220,23 @@ def enumerate_histograms(alphabet_size: int, kappa: int, joint_shape=None):
         yield Histogram(counts, kappa, joint_shape=joint_shape)
 
 
-def fiber(g: Histogram, action_alphabet: Alphabet):
+def fiber(g: Histogram, n_actions: int):
     """All joint S x A histograms whose state marginal equals ``g``.
 
     Per state s the g.counts[s] units are distributed freely over actions, so
     the fiber size is the product of per-state stars-and-bars counts.
     """
-    na = action_alphabet.size
     ns = g.alphabet_size
-    per_state = [list(_compositions(na, c)) for c in g.counts]
+    per_state = [list(_compositions(n_actions, c)) for c in g.counts]
 
     def rec(s, acc):
         if s == ns:
-            yield Histogram(tuple(acc), g.kappa, joint_shape=(ns, na))
+            yield Histogram(tuple(acc), g.kappa, joint_shape=(ns, n_actions))
             return
         for comp in per_state[s]:
             yield from rec(s + 1, acc + list(comp))
 
     yield from rec(0, [])
-
-
-def fiber_size(g: Histogram, n_actions: int) -> int:
-    return math.prod(math.comb(c + n_actions - 1, n_actions - 1) for c in g.counts)
 
 
 def nearest_histograms(pmfs: np.ndarray, kappa: int) -> np.ndarray:
@@ -281,7 +254,3 @@ def nearest_histograms(pmfs: np.ndarray, kappa: int) -> np.ndarray:
     np.put_along_axis(position, order, np.arange(order.shape[-1]), axis=-1)
     return base + (position < shortfall)
 
-
-def nearest_histogram(pmf: np.ndarray, kappa: int) -> np.ndarray:
-    """``nearest_histograms`` for a single pmf."""
-    return nearest_histograms(np.asarray(pmf, dtype=np.float64)[None, :], kappa)[0]

@@ -1,14 +1,12 @@
 """Graphon-weighted neighbor subsampling and neighborhood aggregates.
 
 Each agent i draws kappa neighbor ids i.i.d. from the normalized weight row
-w_bar[i, .] on [n] \\ {i}. Rows are preprocessed into alias tables once per
-weight matrix (O(n) build), so draws are O(1) and online execution can afford
-fresh samples for every agent at every time step.
-
-Sampling is embarrassingly parallel across agents; callers pass per-worker
-generators derived from keyed streams so results are schedule-independent.
-For whole-population draws the n row tables are also stacked into (n, n-1)
-arrays, so every agent's kappa draws are one gather.
+w_bar[i, .] on [n] \\ {i} by the alias method: a row's table takes O(n) to
+build and a draw takes O(1), so online execution can afford fresh samples
+for every agent at every time step. Execution draws for the whole population
+at once from the n row tables stacked into (n, n-1) arrays, built once per
+weight matrix; the uniforms come from keyed streams, so results are
+schedule-independent.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphon import WeightMatrix
-from .histograms import Histogram
 
 
 class AliasTable:
@@ -68,18 +65,10 @@ class AliasTable:
         return self.support[chosen]
 
 
-_ALIAS_CACHE: "weakref.WeakKeyDictionary[WeightMatrix, dict]" = weakref.WeakKeyDictionary()
-
-
 def row_alias(weights: WeightMatrix, i: int) -> AliasTable:
-    """Alias table for row i of the normalized weights, built once."""
-    per_matrix = _ALIAS_CACHE.setdefault(weights, {})
-    table = per_matrix.get(i)
-    if table is None:
-        others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
-        table = AliasTable(weights.normalized[i, others], support=others)
-        per_matrix[i] = table
-    return table
+    """Alias table for row i of the normalized weights."""
+    others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
+    return AliasTable(weights.normalized[i, others], support=others)
 
 
 @dataclass(frozen=True)
@@ -113,63 +102,17 @@ def stacked_alias(weights: WeightMatrix) -> StackedAlias:
     """The row alias tables of every agent, stacked once per weight matrix."""
     stacked = _STACKED_CACHE.get(weights)
     if stacked is None:
-        tables = [row_alias(weights, i) for i in range(weights.n)]
-        stacked = StackedAlias(
-            prob=np.stack([t.prob for t in tables]),
-            keep_ids=np.stack([t.support for t in tables]),
-            alias_ids=np.stack([t.support[t.alias] for t in tables]))
+        n = weights.n
+        stacked = StackedAlias(prob=np.empty((n, n - 1)),
+                               keep_ids=np.empty((n, n - 1), dtype=np.int64),
+                               alias_ids=np.empty((n, n - 1), dtype=np.int64))
+        for i in range(n):
+            table = row_alias(weights, i)
+            stacked.prob[i] = table.prob
+            stacked.keep_ids[i] = table.support
+            stacked.alias_ids[i] = table.support[table.alias]
         _STACKED_CACHE[weights] = stacked
     return stacked
-
-
-@dataclass(frozen=True)
-class NeighborSample:
-    """Multiset of kappa neighbor ids drawn for one agent."""
-
-    agent: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        if np.any(idx == self.agent):
-            raise ValueError("a neighbor sample may not contain the focal agent")
-
-    @property
-    def kappa(self) -> int:
-        return int(self.indices.size)
-
-
-def sample_neighbors(weights: WeightMatrix, i: int, kappa: int,
-                     rng: np.random.Generator) -> NeighborSample:
-    """kappa i.i.d. draws from the normalized row; repetition allowed."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if not 0 <= i < weights.n:
-        raise ValueError(f"agent id {i} out of range")
-    ids = row_alias(weights, i).sample(rng, kappa)
-    return NeighborSample(agent=i, indices=ids)
-
-
-def empirical_joint(sample: NeighborSample, states, actions,
-                    n_states: int, n_actions: int) -> Histogram:
-    """Joint (state, action) histogram of the sampled neighbors."""
-    states = np.asarray(states)
-    actions = np.asarray(actions)
-    if len(states) != len(actions):
-        raise ValueError("states and actions must share length n")
-    cells = states[sample.indices] * n_actions + actions[sample.indices]
-    counts = np.bincount(cells, minlength=n_states * n_actions)
-    return Histogram(tuple(int(c) for c in counts), sample.kappa,
-                     joint_shape=(n_states, n_actions))
-
-
-def empirical_marginal(sample: NeighborSample, states, n_states: int) -> Histogram:
-    """State histogram of the sampled neighbors."""
-    states = np.asarray(states)
-    counts = np.bincount(states[sample.indices], minlength=n_states)
-    return Histogram(tuple(int(c) for c in counts), sample.kappa)
 
 
 def exact_aggregate(weights: WeightMatrix, i: int, states, actions,
@@ -185,13 +128,6 @@ def exact_aggregate(weights: WeightMatrix, i: int, states, actions,
     return out
 
 
-def exact_state_aggregate(weights: WeightMatrix, i: int, states, n_states: int) -> np.ndarray:
-    states = np.asarray(states)
-    out = np.zeros(n_states)
-    np.add.at(out, states, weights.normalized[i])
-    return out
-
-
 def exact_state_aggregates(weights: WeightMatrix, states, n_states: int) -> np.ndarray:
     """All agents' exact state aggregates at once: row i is g_i. ``states``
     may carry leading batch axes before the agent axis."""
@@ -201,23 +137,12 @@ def exact_state_aggregates(weights: WeightMatrix, states, n_states: int) -> np.n
 
 @dataclass(frozen=True)
 class HTEstimate:
-    """Importance-weighted neighborhood estimate under a proposal.
+    """Importance-weighted neighborhood estimate under a proposal: the
+    per-draw ratios and the estimate, which is unbiased for the exact
+    aggregate but may leave the probability simplex pointwise."""
 
-    The estimate is unbiased for the exact aggregate but may leave the
-    probability simplex pointwise; ``normalized()`` renormalizes for
-    consumers that need a pmf.
-    """
-
-    agent: int
-    proposal: np.ndarray
     ratios: np.ndarray
     estimate: np.ndarray
-
-    def normalized(self) -> np.ndarray:
-        total = float(self.estimate.sum())
-        if total <= 0.0:
-            return np.full_like(self.estimate, 1.0 / self.estimate.size)
-        return self.estimate / total
 
 
 def ht_estimate(weights: WeightMatrix, i: int, proposal, kappa: int,
@@ -248,7 +173,7 @@ def ht_estimate(weights: WeightMatrix, i: int, proposal, kappa: int,
     cells = states[draws] * n_actions + actions[draws]
     est = np.zeros(n_states * n_actions)
     np.add.at(est, cells, ratios / kappa)
-    return HTEstimate(agent=i, proposal=proposal, ratios=ratios, estimate=est)
+    return HTEstimate(ratios=ratios, estimate=est)
 
 
 def tv_concentration_bound(n_states: int, kappa: int, delta: float) -> float:

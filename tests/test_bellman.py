@@ -18,7 +18,6 @@ from gmfs.bellman import (
     fiber_ranks,
     load_qtable,
     off_policy_learn,
-    off_policy_update,
     sample_budget,
     save_qtable,
     surrogate_step,
@@ -28,7 +27,7 @@ from gmfs.bellman import (
 )
 from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, FormatError, GmfsError
-from gmfs.histograms import Alphabet, Histogram, enumerate_histograms, fiber, get_index, marginal
+from gmfs.histograms import Histogram, enumerate_histograms, fiber, get_index, marginal
 from gmfs.rng import stream
 
 
@@ -76,7 +75,7 @@ def completion_ranks(mode, n_actions, g_counts, kappa):
     if mode == "marginal":
         return [get_index(len(g_counts), kappa).rank(g)]
     idx = get_index(len(g_counts) * n_actions, kappa)
-    return [idx.rank(z) for z in fiber(g, Alphabet(n_actions))]
+    return [idx.rank(z) for z in fiber(g, n_actions)]
 
 
 def exact_backup_oracle(env, q, s, a, counts, kappa, aggregate_rule="leave_one_out"):
@@ -277,16 +276,18 @@ class TestSurrogateStep:
             assert tuple(np.bincount(states, minlength=2)) == marginal(z).counts
 
     def test_monte_carlo_matches_brute_force_oracle(self, small):
+        # the engine's frozen outcomes of one entry; engine and per-entry
+        # reference agree bit for bit on the same streams (TestValueIteration)
         kappa, trials = 2, 100_000
-        g_counts = (1, 1)
-        oracle = surrogate_outcome_oracle(small, 0, 1, g_counts, kappa)
-        gen = stream(23, "sur-mc")
-        freq = {}
-        for _ in range(trials):
-            s_next, agg = surrogate_step(small, 0, 1, Histogram(g_counts, kappa), gen,
-                                         neighbor_action_rule="uniform")
-            key = (s_next, agg.counts)
-            freq[key] = freq.get(key, 0) + 1
+        s, a, g_counts = 0, 1, (1, 1)
+        oracle = surrogate_outcome_oracle(small, s, a, g_counts, kappa)
+        eng = _FrozenEngine(small, kappa, trials, 23, mode="marginal",
+                            neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+        index = get_index(2, kappa)
+        e = (s * small.n_actions + a) * index.total + index.rank(g_counts)
+        outcomes, tally = np.unique(eng.flat[e], return_counts=True)
+        freq = {(int(f) // index.total, tuple(index.unrank_counts(int(f) % index.total))): int(c)
+                for f, c in zip(outcomes, tally)}
         tv = 0.5 * sum(abs(oracle.get(k, 0.0) - freq.get(k, 0) / trials)
                        for k in set(oracle) | set(freq))
         assert tv <= 0.01
@@ -317,7 +318,7 @@ class TestFiberBackup:
                 v = rng.normal(size=(ns,))
                 for s in range(ns):
                     qm.values[s, a, g_rank] = v[s]
-                    for z in fiber(g, Alphabet(na)):
+                    for z in fiber(g, na):
                         qj.values[s, a, z_idx.rank(z)] = v[s]
         for g_rank in range(g_idx.total):
             g = g_idx.unrank(g_rank)
@@ -334,7 +335,7 @@ class TestFiberBackup:
                 brute = max(
                     q.values[s, a, z_idx.rank(z)]
                     for a in range(na)
-                    for z in fiber(g, Alphabet(na))
+                    for z in fiber(g, na)
                 )
                 assert fiber_backup(q, s, g) == pytest.approx(brute)
 
@@ -354,7 +355,7 @@ class TestFiberBackup:
     def test_fiber_ranks_are_the_fiber(self):
         z_idx = get_index(6, 3)
         for g in enumerate_histograms(2, 3):
-            want = sorted(z_idx.rank(z) for z in fiber(g, Alphabet(3)))
+            want = sorted(z_idx.rank(z) for z in fiber(g, 3))
             got = fiber_ranks(2, 3, 3, get_index(2, 3).rank(g))
             assert got.tolist() == want
 
@@ -407,8 +408,10 @@ class TestOperators:
         q.values = rng.uniform(-2, 2, size=q.values.shape)
         h = Histogram((1, 1), kappa)
         exact = exact_operator(small, q, 0, 0, h, neighbor_action_rule="uniform")
-        emp = empirical_operator(small, q, 0, 0, h, m, stream(3, "op"),
-                                 neighbor_action_rule="uniform")
+        eng = _FrozenEngine(small, kappa, m, 3, mode="marginal",
+                            neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+        e = q.index().rank(h)  # entry (s, a, h) = (0, 0, h)
+        emp = eng.rewards[e] + q.gamma * eng.sweep(q.values)[e]
         span = 2.0 * small.reward_bound / (1.0 - 0.9)
         assert abs(emp - exact) <= 3.0 * span / math.sqrt(m)
 
@@ -619,7 +622,7 @@ class TestValueIteration:
         g_idx = get_index(2, kappa)
         for g_rank in range(g_idx.total):
             g = g_idx.unrank(g_rank)
-            for z in fiber(g, Alphabet(2)):
+            for z in fiber(g, 2):
                 spread = qj.values[:, :, z_idx.rank(z)] - qm.values[:, :, g_rank]
                 assert np.abs(spread).max() <= 1e-6
 
@@ -665,8 +668,8 @@ class TestStochasticValueIteration:
         # with gamma = 0 one sweep is the reward plus one noise draw per entry
         det = value_iteration(warehouse, 6, 1, 1, seed=0, gamma=0.0)
         draws = np.concatenate([
-            (value_iteration(warehouse, 6, 1, 1, seed=0, gamma=0.0, reward_noise=0.5,
-                             noise_seed=k).values - det.values).ravel()
+            (value_iteration(warehouse, 6, 1, 1, seed=k, gamma=0.0, reward_noise=0.5).values
+             - det.values).ravel()
             for k in range(40)])
         assert np.all(np.abs(draws) <= 0.5 + 1e-12)
         # CLT: std of uniform(-0.5, 0.5) is 1/sqrt(12)
@@ -683,50 +686,45 @@ class TestStochasticValueIteration:
             value_iteration(small, 2, 1, 1, **noise)
 
     def test_averaging_shrinks_error(self, warehouse):
-        det = value_iteration(warehouse, 2, 10, 60, seed=5)
+        det = {seed: value_iteration(warehouse, 2, 10, 60, seed=seed) for seed in range(6)}
         errs = {}
         for xi in (1, 25):
             gaps = []
             for seed in range(6):
-                sto = value_iteration(warehouse, 2, 10, 60, seed=5, reward_noise=1.0, xi=xi,
-                                      noise_seed=seed)
-                gaps.append(np.abs(sto.values - det.values).max())
+                sto = value_iteration(warehouse, 2, 10, 60, seed=seed, reward_noise=1.0, xi=xi)
+                gaps.append(np.abs(sto.values - det[seed].values).max())
             errs[xi] = float(np.median(gaps))
         assert errs[25] < errs[1]
 
 
 class TestOffPolicy:
+    @staticmethod
+    def one_step(env, learning_rate):
+        """The table after one step from zero, the value of the one entry
+        (s, a, g) the step visited, and that entry's reward."""
+        q = off_policy_learn(env, 2, 1, seed=0, gamma=0.9,
+                             config=OffPolicyConfig(learning_rate=learning_rate))
+        (s,), (a,), (g,) = np.nonzero(q.values)
+        reward = local_reward(env, int(s), int(a), get_index(2, 2).unrank(int(g)).probs)
+        return q, q.values[s, a, g], reward
+
     def test_update_arithmetic(self, small):
-        q = QTable.zeros("marginal", 2, 2, 2, 0.9)
-        idx = get_index(2, 2)
-        g = Histogram((1, 1), 2)
-        q.values[0, 1, idx.rank(g)] = 10.0
-        q.values[1, :, 0] = 0.0
-        new = off_policy_update(q, (0, 1, g, 20.0 * (1 - 0.9 * 0), 1, 0), alpha=0.5)
-        assert new == pytest.approx(0.5 * 10.0 + 0.5 * 20.0)
+        # (1 - alpha) Q + alpha (r + gamma max Q') with Q = Q' = 0
+        _, new, reward = self.one_step(small, 0.5)
+        assert new == pytest.approx(0.5 * reward)
 
     def test_alpha_one_boundary(self, small):
-        q = QTable.zeros("marginal", 2, 2, 2, 0.9)
-        g = Histogram((2, 0), 2)
-        backup_target = 7.0
-        new = off_policy_update(q, (1, 0, g, backup_target, 0, 0), alpha=1.0)
-        assert new == pytest.approx(backup_target + 0.9 * 0.0)
+        _, new, reward = self.one_step(small, 1.0)
+        assert new == pytest.approx(reward)
 
-    def test_alpha_out_of_range(self, small):
-        q = QTable.zeros("marginal", 2, 2, 2, 0.9)
-        with pytest.raises(ValueError):
-            off_policy_update(q, (0, 0, Histogram((2, 0), 2), 1.0, 0, 0), alpha=0.0)
+    def test_alpha_out_of_range(self):
+        for learning_rate in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                OffPolicyConfig(learning_rate=learning_rate)
 
-    def test_only_target_entry_changes(self, small, rng):
-        q = QTable.zeros("marginal", 2, 2, 2, 0.9)
-        q.values = rng.normal(size=q.values.shape)
-        before = q.values.copy()
-        g = Histogram((0, 2), 2)
-        g_rank = get_index(2, 2).rank(g)
-        off_policy_update(q, (0, 0, g, 1.0, 1, 1), alpha=0.1)
-        mask = np.ones_like(before, dtype=bool)
-        mask[0, 0, g_rank] = False
-        assert np.array_equal(q.values[mask], before[mask])
+    def test_only_target_entry_changes(self, small):
+        q, _, _ = self.one_step(small, 0.1)
+        assert np.count_nonzero(q.values) == 1
 
     def test_custom_behavior_policy(self, small):
         fixed = value_iteration(small, 2, 1, 1200, seed=0, mode="marginal", gamma=0.9,
@@ -744,10 +742,10 @@ class TestOffPolicy:
         with pytest.raises(ValueError):
             off_policy_learn(small, 2, 100, seed=0, gamma=0.9, config=cfg)
 
-    def test_steps_default_to_trajectory_length(self, small):
-        cfg = OffPolicyConfig(learning_rate=0.2, trajectory_length=500)
-        q = off_policy_learn(small, 2, seed=0, gamma=0.9, config=cfg)
-        assert q.iterations == 500
+    def test_steps_are_required(self, small):
+        with pytest.raises(TypeError):
+            off_policy_learn(small, 2, seed=0, gamma=0.9)
+        assert off_policy_learn(small, 2, 500, seed=0, gamma=0.9).iterations == 500
 
     def test_decaying_schedule(self):
         cfg = OffPolicyConfig(learning_rate=0.5, decay=0.1)
@@ -883,6 +881,14 @@ class TestQTableIO:
             path.write_bytes(blob)
             with pytest.raises(FormatError, match=match):
                 load_qtable(path)
+
+    def test_huge_header_dims_are_a_format_error(self, tmp_path, huge_header_qtable):
+        # |S| = kappa = 2^16 give C(2^17 - 1, 2^16 - 1) histograms, a count of
+        # about 39 000 digits; the header is checked against the payload first
+        path = tmp_path / "q.bin"
+        path.write_bytes(huge_header_qtable)
+        with pytest.raises(FormatError, match="values but the header"):
+            load_qtable(path)
 
     def test_header_residual_matches_recorded(self, tmp_path, warehouse):
         q = value_iteration(warehouse, 2, 5, 30, seed=9)

@@ -136,6 +136,12 @@ class TestExecuteAndInspect:
             assert "format error" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_huge_header_dims_exit_code(self, tmp_path, capsys, huge_header_qtable):
+        qpath = tmp_path / "q.bin"
+        qpath.write_bytes(huge_header_qtable)
+        assert main(["inspect", str(qpath)]) == 5
+        assert "format error: q-table payload holds 1 values" in capsys.readouterr().err
+
     def test_inspect_prints_header(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         qpath = tmp_path / "q.bin"
@@ -351,3 +357,51 @@ class TestMalformedEnvironment:
         env_file.write_text(spec)
         cfg = write_config(tmp_path, SMALL_CONFIG + f"[env]\nname = toy\nfile = {env_file}\n")
         self.assert_refused(tmp_path, capsys, cfg, named)
+
+
+class TestMalformedGraphon:
+    """[graphon] values that give no interaction weights for the configured
+    n agents exit 2, naming [graphon], before any training or evaluation."""
+
+    CASES = {
+        "radius outside (0, 1]": (9, "kind = radial\nradius = 1.5"),
+        "beta not positive": (9, "kind = expdecay\nbeta = 0\nlatent = sequential"),
+        "non-symmetric blocks": (9, "kind = block\nblocks = 0.5 | 0.9 0.2 ; 0.1 0.7\n"
+                                    "latent = sequential"),
+        "non-square n on the grid": (10, "kind = radial\nradius = 0.3"),
+        "non-radial kind on the grid": (9, "kind = expdecay\nbeta = 1.0"),
+        "coords for fewer agents than n": (9, "kind = expdecay\nlatent = explicit\n"
+                                              "coords = 0.1 0.5 0.9"),
+        "unknown kind": (9, "kind = foo\nlatent = sequential"),
+    }
+
+    @staticmethod
+    def config(tmp_path, n, graphon):
+        text = (SMALL_CONFIG.replace("n = 9", f"n = {n}")
+                .replace("kind = uniform\nlatent = sequential", graphon))
+        return write_config(tmp_path, text)
+
+    @pytest.mark.parametrize("n, graphon", CASES.values(), ids=CASES.keys())
+    def test_sweep_refuses_before_training(self, tmp_path, capsys, monkeypatch, n, graphon):
+        TestMalformedEnvironment.refuse_training(monkeypatch)
+        cfg = self.config(tmp_path, n, graphon)
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: [graphon]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n, graphon", CASES.values(), ids=CASES.keys())
+    def test_execute_refuses(self, tmp_path, capsys, monkeypatch, n, graphon):
+        from gmfs import cli
+        from gmfs.bellman import QTable, save_qtable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluation reached")
+
+        monkeypatch.setattr(cli, "evaluate_table", refuse)
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 2, 3, 3, 0.95, env_name="warehouse"), qpath)
+        out = tmp_path / "e.csv"
+        assert main(["execute", "--config", self.config(tmp_path, n, graphon),
+                     "--qtable", str(qpath), "--out", str(out)]) == 2
+        assert "config error: [graphon]" in capsys.readouterr().err
+        assert not out.exists()

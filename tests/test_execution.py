@@ -3,9 +3,9 @@ import pytest
 
 from gmfs.bellman import QTable, value_iteration
 from gmfs.env import local_reward, step_distribution
-from gmfs.execution import Policy, _initial_states, act, evaluate_policy, run_episode
+from gmfs.execution import Policy, _initial_states, evaluate_policy, run_episode
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
-from gmfs.histograms import Histogram, get_index, nearest_histogram
+from gmfs.histograms import Histogram, get_index, nearest_histograms
 from gmfs.rng import stream
 from gmfs.sampler import exact_state_aggregates, row_alias, stacked_alias
 
@@ -21,40 +21,40 @@ def trained_k6(warehouse):
     return value_iteration(warehouse, 6, 50, 250, seed=0)
 
 
+def act(policy, s, g):
+    """The greedy action at local state s and neighbor histogram g."""
+    return int(policy.greedy_table()[s, get_index(policy.n_states, policy.kappa).rank(g)])
+
+
 class TestAct:
     def test_single_action(self):
         q = QTable.zeros("marginal", 2, 3, 1, 0.9)
-        p = Policy(q)
-        assert act(p, 1, Histogram((1, 1, 0), 2)) == 0
+        assert act(Policy(q), 1, Histogram((1, 1, 0), 2)) == 0
 
     def test_dominant_action(self):
         q = QTable.zeros("marginal", 2, 2, 3, 0.9)
         q.values[:, 1, :] = 5.0
-        p = Policy(q)
-        for g_rank in range(q.values.shape[2]):
-            assert act(p, 0, g_rank) == 1
+        assert np.all(Policy(q).greedy_table() == 1)
 
     def test_congested_warehouse_avoids_working(self, trained_k6):
         # at full perceived congestion the work action is dominated: success
         # probability 0.1 and the utility floor cap the upside
-        p = Policy(trained_k6)
         full_congestion = Histogram((0, 0, 6), 6)
-        a = act(p, 0, full_congestion)
+        a = act(Policy(trained_k6), 0, full_congestion)
         assert a != 2
         # one-step lookahead agreement: the chosen action's entry dominates
         g_rank = get_index(3, 6).rank(full_congestion)
         assert trained_k6.values[0, a, g_rank] >= trained_k6.values[0, 2, g_rank]
 
-    def test_kappa_mismatch_rejected(self, trained_k6):
-        with pytest.raises(ValueError):
-            act(Policy(trained_k6), 0, Histogram((1, 1, 0), 2))
+    def test_kappa_mismatch_rejected(self, warehouse, warehouse_weights, trained_k6):
+        with pytest.raises(ValueError, match="kappa"):
+            run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 2, 5, 0.95)
 
     def test_joint_mode_policy(self, small, rng):
         q = value_iteration(small, 2, 4, 40, seed=0, mode="joint", gamma=0.9,
                             neighbor_action_rule="uniform")
-        p = Policy(q)
-        for g in (Histogram((2, 0), 2), Histogram((1, 1), 2), Histogram((0, 2), 2)):
-            assert 0 <= act(p, 0, g) < 2
+        greedy = Policy(q).greedy_table()
+        assert greedy.shape == (2, 3) and np.all((0 <= greedy) & (greedy < 2))
 
 
 class TestRunEpisode:
@@ -169,6 +169,7 @@ def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed
     S = env.n_states
     g_index = get_index(S, kappa)
     greedy = policy.greedy_table()
+    tables = [row_alias(weights, i) for i in range(n)]
     states = _initial_states(init, n, S, stream(seed, "exec-init"))
     rng = stream(seed, "exec")
     trajectory, stage_rewards = [], []
@@ -181,9 +182,9 @@ def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed
         next_states = np.empty(n, dtype=np.int64)
         for i in range(n):
             if policy_inputs == "exact":
-                counts = nearest_histogram(exact_g[i], kappa)
+                counts = nearest_histograms(exact_g[i], kappa)
             else:
-                ids = row_alias(weights, i).sample_from_uniforms(
+                ids = tables[i].sample_from_uniforms(
                     block[i, :kappa], block[i, kappa:2 * kappa])
                 counts = np.bincount(states[ids], minlength=S)
             actions[i] = greedy[states[i], g_index.rank(counts)]

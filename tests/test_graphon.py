@@ -119,6 +119,19 @@ class TestBuildWeights:
             assert np.all(w.normalized >= 0.0)
             assert np.all(np.diag(w.normalized) == 0.0)
 
+    def test_raw_matches_pointwise_evaluate(self, rng):
+        # the vectorized build against W read one pair at a time
+        for g, coords in [
+            (Graphon.radial_graphon(0.4, latent_dim=2), rng.random((12, 2))),
+            (Graphon.expdecay_graphon(1.5), rng.random(12)),
+            (Graphon.block_graphon((0.5,), ((0.9, 0.1), (0.1, 0.6))), np.linspace(0, 1, 12)),
+            (Graphon.uniform_graphon(), rng.random(12)),
+        ]:
+            w = build_weights(g, LatentAssignment.explicit(coords))
+            for i, j in np.ndindex(12, 12):
+                want = 0.0 if i == j else evaluate(g, coords[i], coords[j])
+                assert w.raw[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_raw_symmetry_exact(self, rng):
         w = build_weights(Graphon.expdecay_graphon(2.0),
                           LatentAssignment.explicit(rng.random(20)))

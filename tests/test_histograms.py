@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmfs.bellman import fiber_ranks
 from gmfs.errors import BudgetError
 from gmfs.histograms import (
-    Alphabet,
     Histogram,
     HistogramIndex,
     enumerate_histograms,
     fiber,
-    fiber_size,
     get_index,
     marginal,
-    nearest_histogram,
     nearest_histograms,
     num_histograms,
     tv_distance,
@@ -46,12 +44,11 @@ class TestMarginal:
     def test_two_by_two(self):
         # cells state-major: (0,0)=2, (0,1)=1, (1,0)=1, (1,1)=0
         z = Histogram((2, 1, 1, 0), 4, joint_shape=(2, 2))
-        assert marginal(z, "state").counts == (3, 1)
-        assert marginal(z, "action").counts == (3, 1)
+        assert marginal(z).counts == (3, 1)
 
     def test_point_mass(self):
         z = Histogram((0, 0, 0, 0, 5, 0), 5, joint_shape=(2, 3))
-        g = marginal(z, "state")
+        g = marginal(z)
         assert g.counts == (0, 5)
 
     def test_requires_joint_shape(self):
@@ -197,19 +194,21 @@ class TestRankUnrank:
 class TestFiber:
     def test_single_action_fiber_is_singleton(self):
         g = Histogram((2, 1), 3)
-        members = list(fiber(g, Alphabet(1)))
+        members = list(fiber(g, 1))
         assert len(members) == 1
         assert marginal(members[0]).counts == g.counts
 
     def test_two_state_two_action(self):
         g = Histogram((2, 0), 2)
-        members = [z.counts for z in fiber(g, Alphabet(2))]
+        members = [z.counts for z in fiber(g, 2)]
         assert len(members) == 3  # action split of 2 units in state 0
         assert set(members) == {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)}
 
     def test_fiber_size_formula(self):
         g = Histogram((2, 1, 3), 6)
-        assert fiber_size(g, 2) == len(list(fiber(g, Alphabet(2))))
+        size = math.prod(c + 1 for c in g.counts)  # c + 1 splits over two actions
+        assert size == len(list(fiber(g, 2)))
+        assert fiber_ranks(3, 2, 6, get_index(3, 6).rank(g)).size == size
 
     def test_fibers_partition_joint_space(self):
         ns, na, kappa = 2, 3, 3
@@ -217,7 +216,7 @@ class TestFiber:
         seen = set()
         total = 0
         for g in enumerate_histograms(ns, kappa):
-            for z in fiber(g, Alphabet(na)):
+            for z in fiber(g, na):
                 assert marginal(z).counts == g.counts
                 assert z.counts not in seen
                 seen.add(z.counts)
@@ -228,17 +227,17 @@ class TestFiber:
 
 class TestNearestHistogram:
     def test_exact_grid_point(self):
-        assert tuple(nearest_histogram(np.array([0.5, 0.25, 0.25]), 4)) == (2, 1, 1)
+        assert tuple(nearest_histograms(np.array([0.5, 0.25, 0.25]), 4)) == (2, 1, 1)
 
     def test_sums_to_kappa(self, rng):
         for _ in range(100):
             pmf = rng.dirichlet(np.ones(4))
-            counts = nearest_histogram(pmf, 7)
+            counts = nearest_histograms(pmf, 7)
             assert counts.sum() == 7
             assert np.all(counts >= 0)
 
     def test_deterministic_tie_break(self):
-        assert tuple(nearest_histogram(np.array([0.5, 0.5]), 3)) == (2, 1)
+        assert tuple(nearest_histograms(np.array([0.5, 0.5]), 3)) == (2, 1)
 
     def test_rows_round_independently(self, rng):
         pmfs = rng.dirichlet(np.ones(3), size=(4, 6))
@@ -246,7 +245,7 @@ class TestNearestHistogram:
         got = nearest_histograms(pmfs, 5)
         assert got.shape == (4, 6, 3)
         for idx in np.ndindex(4, 6):
-            assert tuple(got[idx]) == tuple(nearest_histogram(pmfs[idx], 5))
+            assert tuple(got[idx]) == tuple(nearest_histograms(pmfs[idx], 5))
         assert [tuple(c) for c in got[0, :3]] == [(3, 2, 0), (0, 3, 2), (2, 2, 1)]
 
     @given(st.integers(2, 4), st.integers(1, 6), st.data())
@@ -256,7 +255,7 @@ class TestNearestHistogram:
         # whole histogram grid (checked against exhaustive enumeration)
         weights = [data.draw(st.floats(0.01, 1.0)) for _ in range(d)]
         pmf = np.array(weights) / sum(weights)
-        got = nearest_histogram(pmf, kappa)
+        got = nearest_histograms(pmf, kappa)
         got_err = np.abs(got / kappa - pmf).sum()
         best = min(np.abs(np.array(h.counts) / kappa - pmf).sum()
                    for h in enumerate_histograms(d, kappa))

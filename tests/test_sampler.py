@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
-from gmfs.histograms import marginal, tv_distance
+from gmfs.histograms import tv_distance
 from gmfs.rng import stream
 from gmfs.sampler import (
     AliasTable,
-    empirical_joint,
-    empirical_marginal,
     exact_aggregate,
-    exact_state_aggregate,
     exact_state_aggregates,
     ht_estimate,
-    sample_neighbors,
+    row_alias,
+    stacked_alias,
     tv_concentration_bound,
 )
+
+
+def draw_neighbors(weights, kappa, rng):
+    """(n, kappa): every agent's neighbor ids, drawn from the stacked row
+    tables as execution draws them."""
+    u = rng.random((2, weights.n, kappa))
+    return stacked_alias(weights).sample_from_uniforms(u[0], u[1])
 
 
 @pytest.fixture(scope="module")
@@ -44,81 +49,34 @@ class TestAliasTable:
 class TestSampleNeighbors:
     def test_two_agents_forced(self):
         w = build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(2))
-        s = sample_neighbors(w, 0, 6, stream(0, "nb"))
-        assert np.all(s.indices == 1)
+        ids = draw_neighbors(w, 6, stream(0, "nb"))
+        assert np.all(ids[0] == 1) and np.all(ids[1] == 0)
 
     def test_point_mass_row(self):
         # agents 0 and 3 far apart under a tight radial graphon on a line
         coords = np.array([0.0, 0.5, 0.55, 1.0])
         w = build_weights(Graphon.radial_graphon(0.1, latent_dim=1),
                           LatentAssignment.explicit(coords))
-        s = sample_neighbors(w, 1, 20, stream(0, "nb"))
-        assert np.all(s.indices == 2)
+        ids = draw_neighbors(w, 20, stream(0, "nb"))
+        assert np.all(ids[1] == 2) and np.all(ids[2] == 1)
 
     def test_never_contains_focal(self, hetero_weights):
-        for i in (0, 4, 9):
-            s = sample_neighbors(hetero_weights, i, 500, stream(i, "nb"))
-            assert np.all(s.indices != i)
+        ids = draw_neighbors(hetero_weights, 500, stream(0, "nb"))
+        assert np.all(ids != np.arange(10)[:, None])
 
     def test_uniform_frequencies_within_5_sigma(self):
         n, draws = 100, 100_000
         w = build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(n))
-        s = sample_neighbors(w, 0, draws, stream(11, "nb"))
-        freq = np.bincount(s.indices, minlength=n)[1:] / draws
+        ids = row_alias(w, 0).sample(stream(11, "nb"), draws)
+        freq = np.bincount(ids, minlength=n)[1:] / draws
         p = 1.0 / (n - 1)
         se = np.sqrt(p * (1 - p) / draws)
         assert np.all(np.abs(freq - p) <= 5 * se)
 
     def test_reproducible(self, hetero_weights):
-        a = sample_neighbors(hetero_weights, 2, 64, stream(5, "nb"))
-        b = sample_neighbors(hetero_weights, 2, 64, stream(5, "nb"))
-        assert np.array_equal(a.indices, b.indices)
-
-    def test_kappa_positive(self, hetero_weights):
-        with pytest.raises(ValueError):
-            sample_neighbors(hetero_weights, 0, 0, stream(0, "nb"))
-
-
-class TestEmpiricalAggregates:
-    def test_point_mass(self, hetero_weights):
-        states = np.full(10, 1)
-        actions = np.zeros(10, dtype=int)
-        s = sample_neighbors(hetero_weights, 0, 8, stream(2, "nb"))
-        z = empirical_joint(s, states, actions, 2, 2)
-        assert z.counts[1 * 2 + 0] == 8 and z.kappa == 8
-
-    def test_two_draw_tally(self, hetero_weights):
-        states = np.array([9, 0, 2, 0, 0, 0, 0, 0, 0, 9])
-        actions = np.array([1, 1, 1, 1, 1, 1, 1, 1, 1, 1])
-        s = sample_neighbors(hetero_weights, 1, 2, stream(8, "nb"))
-        z = empirical_joint(s, states, actions, 10, 2)
-        got = {(int(i) // 2, int(i) % 2): c for i, c in enumerate(z.counts) if c}
-        tallied = {}
-        for j in s.indices:
-            key = (int(states[j]), 1)
-            tallied[key] = tallied.get(key, 0) + 1
-        assert got == tallied
-
-    def test_marginal_tally(self, hetero_weights):
-        states = np.array([2, 2, 2, 2, 2, 0, 1, 0, 1, 0])
-        gen = stream(31, "nb")
-        while True:  # find a draw with exactly five neighbors in state 2
-            s = sample_neighbors(hetero_weights, 9, 8, gen)
-            g = empirical_marginal(s, states, 3)
-            if g.counts[2] == 5:
-                break
-        assert g.probs[2] == pytest.approx(5.0 / 8.0)
-        assert sum(g.counts) == 8
-
-    def test_marginal_consistency(self, hetero_weights, rng):
-        for trial in range(30):
-            states = rng.integers(0, 3, size=10)
-            actions = rng.integers(0, 2, size=10)
-            s = sample_neighbors(hetero_weights, 3, 12, stream(trial, "nb"))
-            z = empirical_joint(s, states, actions, 3, 2)
-            g = empirical_marginal(s, states, 3)
-            assert marginal(z, "state").counts == g.counts
-            assert sum(g.counts) == 12
+        a = draw_neighbors(hetero_weights, 64, stream(5, "nb"))
+        b = draw_neighbors(hetero_weights, 64, stream(5, "nb"))
+        assert np.array_equal(a, b)
 
 
 class TestExactAggregate:
@@ -151,7 +109,9 @@ class TestExactAggregate:
         states = rng.integers(0, 3, size=10)
         stacked = exact_state_aggregates(hetero_weights, states, 3)
         for i in range(10):
-            assert np.allclose(stacked[i], exact_state_aggregate(hetero_weights, i, states, 3))
+            row = np.zeros(3)
+            np.add.at(row, states, hetero_weights.normalized[i])
+            assert np.allclose(stacked[i], row)
             assert stacked[i].sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -164,13 +124,14 @@ class TestConcentration:
     @pytest.mark.parametrize("kappa", [10, 50])
     def test_empirical_tv_within_bound(self, hetero_weights, kappa, rng):
         states = rng.integers(0, 3, size=10)
-        exact_g = exact_state_aggregate(hetero_weights, 0, states, 3)
+        exact_g = exact_state_aggregates(hetero_weights, states, 3)[0]
+        table = row_alias(hetero_weights, 0)
         delta, trials = 0.05, 2000
         bound = tv_concentration_bound(3, kappa, delta)
         violations = 0
         for t in range(trials):
-            s = sample_neighbors(hetero_weights, 0, kappa, stream(t, "conc", kappa))
-            g_hat = empirical_marginal(s, states, 3)
+            ids = table.sample(stream(t, "conc", kappa), kappa)
+            g_hat = np.bincount(states[ids], minlength=3) / kappa
             if tv_distance(g_hat, exact_g) > bound:
                 violations += 1
         sigma = np.sqrt(delta * (1 - delta) / trials)
@@ -217,14 +178,3 @@ class TestHTEstimate:
         with pytest.raises(ValueError):
             ht_estimate(hetero_weights, 0, proposal, 3, np.zeros(10, int),
                         np.zeros(10, int), 2, 2, stream(0, "ht"))
-
-    def test_normalized_projection(self, hetero_weights, rng):
-        states = rng.integers(0, 2, size=10)
-        actions = rng.integers(0, 2, size=10)
-        proposal = np.full(10, 1.0 / 9.0)
-        proposal[0] = 0.0
-        est = ht_estimate(hetero_weights, 0, proposal, 4, states, actions, 2, 2,
-                          stream(12, "ht"))
-        pmf = est.normalized()
-        assert pmf.sum() == pytest.approx(1.0)
-        assert np.all(pmf >= 0)
