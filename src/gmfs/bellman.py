@@ -19,14 +19,14 @@ Every backup reads only the neighbors' next state marginal g'.
 One tabulated surrogate model (``tabulate``: kernel, cdf and reward at the
 histogram points, leave-one-out ranks, neighbor slots) feeds every learner,
 and one engine runs value iteration with either Bellman operator in both
-modes. The empirical operator freezes per-entry sample sets (streams keyed by
-seed and entry rank) across sweeps, so the iteration is a fixed
-gamma-contraction and the residual decays geometrically to the
-sample-operator fixed point. The exact operator takes the expectation
-instead: per entry, the focal next-state pmf and the law of g', the kappa
-neighbor laws convolved over histogram ranks. The greedy rule makes that law
-depend on Q, so the exact operator runs under the uniform rule (or in joint
-mode) only. ``surrogate_step`` and ``empirical_operator`` work per entry;
+modes. The empirical operator freezes per-entry sample sets across sweeps
+(consecutive blocks of one stream keyed by seed and kappa, in entry order),
+so the iteration is a fixed gamma-contraction and the residual decays
+geometrically to the sample-operator fixed point. The exact operator takes
+the expectation instead: per entry, the focal next-state pmf and the law of
+g', the kappa neighbor laws convolved over histogram ranks. The greedy rule
+makes that law depend on Q, so the exact operator runs under the uniform
+rule (or in joint mode) only. ``surrogate_step`` and ``empirical_operator`` work per entry;
 they are the reference the engine is tested against bit for bit.
 """
 
@@ -394,11 +394,13 @@ class _FrozenEngine:
     Entries e = (s * A + a) * H + h range over the table's histogram ranks h:
     state marginals, or joint histograms whose neighbor slots take state and
     action from the histogram in cell-major order. The empirical operator
-    draws per-entry uniforms once from the stream the reference
-    ``empirical_operator`` reads, ``stream(seed, "vi-frozen", kappa, e)``;
-    the exact operator holds per entry the focal next-state pmf and the law
-    of the neighbors' next marginal. A sweep is then a gather over the
-    current table, which keeps the iteration an exact contraction and
+    draws all its uniforms in one call, an (E, m, kappa + 1) block from
+    ``stream(seed, "vi-frozen", kappa)``. Entry e reads the m (kappa + 1)
+    draws after the first e m (kappa + 1), which the reference
+    ``empirical_operator`` reads from that stream advanced past them. The
+    exact operator holds per entry the focal next-state pmf and the law of
+    the neighbors' next marginal. A sweep is then a gather over the current
+    table, which keeps the iteration an exact contraction and
     bit-reproducible for any worker count.
 
     The empirical operator reads each sample's next marginal as a sum of
@@ -453,7 +455,8 @@ class _FrozenEngine:
         slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], slot_states]
 
         if not self.exact:
-            uni = _frozen_uniforms(seed, kappa, self.n_entries, m)
+            # per sample: the focal uniform, then one per neighbor slot
+            uni = stream(seed, "vi-frozen", kappa).random((self.n_entries, m, kappa + 1))
             # the next focal state's offset in the flat (S, G) backup table
             flat = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :], uni[:, :, 0])
             flat *= G                                                  # (E, m)
@@ -543,15 +546,6 @@ def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
             nxt[:, ranks[:, x]] += law * slot_pmf[:, k, x, None]
         law = nxt
     return law
-
-
-def _frozen_uniforms(seed: int, kappa: int, n_entries: int, m: int) -> np.ndarray:
-    """(E, m, kappa + 1) uniforms: per sample, the focal one, then one per
-    neighbor."""
-    uni = np.empty((n_entries, m, kappa + 1))
-    for e in range(n_entries):
-        uni[e] = stream(seed, "vi-frozen", kappa, e).random((m, kappa + 1))
-    return uni
 
 
 def _chunked_searchsorted(cdf: np.ndarray, u: np.ndarray, chunk: int,

@@ -25,6 +25,7 @@ from .harness import (
     build_environment,
     build_system_weights,
     check_init,
+    check_kappa,
     evaluate_table,
     parse_config,
     run_diagnostics,
@@ -76,6 +77,7 @@ def cmd_execute(args) -> int:
     cfg = _load_config(args.config)
     out = _output_path(args.out)
     q = load_qtable(args.qtable)
+    check_kappa(q.kappa, cfg.n)
     env = build_environment(cfg)
     check_init(cfg, env)
     if q.env_name and q.env_name != env.name:

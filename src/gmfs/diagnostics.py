@@ -110,13 +110,11 @@ def concentration_suite(cfg=None, *, kappas=(10, 50, 200), delta: float = 0.05,
     passed = True
     for kappa in kappas:
         bound = tv_concentration_bound(n_states, kappa, delta)
-        rng = stream(seed, "diag-conc", kappa)
-        u = rng.random((2, trials, kappa))
-        tvs = np.empty(trials)
-        for t in range(trials):
-            ids = table.sample_from_uniforms(u[0, t], u[1, t])
-            counts = np.bincount(states[ids], minlength=n_states)
-            tvs[t] = 0.5 * np.abs(counts / kappa - exact).sum()
+        u = stream(seed, "diag-conc", kappa).random((2, trials, kappa))
+        ids = table.sample_from_uniforms(u[0], u[1])  # (trials, kappa)
+        cells = states[ids] + n_states * np.arange(trials)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=trials * n_states).reshape(trials, n_states)
+        tvs = 0.5 * np.abs(counts / kappa - exact).sum(axis=1)
         violation = float((tvs > bound).mean())
         quantile = float(np.quantile(tvs, 1.0 - delta))
         sigma = (delta * (1 - delta) / trials) ** 0.5
@@ -210,22 +208,12 @@ def ht_suite(cfg=None, *, n: int = 10, kappa: int = 5, replications: int = 100_0
     exact = exact_aggregate(weights, i, states, actions, n_states, n_actions)
     proposal = np.full(n, 1.0 / (n - 1))
     proposal[i] = 0.0
-    rng = stream(seed, "diag-ht")
+    uniforms = stream(seed, "diag-ht").random((replications, 2, kappa))
+    est = ht_estimate(weights, i, proposal, states, actions, n_states, n_actions,
+                      uniforms).estimate
     cells = n_states * n_actions
-    sums = np.zeros(cells)
-    sq_sums = np.zeros(cells)
-    batch = 10_000
-    done = 0
-    while done < replications:
-        take = min(batch, replications - done)
-        for _ in range(take):
-            est = ht_estimate(weights, i, proposal, kappa, states, actions,
-                              n_states, n_actions, rng).estimate
-            sums += est
-            sq_sums += est * est
-        done += take
-    mean = sums / replications
-    var = np.maximum(sq_sums / replications - mean**2, 0.0)
+    mean = est.sum(axis=0) / replications
+    var = np.maximum((est * est).sum(axis=0) / replications - mean**2, 0.0)
     se = np.sqrt(var / replications)
     rows = []
     passed = True

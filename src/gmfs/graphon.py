@@ -183,7 +183,8 @@ def build_weights(graphon: Graphon, assign: LatentAssignment) -> WeightMatrix:
     n = assign.n
     if n < 2:
         raise ValueError("need at least 2 agents to build interaction weights")
-    if assign.latent_dim != graphon.latent_dim:
+    # the uniform graphon reads no coordinates, so any assignment serves it
+    if graphon.kind != "uniform" and assign.latent_dim != graphon.latent_dim:
         raise ValueError(
             f"assignment latent_dim {assign.latent_dim} does not match "
             f"graphon latent_dim {graphon.latent_dim}"

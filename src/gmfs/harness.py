@@ -45,6 +45,14 @@ _EXECUTE_KEYS = {"horizon", "seeds", "init", "reward_aggregates", "baseline"}
 _OUTPUT_KEYS = {"dir"}
 
 
+def check_kappa(kappa: int, n: int) -> None:
+    """Refuse a subsample size that ``n`` agents cannot give: each agent
+    draws kappa of its n - 1 neighbors (ConfigError)."""
+    if not 1 <= kappa <= n - 1:
+        raise ConfigError(
+            f"kappa {kappa} outside the valid range [1, n-1] = [1, {n - 1}] for n = {n}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     env_name: str = "warehouse"
@@ -80,9 +88,7 @@ class ExperimentConfig:
         if self.n < 2:
             raise ConfigError("system.n must be at least 2")
         for k in self.kappa_list:
-            if not 1 <= k <= self.n - 1:
-                raise ConfigError(
-                    f"kappa {k} outside the valid range [1, n-1] = [1, {self.n - 1}]")
+            check_kappa(k, self.n)
         if len(set(self.kappa_list)) != len(self.kappa_list):
             raise ConfigError("kappa_list contains duplicates")
         if not 0 < self.gamma < 1:

@@ -3,10 +3,13 @@
 Each agent i draws kappa neighbor ids i.i.d. from the normalized weight row
 w_bar[i, .] on [n] \\ {i} by the alias method: a row's table takes O(n) to
 build and a draw takes O(1), so online execution can afford fresh samples
-for every agent at every time step. Execution draws for the whole population
-at once from the n row tables stacked into (n, n-1) arrays, built once per
-weight matrix; the uniforms come from keyed streams, so results are
-schedule-independent.
+for every agent at every time step. One table type holds one or many rows
+and one rule draws from it: ``row_alias`` gives agent i's one-row table and
+``stacked_alias`` all n rows as (n, n-1) arrays, built once per weight
+matrix, from which execution draws for the whole population at once. Callers
+draw the uniforms, two per draw, from keyed streams, so results are
+schedule-independent; the Horvitz-Thompson estimator likewise takes one
+block of uniforms for all its replications.
 """
 
 from __future__ import annotations
@@ -14,70 +17,20 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphon import WeightMatrix
 
 
-class AliasTable:
-    """Vose alias method for a fixed categorical distribution.
+class AliasTable(NamedTuple):
+    """Vose alias tables of one or more categorical rows, as (rows, k) arrays.
 
-    Draws consume exactly two uniforms each, which keeps sampling replayable
-    from frozen uniform blocks.
-    """
-
-    def __init__(self, probs: np.ndarray, support: np.ndarray | None = None):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if np.any(probs < 0):
-            raise ValueError("probs must be non-negative")
-        total = float(probs.sum())
-        if not math.isclose(total, 1.0, abs_tol=1e-9):
-            raise ValueError("probs must sum to 1")
-        k = probs.size
-        self.support = np.arange(k) if support is None else np.asarray(support)
-        scaled = probs * k / total
-        self.prob = np.ones(k)
-        self.alias = np.arange(k)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s, l = small.pop(), large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            (small if scaled[l] < 1.0 else large).append(l)
-        for rest in (small, large):
-            for i in rest:
-                self.prob[i] = 1.0
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random((2, size))
-        return self.sample_from_uniforms(u[0], u[1])
-
-    def sample_from_uniforms(self, u_bucket: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
-        k = self.prob.size
-        buckets = np.minimum((u_bucket * k).astype(np.int64), k - 1)
-        chosen = np.where(u_accept < self.prob[buckets], buckets, self.alias[buckets])
-        return self.support[chosen]
-
-
-def row_alias(weights: WeightMatrix, i: int) -> AliasTable:
-    """Alias table for row i of the normalized weights."""
-    others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
-    return AliasTable(weights.normalized[i, others], support=others)
-
-
-@dataclass(frozen=True)
-class StackedAlias:
-    """All n row alias tables of one weight matrix as (n, n-1) arrays.
-
-    ``keep_ids[i, b]`` is the agent id of bucket b in row i and
-    ``alias_ids[i, b]`` the id of its alias, so a draw needs no second
-    lookup through the row's support.
+    ``keep_ids[r, b]`` is the outcome id of bucket b in row r and
+    ``alias_ids[r, b]`` the id of its alias, so a draw needs no second
+    lookup. A draw consumes exactly two uniforms, which keeps sampling
+    replayable from frozen uniform blocks.
     """
 
     prob: np.ndarray
@@ -85,8 +38,8 @@ class StackedAlias:
     alias_ids: np.ndarray
 
     def sample_from_uniforms(self, u_bucket: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
-        """Neighbor ids for uniforms of shape (..., n, kappa), row i of the
-        agent axis drawing from agent i's table with ``AliasTable``'s rule."""
+        """Ids for uniforms of shape (..., rows, draws), row r of the row
+        axis drawing from table r; a one-row table broadcasts over that axis."""
         k = self.prob.shape[1]
         buckets = np.minimum((u_bucket * k).astype(np.int64), k - 1)
         rows = np.arange(self.prob.shape[0])[:, None]
@@ -94,23 +47,58 @@ class StackedAlias:
                         self.keep_ids[rows, buckets], self.alias_ids[rows, buckets])
 
 
-_STACKED_CACHE: "weakref.WeakKeyDictionary[WeightMatrix, StackedAlias]" = (
+def alias_table(probs, support=None) -> AliasTable:
+    """The one-row table of a categorical pmf over the ids ``support``
+    (default 0..k-1), built by Vose's method."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("probs must be a non-empty vector")
+    if np.any(probs < 0):
+        raise ValueError("probs must be non-negative")
+    total = float(probs.sum())
+    if not math.isclose(total, 1.0, abs_tol=1e-9):
+        raise ValueError("probs must sum to 1")
+    k = probs.size
+    support = np.arange(k) if support is None else np.asarray(support)
+    scaled = probs * k / total
+    prob = np.ones(k)
+    alias = np.arange(k)
+    small = [i for i in range(k) if scaled[i] < 1.0]
+    large = [i for i in range(k) if scaled[i] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = scaled[l] - (1.0 - scaled[s])
+        (small if scaled[l] < 1.0 else large).append(l)
+    for rest in (small, large):
+        for i in rest:
+            prob[i] = 1.0
+    return AliasTable(prob[None], support[None], support[alias][None])
+
+
+def row_alias(weights: WeightMatrix, i: int) -> AliasTable:
+    """One-row alias table for row i of the normalized weights."""
+    others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
+    return alias_table(weights.normalized[i, others], support=others)
+
+
+_STACKED_CACHE: "weakref.WeakKeyDictionary[WeightMatrix, AliasTable]" = (
     weakref.WeakKeyDictionary())
 
 
-def stacked_alias(weights: WeightMatrix) -> StackedAlias:
-    """The row alias tables of every agent, stacked once per weight matrix."""
+def stacked_alias(weights: WeightMatrix) -> AliasTable:
+    """The row alias tables of every agent, stacked once per weight matrix:
+    row i is ``row_alias(weights, i)``."""
     stacked = _STACKED_CACHE.get(weights)
     if stacked is None:
         n = weights.n
-        stacked = StackedAlias(prob=np.empty((n, n - 1)),
-                               keep_ids=np.empty((n, n - 1), dtype=np.int64),
-                               alias_ids=np.empty((n, n - 1), dtype=np.int64))
+        stacked = AliasTable(prob=np.empty((n, n - 1)),
+                             keep_ids=np.empty((n, n - 1), dtype=np.int64),
+                             alias_ids=np.empty((n, n - 1), dtype=np.int64))
         for i in range(n):
-            table = row_alias(weights, i)
-            stacked.prob[i] = table.prob
-            stacked.keep_ids[i] = table.support
-            stacked.alias_ids[i] = table.support[table.alias]
+            for whole, row in zip(stacked, row_alias(weights, i)):
+                whole[i] = row[0]
         _STACKED_CACHE[weights] = stacked
     return stacked
 
@@ -137,21 +125,23 @@ def exact_state_aggregates(weights: WeightMatrix, states, n_states: int) -> np.n
 
 @dataclass(frozen=True)
 class HTEstimate:
-    """Importance-weighted neighborhood estimate under a proposal: the
-    per-draw ratios and the estimate, which is unbiased for the exact
-    aggregate but may leave the probability simplex pointwise."""
+    """Importance-weighted neighborhood estimates under a proposal: the
+    per-draw ratios (..., kappa) and the estimates (..., |S| |A|), each
+    unbiased for the exact aggregate but free to leave the probability
+    simplex pointwise."""
 
     ratios: np.ndarray
     estimate: np.ndarray
 
 
-def ht_estimate(weights: WeightMatrix, i: int, proposal, kappa: int,
-                states, actions, n_states: int, n_actions: int,
-                rng: np.random.Generator) -> HTEstimate:
-    """Horvitz-Thompson estimate of the joint aggregate from proposal draws.
+def ht_estimate(weights: WeightMatrix, i: int, proposal, states, actions,
+                n_states: int, n_actions: int, uniforms) -> HTEstimate:
+    """Horvitz-Thompson estimates of the joint aggregate from proposal draws.
 
-    Draws J_1..J_kappa i.i.d. from the proposal over [n] \\ {i} and weights
-    each indicator by rho = w_bar[i, J] / q(J).
+    Each (2, kappa) block of ``uniforms`` ((..., 2, kappa)) draws
+    J_1..J_kappa i.i.d. from the proposal over [n] \\ {i} (bucket uniforms,
+    then accept uniforms) and weights each indicator by
+    rho = w_bar[i, J] / q(J); the leading axes index independent estimates.
     """
     proposal = np.asarray(proposal, dtype=np.float64)
     if proposal.shape != (weights.n,):
@@ -163,17 +153,24 @@ def ht_estimate(weights: WeightMatrix, i: int, proposal, kappa: int,
     row = weights.normalized[i]
     if np.any((row > 0) & (proposal <= 0)):
         raise ValueError("proposal must be positive wherever w_bar[i, .] is positive")
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.ndim < 2 or u.shape[-2] != 2 or u.shape[-1] < 1:
+        raise ValueError("uniforms must have shape (..., 2, kappa) with kappa >= 1")
     states = np.asarray(states)
     actions = np.asarray(actions)
 
     others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
-    table = AliasTable(proposal[others], support=others)
-    draws = table.sample(rng, kappa)
+    table = alias_table(proposal[others], support=others)
+    # the one-row table reads each block's row axis of length 1
+    draws = table.sample_from_uniforms(u[..., :1, :], u[..., 1:, :])[..., 0, :]
+    batch, kappa = draws.shape[:-1], draws.shape[-1]
+    count, width = math.prod(batch), n_states * n_actions
     ratios = row[draws] / proposal[draws]
-    cells = states[draws] * n_actions + actions[draws]
-    est = np.zeros(n_states * n_actions)
-    np.add.at(est, cells, ratios / kappa)
-    return HTEstimate(ratios=ratios, estimate=est)
+    # each estimate owns a run of ``width`` cells; bincount adds in draw order
+    cells = (states[draws] * n_actions + actions[draws]
+             + width * np.arange(count).reshape(batch + (1,)))
+    est = np.bincount(cells.ravel(), weights=(ratios / kappa).ravel(), minlength=count * width)
+    return HTEstimate(ratios=ratios, estimate=est.reshape(batch + (width,)))
 
 
 def tv_concentration_bound(n_states: int, kappa: int, delta: float) -> float:

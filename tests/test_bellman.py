@@ -94,9 +94,17 @@ def exact_backup_oracle(env, q, s, a, counts, kappa, aggregate_rule="leave_one_o
     return r + q.gamma * cont
 
 
+def frozen_stream(seed, kappa, m, e):
+    """The engine's frozen stream advanced past the draws of entries 0..e-1,
+    m (kappa + 1) per entry, so it starts at entry e's first draw."""
+    gen = stream(seed, "vi-frozen", kappa)
+    gen.bit_generator.advance(e * m * (kappa + 1))
+    return gen
+
+
 def engine_and_reference(env, q, m, seed, rule, agg):
     """One engine sweep of q, and the per-entry empirical operator on the
-    same frozen streams, both as (S, A, H) tables."""
+    same frozen draws, both as (S, A, H) tables."""
     eng = _FrozenEngine(env, q.kappa, m, seed, mode=q.mode, neighbor_action_rule=rule,
                         aggregate_rule=agg)
     fast = (eng.rewards + q.gamma * eng.sweep(q.values)).reshape(q.values.shape)
@@ -108,7 +116,7 @@ def engine_and_reference(env, q, m, seed, rule, agg):
         for a in range(q.n_actions):
             for h, hist in enumerate(hists):
                 ref[s, a, h] = empirical_operator(
-                    env, q, s, a, hist, m, stream(seed, "vi-frozen", q.kappa, e),
+                    env, q, s, a, hist, m, frozen_stream(seed, q.kappa, m, e),
                     neighbor_action_rule=rule, aggregate_rule=agg)
                 e += 1
     return fast, ref
@@ -236,18 +244,21 @@ class TestSurrogateStep:
 
     def test_warehouse_congested_work_crowd(self, warehouse):
         # kappa=2 neighbors all at (working, work-action), g(2)=1: each stays
-        # in working w.p. max(0.1, 0.9-0.8) = 0.1
-        z = Histogram((0,) * 8 + (2,), 2, joint_shape=(3, 3))
-        stays = 0
-        trials = 40_000
-        gen = stream(17, "sur")
-        for _ in range(trials):
-            _, g_next = surrogate_step(warehouse, 0, 0, z, gen,
-                                       neighbor_action_rule="uniform",
-                                       aggregate_rule="shared")
-            stays += g_next.counts[2]
-        p_hat = stays / (2 * trials)
-        se = math.sqrt(0.1 * 0.9 / (2 * trials))
+        # in working w.p. max(0.1, 0.9-0.8) = 0.1. Under the shared aggregate
+        # every focal (s, a) entry of that histogram gives its neighbors the
+        # same slot laws, so the joint engine's frozen next marginals of those
+        # entries pool into one sample; engine and per-entry reference agree
+        # bit for bit (TestValueIteration)
+        kappa, samples = 2, 40_000  # 80 000 neighbor draws
+        pairs = warehouse.n_states * warehouse.n_actions
+        eng = _FrozenEngine(warehouse, kappa, -(-samples // pairs), 17, mode="joint",
+                            neighbor_action_rule="uniform", aggregate_rule="shared")
+        z_index, g_index = get_index(9, kappa), get_index(3, kappa)
+        z = z_index.rank(Histogram((0,) * 8 + (2,), kappa, joint_shape=(3, 3)))
+        flat = eng.flat[np.arange(pairs) * z_index.total + z].ravel()[:samples]
+        working = np.array([g_index.unrank_counts(g)[2] for g in range(g_index.total)])
+        p_hat = working[flat % g_index.total].sum() / (2 * samples)
+        se = math.sqrt(0.1 * 0.9 / (2 * samples))
         assert abs(p_hat - 0.1) <= 5 * se
 
     def test_tally_reproduces_histogram(self, small, rng):
@@ -505,6 +516,22 @@ class TestValueIteration:
             q.values = rng.uniform(-9, 9, q.values.shape)
             fast, ref = engine_and_reference(env, q, 5, 200 + trial, "greedy", agg)
             assert np.array_equal(fast, ref), (S, A, kappa, agg)
+
+    def test_one_build_draws_its_frozen_uniforms_in_one_call(self, warehouse, monkeypatch):
+        from gmfs import bellman
+
+        keys = []
+
+        def counted(*key):
+            keys.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(bellman, "stream", counted)
+        for mode, rule in (("marginal", "uniform"), ("marginal", "greedy"), ("joint", "uniform")):
+            keys.clear()
+            _FrozenEngine(warehouse, 2, 3, 7, mode=mode, neighbor_action_rule=rule,
+                          aggregate_rule="leave_one_out")
+            assert keys == [(7, "vi-frozen", 2)], (mode, rule)
 
     def test_codes_past_the_int16_range_match_the_reference(self, rng):
         # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs

@@ -120,6 +120,21 @@ class TestExecuteAndInspect:
         assert "|S|=2, |A|=2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_execute_rejects_kappa_above_n_minus_one(self, tmp_path, capsys):
+        # a kappa-24 table on 4 agents: each agent has only 3 neighbors
+        from gmfs.bellman import QTable, save_qtable
+
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 24, 3, 3, 0.95, env_name="warehouse"), qpath)
+        cfg = write_config(tmp_path, "[system]\nn = 4\n\n[graphon]\nkind = uniform\n"
+                                     "latent = sequential\n\n[train]\nkappa_list = 1\n")
+        out = tmp_path / "e.csv"
+        assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                     "--seeds", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kappa 24" in err and "n = 4" in err
+        assert not out.exists()
+
     def test_damaged_qtable_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         qpath = tmp_path / "q.bin"

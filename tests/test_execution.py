@@ -185,7 +185,7 @@ def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed
                 counts = nearest_histograms(exact_g[i], kappa)
             else:
                 ids = tables[i].sample_from_uniforms(
-                    block[i, :kappa], block[i, kappa:2 * kappa])
+                    block[i, None, :kappa], block[i, None, kappa:2 * kappa])[0]
                 counts = np.bincount(states[ids], minlength=S)
             actions[i] = greedy[states[i], g_index.rank(counts)]
             g_reward = exact_g[i] if reward_aggregates == "exact" else counts / kappa
@@ -262,5 +262,5 @@ class TestSimulatorOracle:
         for e in range(3):
             for i in range(n):
                 expected = row_alias(hetero_weights, i).sample_from_uniforms(
-                    u_bucket[e, i], u_accept[e, i])
-                assert np.array_equal(ids[e, i], expected)
+                    u_bucket[e, i, None], u_accept[e, i, None])
+                assert np.array_equal(ids[e, i], expected[0])

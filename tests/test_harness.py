@@ -18,6 +18,7 @@ from gmfs.harness import (
     build_environment,
     build_graphon,
     build_assignment,
+    build_system_weights,
     episode_seed,
     parse_config,
     run_diagnostics,
@@ -119,6 +120,15 @@ horizon = 12
         # canonical round trip keeps the single blocks key
         cfg2 = parse_config(serialize_config(cfg))
         assert cfg2 == cfg
+
+    def test_uniform_graphon_takes_every_latent_assignment(self):
+        base = "[graphon]\nkind = uniform\n"  # 25 agents, a square
+        expected = build_system_weights(parse_config(base + "latent = sequential\n"))
+        pairs = " ".join(f"{i / 24},{1 - i / 24}" for i in range(25))
+        for latent in ("", "latent = grid\n", f"latent = explicit\ncoords = {pairs}\n"):
+            got = build_system_weights(parse_config(base + latent))
+            assert np.array_equal(got.raw, expected.raw)
+            assert np.array_equal(got.normalized, expected.normalized)
 
     def test_seed_list_accepts_commas(self):
         assert parse_config("[execute]\nseeds = 0, 2,5\n").seed_list == (0, 2, 5)

@@ -5,7 +5,7 @@ from gmfs.graphon import Graphon, LatentAssignment, build_weights
 from gmfs.histograms import tv_distance
 from gmfs.rng import stream
 from gmfs.sampler import (
-    AliasTable,
+    alias_table,
     exact_aggregate,
     exact_state_aggregates,
     ht_estimate,
@@ -27,23 +27,32 @@ def hetero_weights():
     return build_weights(Graphon.expdecay_graphon(2.0), LatentAssignment.sequential(10))
 
 
+def draw(table, rng, size):
+    """``size`` ids from a one-row table, on uniforms drawn as (2, 1, size)."""
+    u = rng.random((2, 1, size))
+    return table.sample_from_uniforms(u[0], u[1])[0]
+
+
 class TestAliasTable:
     def test_matches_distribution(self):
         probs = np.array([0.5, 0.2, 0.05, 0.25])
-        table = AliasTable(probs)
-        draws = table.sample(stream(3, "alias"), 200_000)
+        draws = draw(alias_table(probs), stream(3, "alias"), 200_000)
         freq = np.bincount(draws, minlength=4) / len(draws)
         se = np.sqrt(probs * (1 - probs) / len(draws))
         assert np.all(np.abs(freq - probs) <= 5 * se + 1e-9)
 
     def test_zero_mass_never_drawn(self):
-        table = AliasTable(np.array([0.0, 1.0, 0.0]))
-        draws = table.sample(stream(1, "alias"), 10_000)
+        draws = draw(alias_table(np.array([0.0, 1.0, 0.0])), stream(1, "alias"), 10_000)
         assert np.all(draws == 1)
 
     def test_support_mapping(self):
-        table = AliasTable(np.array([1.0]), support=np.array([7]))
-        assert np.all(table.sample(stream(0, "alias"), 5) == 7)
+        table = alias_table(np.array([1.0]), support=np.array([7]))
+        assert np.all(draw(table, stream(0, "alias"), 5) == 7)
+
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]], [1.5, -0.5], [0.3, 0.3]])
+    def test_invalid_pmf_is_refused(self, probs):
+        with pytest.raises(ValueError):
+            alias_table(np.array(probs))
 
 
 class TestSampleNeighbors:
@@ -67,7 +76,7 @@ class TestSampleNeighbors:
     def test_uniform_frequencies_within_5_sigma(self):
         n, draws = 100, 100_000
         w = build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(n))
-        ids = row_alias(w, 0).sample(stream(11, "nb"), draws)
+        ids = draw(row_alias(w, 0), stream(11, "nb"), draws)
         freq = np.bincount(ids, minlength=n)[1:] / draws
         p = 1.0 / (n - 1)
         se = np.sqrt(p * (1 - p) / draws)
@@ -130,7 +139,7 @@ class TestConcentration:
         bound = tv_concentration_bound(3, kappa, delta)
         violations = 0
         for t in range(trials):
-            ids = table.sample(stream(t, "conc", kappa), kappa)
+            ids = draw(table, stream(t, "conc", kappa), kappa)
             g_hat = np.bincount(states[ids], minlength=3) / kappa
             if tv_distance(g_hat, exact_g) > bound:
                 violations += 1
@@ -143,8 +152,9 @@ class TestHTEstimate:
         states = rng.integers(0, 2, size=10)
         actions = rng.integers(0, 2, size=10)
         proposal = hetero_weights.normalized[0].copy()
-        est = ht_estimate(hetero_weights, 0, proposal, 25, states, actions, 2, 2,
-                          stream(4, "ht"))
+        est = ht_estimate(hetero_weights, 0, proposal, states, actions, 2, 2,
+                          stream(4, "ht").random((2, 25)))
+        assert est.ratios.shape == (25,) and est.estimate.shape == (4,)
         assert np.allclose(est.ratios, 1.0)
         assert est.estimate.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -152,8 +162,21 @@ class TestHTEstimate:
         w = build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(2))
         states, actions = np.array([0, 1]), np.array([1, 0])
         proposal = np.array([0.0, 1.0])
-        est = ht_estimate(w, 0, proposal, 5, states, actions, 2, 2, stream(0, "ht"))
+        est = ht_estimate(w, 0, proposal, states, actions, 2, 2, stream(0, "ht").random((2, 5)))
         assert est.estimate[1 * 2 + 0] == pytest.approx(1.0)
+
+    def test_batch_equals_one_block_at_a_time(self, hetero_weights, rng):
+        states = rng.integers(0, 2, size=10)
+        actions = rng.integers(0, 2, size=10)
+        proposal = np.full(10, 1.0 / 9.0)
+        proposal[0] = 0.0
+        u = rng.random((3, 4, 2, 6))
+        batch = ht_estimate(hetero_weights, 0, proposal, states, actions, 2, 2, u)
+        assert batch.ratios.shape == (3, 4, 6) and batch.estimate.shape == (3, 4, 4)
+        for r, c in np.ndindex(3, 4):
+            one = ht_estimate(hetero_weights, 0, proposal, states, actions, 2, 2, u[r, c])
+            assert np.array_equal(batch.ratios[r, c], one.ratios)
+            assert np.array_equal(batch.estimate[r, c], one.estimate)
 
     def test_unbiased_under_uniform_proposal(self, hetero_weights, rng):
         states = rng.integers(0, 2, size=10)
@@ -162,11 +185,8 @@ class TestHTEstimate:
         proposal = np.full(10, 1.0 / 9.0)
         proposal[0] = 0.0
         reps = 20_000
-        gen = stream(9, "ht")
-        acc = np.zeros((reps, 4))
-        for r in range(reps):
-            acc[r] = ht_estimate(hetero_weights, 0, proposal, 5, states, actions,
-                                 2, 2, gen).estimate
+        acc = ht_estimate(hetero_weights, 0, proposal, states, actions, 2, 2,
+                          stream(9, "ht").random((reps, 2, 5))).estimate
         mean = acc.mean(axis=0)
         se = acc.std(axis=0, ddof=1) / np.sqrt(reps)
         for c in range(4):
@@ -176,5 +196,13 @@ class TestHTEstimate:
         proposal = np.zeros(10)
         proposal[1] = 1.0
         with pytest.raises(ValueError):
-            ht_estimate(hetero_weights, 0, proposal, 3, np.zeros(10, int),
-                        np.zeros(10, int), 2, 2, stream(0, "ht"))
+            ht_estimate(hetero_weights, 0, proposal, np.zeros(10, int),
+                        np.zeros(10, int), 2, 2, stream(0, "ht").random((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 0)])
+    def test_malformed_uniforms_rejected(self, hetero_weights, shape):
+        proposal = np.full(10, 1.0 / 9.0)
+        proposal[0] = 0.0
+        with pytest.raises(ValueError):
+            ht_estimate(hetero_weights, 0, proposal, np.zeros(10, int),
+                        np.zeros(10, int), 2, 2, np.full(shape, 0.5))
