@@ -157,7 +157,7 @@ def joint_layout(n_states: int, n_actions: int, kappa: int) -> JointLayout:
     """Built once per (n_states, n_actions, kappa) and cached."""
     z_index = get_index(n_states * n_actions, kappa)
     g_index = get_index(n_states, kappa)
-    counts = np.array([z_index.unrank_counts(z) for z in range(z_index.total)], dtype=np.int64)
+    counts = z_index.counts_by_rank
     g_rank = g_index.rank_rows(counts.reshape(-1, n_states, n_actions).sum(axis=2))
     by_marginal = np.argsort(g_rank, kind="stable")
     sizes = np.bincount(g_rank, minlength=g_index.total)
@@ -362,7 +362,7 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
     S, A = env.n_states, env.n_actions
     index = get_index(S, kappa)
     G = index.total
-    hist_counts = np.array([index.unrank_counts(g) for g in range(G)], dtype=np.int64)
+    hist_counts = index.counts_by_rank
     s_grid, a_grid, _ = np.indices((S, A, G))
     g_grid = np.broadcast_to(hist_counts / kappa, (S, A, G, S))
     pmf = transitions(env, s_grid, a_grid, g_grid)
@@ -404,12 +404,17 @@ class _FrozenEngine:
     bit-reproducible for any worker count.
 
     The empirical operator reads each sample's next marginal as a sum of
-    additive slot codes (``HistogramIndex.cell_codes``), which a code -> rank
-    map turns into a rank. Where the slot laws are static, every sample's
-    backup sits at one frozen flat index ``s' * G + rank`` of the (S, G)
-    backup table. Under the greedy rule each (entry, slot, action) keeps its
-    m next-state codes; a sweep gathers the rows of the current greedy slot
-    actions, sums them over the slots and ranks the sums.
+    additive slot codes (``HistogramIndex.cell_codes``), which the index's
+    one code -> rank map (``HistogramIndex.code_ranker``) turns into a rank.
+    The build never materializes a drawn state: per cdf threshold x it
+    counts the slots whose uniform passes x and adds that count times the
+    code step ``codes[x + 1] - codes[x]`` (``_threshold_codes``); the focal
+    next state is the same count with a step of G. Where the slot laws are
+    static, every sample's backup sits at one frozen flat index
+    ``s' * G + rank`` of the (S, G) backup table. Under the greedy rule each
+    (entry, slot, action) keeps its m next-state codes; a sweep gathers the
+    rows of the current greedy slot actions, sums them over the slots and
+    ranks the sums.
     """
 
     def __init__(self, env: Environment, kappa: int, m: int, seed: int, *, mode: str,
@@ -457,24 +462,25 @@ class _FrozenEngine:
         if not self.exact:
             # per sample: the focal uniform, then one per neighbor slot
             uni = stream(seed, "vi-frozen", kappa).random((self.n_entries, m, kappa + 1))
-            # the next focal state's offset in the flat (S, G) backup table
-            flat = _searchsorted_rows(model.cdf[e_s, e_a, e_g][:, None, :], uni[:, :, 0])
-            flat *= G                                                  # (E, m)
-            slot_uni = uni[:, :, 1:].transpose(0, 2, 1)               # (E, kappa, m)
             chunk = max(1, 2_000_000 // max(1, m * kappa * A))  # entries per lookup
-            code_rank = _code_ranker(model.hist_counts @ cell_codes, flat.size)
+            # the next focal state's offset s' * G in the flat (S, G) backup
+            # table: a step of G per cdf threshold its uniform passes
+            focal_cdf = model.cdf[e_s, e_a, e_g][:, None, None, :]      # (E, 1, 1, S)
+            flat = _threshold_codes(focal_cdf, uni[:, :, :1], np.full(S - 1, G),
+                                    np.int64, chunk)                   # (E, m)
+            code_rank = model.index.code_ranker
             # the smallest dtype that holds a code sum, kappa (kappa+1)^(S-2)
-            cell_codes = cell_codes.astype(next(
-                t for t in (np.int8, np.int16, np.int32, np.int64)
-                if kappa * cell_codes[-1] <= np.iinfo(t).max))
+            code_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                              if kappa * cell_codes[-1] <= np.iinfo(t).max)
+            steps = np.diff(cell_codes)
         if self.greedy:
             # coupled inverse-CDF outcome code of each slot under each
             # candidate action, one row of m samples per (entry, slot,
-            # action); advanced indices split by a slice land in front:
-            # (E, kappa, A, S)
-            slot_cdf = model.cdf[slot_states, :, slot_gm_rank][:, :, :, None]
-            next_codes = _chunked_searchsorted(
-                slot_cdf, slot_uni[:, :, None], chunk, cell_codes)   # (E, kappa, A, m)
+            # action); advanced indices split by a slice land in front
+            slot_cdf = model.cdf[slot_states, :, slot_gm_rank]           # (E, kappa, A, S)
+            slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :, None]
+            next_codes = _threshold_codes(slot_cdf[:, :, :, None, None, :], slot_uni,
+                                          steps, code_dtype, chunk)    # (E, kappa, A, m)
             self.next_codes = next_codes.reshape(-1, m)
             # slot-major (kappa, E) lookups: a sweep's row gather comes out
             # (kappa, E, m), and its sum over the slots adds whole blocks
@@ -495,8 +501,10 @@ class _FrozenEngine:
             return
         # in place, so the build peaks with one (E, kappa, S) array, not two
         slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
-        codes = _chunked_searchsorted(slot_cdf[:, :, None], slot_uni, chunk, cell_codes)
-        flat += code_rank(codes.sum(axis=1, dtype=codes.dtype))
+        # each sample's code sums its slots' codes: per cdf threshold x, the
+        # step to the next cell's code times the slots whose uniform passes x
+        codes = _threshold_codes(slot_cdf[:, None], uni[:, :, 1:], steps, code_dtype, chunk)
+        flat += code_rank(codes)
         self.flat = flat
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
@@ -513,19 +521,6 @@ class _FrozenEngine:
         else:
             flat = self.flat
         return m_values.ravel().take(flat).mean(axis=1)                # (E, m) -> (E,)
-
-
-def _code_ranker(codes_by_rank: np.ndarray, lookups: int):
-    """Map histogram codes to ranks, given every histogram's code by rank:
-    through a dense code -> rank table when it is no larger than the
-    ``lookups`` codes it serves per call, else by binary search. Codes ascend
-    with rank, so both give the same ranks."""
-    size = int(codes_by_rank[-1]) + 1
-    if size > lookups:
-        return lambda codes: np.searchsorted(codes_by_rank, codes)
-    table = np.zeros(size, dtype=np.int64)
-    table[codes_by_rank] = np.arange(codes_by_rank.size)
-    return table.take
 
 
 def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
@@ -548,24 +543,23 @@ def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
     return law
 
 
-def _chunked_searchsorted(cdf: np.ndarray, u: np.ndarray, chunk: int,
-                          codes: np.ndarray) -> np.ndarray:
-    """``codes`` of the states ``_searchsorted_rows`` finds, over ``chunk``
-    entries (the first axis) at a time, which bounds the size of its
-    intermediates; the result has the dtype of ``codes``."""
-    out = np.empty(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=codes.dtype)
-    for lo in range(0, u.shape[0], chunk):
-        out[lo:lo + chunk] = codes.take(_searchsorted_rows(cdf[lo:lo + chunk], u[lo:lo + chunk]))
-    return out
+def _threshold_codes(cdf: np.ndarray, u: np.ndarray, steps: np.ndarray, dtype,
+                     chunk: int) -> np.ndarray:
+    """Sum over x < S - 1 of ``steps[x]`` times the number of uniforms at
+    or past ``cdf[..., x]``, counted over the last axis of ``u`` broadcast
+    against ``cdf[..., x]``; ``chunk`` entries (the first axis) at a time.
 
-
-def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup matching min(searchsorted(row, u, side="right"),
-    S - 1) on non-decreasing rows: the count of the first S - 1 cdf entries
-    <= u, broadcast over leading axes; the last cdf axis is the state axis."""
-    out = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=np.int64)
-    for x in range(cdf.shape[-1] - 1):
-        out += u >= cdf[..., x]
+    On a non-decreasing cdf row the thresholds a uniform passes are the
+    first min(searchsorted(row, u, side="right"), S - 1), the state it
+    draws. With ``steps`` the differences of additive cell codes, this sums
+    the codes of the drawn states; with steps of 1 it is the drawn state.
+    The sums must fit ``dtype``.
+    """
+    out = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1])[:-1], dtype=dtype)
+    for lo in range(0, out.shape[0], chunk):
+        part, block = out[lo:lo + chunk], u[lo:lo + chunk]
+        for x, step in enumerate(steps.tolist()):
+            part += (block >= cdf[lo:lo + chunk, ..., x]).sum(axis=-1, dtype=dtype) * dtype(step)
     return out
 
 
@@ -712,7 +706,10 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     nb_cdf = model.uniform_cdf()[..., :-1]
     nb_rows = [[[nb_cdf[x, model.gm_rank[g, s, x]].tolist() for x in model.slot_states[g]]
                 for s in range(S)] for g in range(G)]           # [g][s][slot]
-    rank_of = {tuple(c): g for g, c in enumerate(model.hist_counts.tolist())}
+    # a histogram's cell-code sum as a Python int, which no kappa or S overflows
+    cell_code = [0] + [(kappa + 1) ** (x - 1) for x in range(1, S)]
+    rank_of = {sum(c * code for c, code in zip(counts, cell_code)): g
+               for g, counts in enumerate(model.hist_counts.tolist())}
     behavior_cdf = None
     if config.behavior_policy is not None:
         behavior_cdf = [[np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()
@@ -727,21 +724,24 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
         # the same rows whatever the block length; short blocks keep the
         # list copy small
         block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), kappa + 2)).tolist()
-        for u in block:
+        # config.alpha of each step of the block, by the same float operations
+        alphas = (config.learning_rate
+                  / (1.0 + config.decay * np.arange(t, t + len(block)))).tolist()
+        for u, alpha in zip(block, alphas):
             if behavior_cdf is None:
                 a = min(int(u[0] * A), A - 1)
             else:
                 a = bisect_right(behavior_cdf[s_cur][g_cur], u[0])
             s_next = bisect_right(cdf[s_cur][a][g_cur], u[1])
-            counts = [0] * S
+            code = 0
             for j, row in enumerate(nb_rows[g_cur][s_cur], 2):
-                counts[bisect_right(row, u[j])] += 1
-            g_next = rank_of[tuple(counts)]
+                code += cell_code[bisect_right(row, u[j])]
+            g_next = rank_of[code]
             backup = rewards[s_cur][a][g_cur] + gamma * max(values[s_next][g_next])
             entry = values[s_cur][g_cur]
-            entry[a] += config.alpha(t) * (backup - entry[a])
+            entry[a] += alpha * (backup - entry[a])
             s_cur, g_cur = s_next, g_next
-            t += 1
+        t += len(block)
     q.values = np.array(values).transpose(0, 2, 1).copy()
     q.iterations = steps
     q.residual = float("nan")

@@ -169,15 +169,16 @@ def warehouse_env(**overrides) -> Environment:
                           f"congestion_slope = {slope!r} give a work success "
                           "probability above 1 (base_success - congestion_slope > 1)")
 
+    eye = np.eye(3)
+
     def transition(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         work = a == WORKING
-        p = np.maximum(min_work, base - slope * g[..., WORKING])
-        pmf = np.zeros(s.shape + (3,))
-        np.put_along_axis(pmf, a[..., None], np.where(work, p, base)[..., None], axis=-1)
-        # a failed work attempt lands in transit, any other stays in place
+        success = np.where(work, np.maximum(min_work, base - slope * g[..., WORKING]), base)
+        # a failed work attempt lands in transit, any other stays in place;
+        # both terms are >= 0, so each cell adds 0.0 to at most one of them
         fail_to = np.where(work, TRANSIT, s)
-        pmf += (np.arange(3) == fail_to[..., None]) * np.where(work, 1.0 - p, 1.0 - base)[..., None]
-        return pmf
+        return (eye.take(a, axis=0) * success[..., None]
+                + eye.take(fail_to, axis=0) * (1.0 - success)[..., None])
 
     def reward(s: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return values[s] * np.maximum(floor, 1.0 - sens * g[..., WORKING]) - costs[a]

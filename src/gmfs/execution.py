@@ -8,7 +8,17 @@ diagnostic mode feeds the policy exact aggregates rounded to the histogram
 grid (the no-sampling baseline).
 
 The simulator steps a batch of episodes at once as whole-population arrays
-of shape (episodes, n, ...); a single episode is a batch of one.
+of shape (episodes, n, ...); a single episode is a batch of one. Per step:
+the exact aggregates ``W_bar @ onehot(states)``; one uniform block per
+episode; the kappa neighbor ids of every agent from the stacked alias
+tables; the rank of each agent's neighbor histogram, read as the sum of its
+neighbors' additive cell codes (``cell_codes.take(states)`` gathered at the
+ids) through the index's one code -> rank map, so no count vector is built;
+the greedy actions ``greedy[states, ranks]``; the stage reward and the
+inverse-cdf transition at the exact aggregates. The sampled-reward ablation
+reads its histograms back by rank (``counts_by_rank``), and the
+exact-input baseline ranks the rounded aggregates by their codes too. A
+(|S|, kappa) whose codes pass 64 bits is a BudgetError before any episode.
 
 Determinism: one stream per episode, one block per step. Each episode draws
 from its own generator ``stream(seed, "exec")``, created once, and takes one
@@ -134,13 +144,15 @@ def _simulate(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
     S = env.n_states
     E = len(seeds)
     g_index = get_index(S, kappa)
+    cell_codes = g_index.cell_codes()  # codes past 64 bits: a BudgetError before any episode
+    code_rank = g_index.code_ranker
     greedy = policy.greedy_table()
     alias = stacked_alias(weights)
     states = np.stack([_initial_states(init, n, S, stream(sd, "exec-init")) for sd in seeds])
     generators = [stream(sd, "exec") for sd in seeds]
     blocks = np.empty((E, n, 2 * kappa + 1))
-    # offsets that give every (episode, agent) its own S histogram cells
-    cell_offset = (np.arange(E * n) * S).reshape(E, n, 1)
+    # offsets that take every episode's alias ids into the flat (E * n) agents
+    agent_offset = np.arange(0, E * n, n)[:, None, None]
     discounted = np.zeros(E)
     coeff = 1.0
     stage_rewards = np.empty((E, horizon))
@@ -151,16 +163,18 @@ def _simulate(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
         for e, gen in enumerate(generators):
             gen.random(out=blocks[e])
         if policy_inputs == "exact":
-            counts = nearest_histograms(exact_g, kappa)
+            codes = nearest_histograms(exact_g, kappa) @ cell_codes
         else:
             ids = alias.sample_from_uniforms(blocks[..., :kappa], blocks[..., kappa:2 * kappa])
-            neighbor_states = np.take_along_axis(states, ids.reshape(E, n * kappa), axis=1)
-            cells = cell_offset + neighbor_states.reshape(E, n, kappa)
-            counts = np.bincount(cells.ravel(), minlength=E * n * S).reshape(E, n, S)
-        ranks = g_index.rank_rows(counts.reshape(E * n, S)).reshape(E, n)
+            ids += agent_offset
+            codes = cell_codes.take(states).ravel().take(ids).sum(axis=-1)
+        ranks = code_rank(codes)
         actions = greedy[states, ranks]
 
-        reward_g = exact_g if reward_aggregates == "exact" else counts / kappa
+        if reward_aggregates == "exact":
+            reward_g = exact_g
+        else:
+            reward_g = g_index.counts_by_rank[ranks] / kappa
         stage = team_reward(env, states, actions, reward_g)
 
         if record_trajectory:

@@ -8,7 +8,10 @@ empty config runs the warehouse experiment.
 Sweep outputs: sweep.csv (one row per kappa) and episodes.csv (one row per
 episode), both byte-identical across repeated runs with the same config and
 master seed for any GMFS_THREADS setting; wall-clock timings go to
-timings.json, which is deliberately outside the determinism contract.
+timings.json, which is deliberately outside the determinism contract: per
+kappa, the training and the evaluation wall time and the evaluation's
+agent-steps (seeds x n x horizon), so their quotient is the time per
+agent-step.
 """
 
 from __future__ import annotations
@@ -353,7 +356,8 @@ def build_graphon(cfg: ExperimentConfig) -> Graphon:
 
 
 def build_assignment(cfg: ExperimentConfig) -> LatentAssignment:
-    if cfg.latent == "sequential":
+    # the uniform graphon reads no coordinates, so its grid needs no square n
+    if cfg.latent == "sequential" or (cfg.latent == "grid" and cfg.graphon_kind == "uniform"):
         return LatentAssignment.sequential(cfg.n)
     if cfg.latent == "grid":
         return LatentAssignment.grid(cfg.n)
@@ -402,6 +406,8 @@ class SweepRow:
     returns: np.ndarray | None = None
     sup_peak: float = 0.0
     qtable: QTable | None = None
+    evaluate_wall_time: float = 0.0
+    agent_steps: int = 0  # seeds x n x horizon of the evaluation
 
 
 @dataclass
@@ -450,10 +456,12 @@ def _sweep_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> 
     try:
         t0 = time.perf_counter()
         q = train_kappa(cfg, env, kappa)
-        train_time = time.perf_counter() - t0
+        t1 = time.perf_counter()
         evaluation = evaluate_table(cfg, env, weights, q)
         return SweepRow(kappa=kappa, table_size=size, train_iterations=q.iterations,
-                        train_residual=q.residual, train_wall_time=train_time,
+                        train_residual=q.residual, train_wall_time=t1 - t0,
+                        evaluate_wall_time=time.perf_counter() - t1,
+                        agent_steps=len(cfg.seed_list) * cfg.n * cfg.horizon,
                         mean_return=evaluation.mean, stderr_return=evaluation.std_error,
                         returns=evaluation.returns,
                         sup_peak=max(q.sup_history) if q.sup_history else q.sup_norm(),
@@ -489,7 +497,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
     write_episodes_csv(directory / "episodes.csv", cfg,
                        {r.kappa: r.returns for r in rows if r.returns is not None})
     timings = {"config_hash": report.config_hash,
-               "train_wall_time_s": {str(r.kappa): r.train_wall_time for r in rows}}
+               "train_wall_time_s": {str(r.kappa): r.train_wall_time for r in rows},
+               "evaluate_wall_time_s": {str(r.kappa): r.evaluate_wall_time for r in rows},
+               "agent_steps": {str(r.kappa): r.agent_steps for r in rows}}
     (directory / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     return report
 

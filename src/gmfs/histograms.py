@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .errors import BudgetError
 
 _INT64_MAX = np.iinfo(np.int64).max
+_DENSE_CODES = 1 << 16  # the largest dense code -> rank table, in entries
 
 
 def num_histograms(alphabet_size: int, kappa: int) -> int:
@@ -138,13 +139,33 @@ class HistogramIndex:
             ranks += ch[pre[:, j - 1] + j - 1, j - 1] - ch[pre[:, j - 2] + j - 1, j - 1]
         return ranks
 
+    @cached_property
+    def counts_by_rank(self) -> np.ndarray:
+        """(total, alphabet_size) read-only count rows in rank order.
+
+        Built one cell at a time: the tails over cells 1..j in colex order
+        are, for each last count c = 0..kappa, the tails over cells 1..j-1
+        that leave room for c, in their own order; cell 0 takes the rest.
+        """
+        kappa = self.kappa
+        tails = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(1, self.alphabet_size):
+            room = kappa - tails.sum(axis=1)
+            tails = np.concatenate([
+                np.column_stack([tails[room >= c], np.full(int((room >= c).sum()), c)])
+                for c in range(kappa + 1)])
+        counts = np.column_stack([kappa - tails.sum(axis=1), tails])
+        counts.setflags(write=False)
+        return counts
+
     def cell_codes(self) -> np.ndarray:
         """Additive code of one agent per cell: 0 in cell 0, (kappa+1)^(x-1)
         in cell x >= 1.
 
         A histogram's code, the sum over its agents, reads ``counts[1:]`` in
         base kappa + 1 with the last cell most significant; that is colex
-        order, so codes ascend strictly with rank.
+        order, so codes ascend strictly with rank. Codes past 64 bits are a
+        BudgetError.
         """
         d, base = self.alphabet_size, self.kappa + 1
         codes = [0] + [base ** (x - 1) for x in range(1, d)]
@@ -153,6 +174,20 @@ class HistogramIndex:
                 f"histogram codes for alphabet {d}, kappa {self.kappa} exceed 64-bit range"
             )
         return np.array(codes, dtype=np.int64)
+
+    @cached_property
+    def code_ranker(self):
+        """The one code -> rank map of this index: rank of each histogram
+        code in an integer array, same shape. A dense table where it holds
+        at most ``_DENSE_CODES`` entries, else a binary search over the
+        codes by rank; codes ascend with rank, so both give the same ranks."""
+        codes_by_rank = self.counts_by_rank @ self.cell_codes()
+        size = int(codes_by_rank[-1]) + 1
+        if size > _DENSE_CODES:
+            return partial(np.searchsorted, codes_by_rank)
+        table = np.zeros(size, dtype=np.int64)
+        table[codes_by_rank] = np.arange(self.total)
+        return table.take
 
     def unrank(self, idx: int) -> Histogram:
         """Histogram at position ``idx`` of the colex enumeration."""

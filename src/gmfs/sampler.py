@@ -40,11 +40,11 @@ class AliasTable(NamedTuple):
     def sample_from_uniforms(self, u_bucket: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
         """Ids for uniforms of shape (..., rows, draws), row r of the row
         axis drawing from table r; a one-row table broadcasts over that axis."""
-        k = self.prob.shape[1]
-        buckets = np.minimum((u_bucket * k).astype(np.int64), k - 1)
-        rows = np.arange(self.prob.shape[0])[:, None]
-        return np.where(u_accept < self.prob[rows, buckets],
-                        self.keep_ids[rows, buckets], self.alias_ids[rows, buckets])
+        rows, k = self.prob.shape
+        flat = np.minimum((u_bucket * k).astype(np.int64), k - 1)
+        flat += np.arange(0, rows * k, k)[:, None]  # row * k + bucket
+        return np.where(u_accept < self.prob.ravel().take(flat),
+                        self.keep_ids.ravel().take(flat), self.alias_ids.ravel().take(flat))
 
 
 def alias_table(probs, support=None) -> AliasTable:

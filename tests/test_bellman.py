@@ -11,6 +11,7 @@ from gmfs.bellman import (
     QTable,
     _FrozenEngine,
     empirical_operator,
+    expand_surrogate,
     exact_operator,
     exact_sweep,
     fiber_backup,
@@ -534,9 +535,7 @@ class TestValueIteration:
             assert keys == [(7, "vi-frozen", 2)], (mode, rule)
 
     def test_codes_past_the_int16_range_match_the_reference(self, rng):
-        # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs
-        # int32, and the dense code table (49 153 entries) would outgrow the
-        # 2 970 lookups per sweep, so the codes are ranked by binary search
+        # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs int32
         S, A, kappa = 9, 2, 3
         assert kappa * (kappa + 1) ** (S - 2) > np.iinfo(np.int16).max
         env = linear_env("wide", rng.dirichlet(np.ones(S), size=(S, A, S)),
@@ -546,17 +545,6 @@ class TestValueIteration:
         for rule in ("greedy", "uniform"):
             fast, ref = engine_and_reference(env, q, 1, 5, rule, "leave_one_out")
             assert np.array_equal(fast, ref), rule
-
-    def test_code_ranks_agree_by_table_and_by_search(self, rng):
-        from gmfs.bellman import _code_ranker
-
-        index = get_index(4, 6)
-        counts = np.array([index.unrank_counts(g) for g in range(index.total)])
-        codes_by_rank = counts @ index.cell_codes()
-        ranks = rng.integers(0, index.total, size=(50, 7))
-        by_table = _code_ranker(codes_by_rank, ranks.size)(codes_by_rank[ranks])
-        by_search = _code_ranker(codes_by_rank, 0)(codes_by_rank[ranks])
-        assert np.array_equal(by_table, ranks) and np.array_equal(by_search, ranks)
 
     def test_codes_past_64_bits_are_refused_at_build(self, monkeypatch):
         from gmfs import bellman
@@ -571,6 +559,55 @@ class TestValueIteration:
         for rule in ("uniform", "greedy"):
             with pytest.raises(BudgetError, match="codes"):
                 value_iteration(env, 2, 1, 1, neighbor_action_rule=rule)
+
+    @pytest.mark.parametrize("mode, rule", [("marginal", "uniform"), ("marginal", "greedy"),
+                                            ("joint", "uniform")])
+    @pytest.mark.parametrize("env_seed", [5, 6])
+    def test_threshold_codes_match_per_slot_lookups(self, mode, rule, env_seed):
+        rng = np.random.default_rng(env_seed)
+        S, A, kappa, m, seed = 4, 2, 3, 6, 9
+        env = linear_env("random", rng.dirichlet(np.ones(S), size=(S, A, S)),
+                         rng.normal(size=(S, A, S)))
+        eng = _FrozenEngine(env, kappa, m, seed, mode=mode, neighbor_action_rule=rule,
+                            aggregate_rule="leave_one_out")
+        model = tabulate(env, kappa, "leave_one_out")
+        index, uniform_cdf = model.index, model.uniform_cdf()
+        codes = index.cell_codes()
+        uni = stream(seed, "vi-frozen", kappa).random((eng.n_entries, m, kappa + 1))
+
+        def lookup(cdf_row, u):
+            return min(int(np.searchsorted(cdf_row, u, side="right")), S - 1)
+
+        joint_shape = (S, A) if mode == "joint" else None
+        hists = list(enumerate_histograms(S * A if joint_shape else S, kappa, joint_shape))
+        flat = np.empty((eng.n_entries, m), dtype=np.int64)
+        next_codes = np.empty((eng.n_entries, kappa, A, m), dtype=np.int64)
+        for e, (s, a, hist) in enumerate(itertools.product(range(S), range(A), hists)):
+            g = index.rank(marginal(hist) if joint_shape else hist)
+            slot_states, slot_actions = expand_surrogate(hist)
+            for j in range(m):
+                s_next = lookup(model.cdf[s, a, g], uni[e, j, 0])
+                drawn = []
+                for k, x in enumerate(slot_states):
+                    gm = model.gm_rank[g, s, x]
+                    u = uni[e, j, 1 + k]
+                    if rule == "greedy":
+                        for b in range(A):
+                            next_codes[e, k, b, j] = codes[lookup(model.cdf[x, b, gm], u)]
+                    elif joint_shape:
+                        drawn.append(lookup(model.cdf[x, slot_actions[k], gm], u))
+                    else:
+                        drawn.append(lookup(uniform_cdf[x, gm], u))
+                if rule == "greedy":
+                    flat[e, j] = s_next * index.total
+                else:
+                    counts = np.bincount(drawn, minlength=S)
+                    flat[e, j] = s_next * index.total + index.rank(counts)
+        if rule == "greedy":
+            assert np.array_equal(eng.focal_offset, flat)
+            assert np.array_equal(eng.next_codes, next_codes.reshape(-1, m))
+        else:
+            assert np.array_equal(eng.flat, flat)
 
     def test_sweeps_never_rank_rows(self, warehouse, monkeypatch):
         from gmfs import histograms

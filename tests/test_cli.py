@@ -167,6 +167,29 @@ class TestExecuteAndInspect:
         assert "kappa=3" in text and "sup_norm" in text
 
 
+    def test_execute_budget_exit_code_for_codes_past_64_bits(self, tmp_path, capsys):
+        # 42 states at kappa 2: the largest histogram code, 2 * 3^40, exceeds 64 bits
+        from gmfs.bellman import QTable, save_qtable
+
+        S = 42
+        lines = [f"states {S}", "actions 1"]
+        for s in range(S):
+            for x in range(S):
+                lines.append(f"kernel {s} 0 {x} : " + " ".join("1" if y == s else "0"
+                                                               for y in range(S)))
+                lines.append(f"reward {s} 0 {x} : 0")
+        env_file = tmp_path / "long.env"
+        env_file.write_text("\n".join(lines) + "\n")
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 2, S, 1, 0.95, env_name="long"), qpath)
+        cfg = write_config(tmp_path, SMALL_CONFIG + f"[env]\nname = long\nfile = {env_file}\n")
+        out = tmp_path / "e.csv"
+        assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                     "--out", str(out)]) == 3
+        assert "budget error: histogram codes" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_refused_kappa_exit_code(self, tmp_path, capsys, monkeypatch):
         from gmfs import harness
@@ -191,6 +214,44 @@ class TestSweep:
         assert (tmp_path / "out" / "sweep.csv").exists()
         text = capsys.readouterr().out
         assert "kappa=  2" in text and "kappa=  3" in text
+
+
+class TestUniformGraphonOnTheGrid:
+    """The uniform graphon reads no coordinates: under the default
+    ``latent = grid`` it takes a non-square n, with the weights of
+    ``latent = sequential``."""
+
+    @staticmethod
+    def configs(tmp_path):
+        paths = []
+        for name, latent in (("grid", ""), ("sequential", "latent = sequential")):
+            text = SMALL_CONFIG.replace("n = 9", "n = 10").replace("latent = sequential", latent)
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text)
+            paths.append(str(path))
+        return paths
+
+    def test_sweep(self, tmp_path, capsys):
+        outputs = []
+        for name, cfg in zip(("grid", "sequential"), self.configs(tmp_path)):
+            assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+            # past the two provenance lines, whose config hash names the latent
+            outputs.append([(tmp_path / name / f).read_text().splitlines()[2:]
+                            for f in ("sweep.csv", "episodes.csv")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 1 + 2 * 3
+
+    def test_execute(self, tmp_path, capsys):
+        grid, sequential = self.configs(tmp_path)
+        qpath = tmp_path / "q.bin"
+        assert main(["train", "--config", grid, "--kappa", "3", "--out", str(qpath)]) == 0
+        rows = []
+        for name, cfg in (("grid", grid), ("sequential", sequential)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["execute", "--config", cfg, "--qtable", str(qpath),
+                         "--out", str(out)]) == 0
+            rows.append(out.read_text().splitlines()[2:])
+        assert rows[0] == rows[1] and len(rows[0]) == 1 + 3
 
 
 class TestDiagnose:

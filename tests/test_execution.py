@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gmfs.bellman import QTable, value_iteration
-from gmfs.env import local_reward, step_distribution
+from gmfs.env import linear_env, local_reward, step_distribution
+from gmfs.errors import BudgetError
 from gmfs.execution import Policy, _initial_states, evaluate_policy, run_episode
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
 from gmfs.histograms import Histogram, get_index, nearest_histograms
@@ -264,3 +265,42 @@ class TestSimulatorOracle:
                 expected = row_alias(hetero_weights, i).sample_from_uniforms(
                     u_bucket[e, i, None], u_accept[e, i, None])
                 assert np.array_equal(ids[e, i], expected[0])
+
+    @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
+    @pytest.mark.parametrize("reward_aggregates", ["exact", "sampled"])
+    def test_simulator_never_ranks_rows(self, warehouse, warehouse_weights, monkeypatch,
+                                        policy_inputs, reward_aggregates):
+        from gmfs import histograms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank_rows reached")
+
+        policy = random_policy(warehouse, 6, seed=3)
+        init = (0.3, 0.3, 0.4)
+        expected = [run_episode(warehouse, warehouse_weights, policy, 25, 6, 20, 0.95,
+                                init=init, seed=sd, reward_aggregates=reward_aggregates,
+                                policy_inputs=policy_inputs).discounted_return
+                    for sd in (0, 1)]
+        monkeypatch.setattr(histograms.HistogramIndex, "rank_rows", refuse)
+        ev = evaluate_policy(warehouse, warehouse_weights, policy, 25, 6, 20, 0.95, [0, 1],
+                             init=init, reward_aggregates=reward_aggregates,
+                             policy_inputs=policy_inputs)
+        assert ev.returns.tolist() == expected
+
+    @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
+    def test_codes_past_64_bits_are_refused_before_the_first_episode(
+            self, monkeypatch, policy_inputs):
+        from gmfs import execution
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an episode stream was opened")
+
+        S = 42  # kappa 2: the largest code, 2 * 3^40, exceeds 64 bits
+        env = linear_env("long", np.broadcast_to(np.eye(S), (S, 1, S, S)).copy(),
+                         np.zeros((S, 1, S)))
+        weights = build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(4))
+        policy = Policy(QTable.zeros("marginal", 2, S, 1, 0.9))
+        monkeypatch.setattr(execution, "stream", refuse)
+        with pytest.raises(BudgetError, match="codes"):
+            evaluate_policy(env, weights, policy, 4, 2, 5, 0.9, seeds=[0],
+                            policy_inputs=policy_inputs)

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import string
 from dataclasses import replace
@@ -295,6 +296,26 @@ class TestRunSweep:
         assert (tmp_path / "q_kappa01.bin").exists()
         header = (tmp_path / "sweep.csv").read_text().splitlines()
         assert header[0] == f"# config_hash={report.config_hash}"
+
+    def test_timings_record_evaluation_time_and_agent_steps(self, tmp_path, monkeypatch):
+        real = harness.train_kappa
+
+        def refuse(cfg, env, kappa):
+            if kappa == 2:
+                raise BudgetError("synthetic refusal")
+            return real(cfg, env, kappa)
+
+        monkeypatch.setattr(harness, "train_kappa", refuse)
+        run_sweep(small_sweep_config(n=9), out_dir=tmp_path)
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert set(timings) == {"config_hash", "train_wall_time_s", "evaluate_wall_time_s",
+                                "agent_steps"}
+        for key in ("train_wall_time_s", "evaluate_wall_time_s", "agent_steps"):
+            assert set(timings[key]) == {"1", "2"}, key
+        # 4 seeds x 9 agents x horizon 15; a refused kappa runs no episode
+        assert timings["agent_steps"] == {"1": 4 * 9 * 15, "2": 0}
+        assert timings["evaluate_wall_time_s"]["1"] > 0
+        assert timings["evaluate_wall_time_s"]["2"] == 0
 
     def test_benchmark_table_size_column(self):
         from gmfs.bellman import table_size

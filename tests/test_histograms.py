@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmfs import histograms
 from gmfs.bellman import fiber_ranks
 from gmfs.errors import BudgetError
 from gmfs.histograms import (
@@ -179,8 +181,27 @@ class TestRankUnrank:
         idx = get_index(d, kappa)
         counts = np.array([h.counts for h in enumerate_histograms(d, kappa)])
         assert np.array_equal(idx.rank_rows(counts), np.arange(idx.total))
+        assert np.array_equal(idx.counts_by_rank, counts)
         codes = counts @ idx.cell_codes()
         assert np.all(np.diff(codes) > 0)
+
+    @given(st.integers(2, 6), st.integers(1, 15), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_code_ranker_matches_rank_rows(self, d, kappa, data):
+        # random count rows: d - 1 sorted cut points split kappa into d cells
+        cuts = data.draw(st.lists(st.lists(st.integers(0, kappa), min_size=d - 1,
+                                           max_size=d - 1), min_size=1, max_size=30))
+        counts = np.diff(np.column_stack([np.zeros(len(cuts), dtype=np.int64),
+                                          np.sort(cuts, axis=1),
+                                          np.full(len(cuts), kappa)]), axis=1)
+        idx = get_index(d, kappa)
+        codes = counts @ idx.cell_codes()
+        ranks = idx.rank_rows(counts)
+        assert np.array_equal(idx.code_ranker(codes), ranks)
+        # a dense table and a binary search, whichever the shared map uses
+        for limit in (0, 1 << 62):
+            with mock.patch.object(histograms, "_DENSE_CODES", limit):
+                assert np.array_equal(HistogramIndex(d, kappa).code_ranker(codes), ranks)
 
     @pytest.mark.parametrize("d, kappa", [(41, 2), (64, 1)])
     def test_cell_codes_refused_past_64_bits(self, d, kappa):
