@@ -656,7 +656,9 @@ class OffPolicyConfig:
     decay: float = 0.0  # alpha_t = learning_rate / (1 + decay * t)
     behavior_policy: object = None
 
-    def alpha(self, t: int) -> float:
+    def alpha(self, t):
+        """The rate at step t, or elementwise at an integer array of steps
+        (the same float operations, so the same values)."""
         return self.learning_rate / (1.0 + self.decay * t)
 
     def action_pmf(self, s: int, g_rank: int, n_actions: int) -> np.ndarray:
@@ -724,9 +726,7 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
         # the same rows whatever the block length; short blocks keep the
         # list copy small
         block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), kappa + 2)).tolist()
-        # config.alpha of each step of the block, by the same float operations
-        alphas = (config.learning_rate
-                  / (1.0 + config.decay * np.arange(t, t + len(block)))).tolist()
+        alphas = config.alpha(np.arange(t, t + len(block))).tolist()
         for u, alpha in zip(block, alphas):
             if behavior_cdf is None:
                 a = min(int(u[0] * A), A - 1)
