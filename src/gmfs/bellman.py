@@ -95,7 +95,7 @@ class QTable:
         self.values = values
 
     def alphabet_size(self) -> int:
-        return self.n_states * self.n_actions if self.mode == "joint" else self.n_states
+        return histogram_alphabet(self.mode, self.n_states, self.n_actions)
 
     def histogram_count(self) -> int:
         return num_histograms(self.alphabet_size(), self.kappa)
@@ -109,21 +109,24 @@ class QTable:
     @staticmethod
     def zeros(mode: str, kappa: int, n_states: int, n_actions: int, gamma: float,
               env_name: str = "", seed: int = 0) -> "QTable":
-        alphabet = n_states * n_actions if mode == "joint" else n_states
-        count = num_histograms(alphabet, kappa)
-        entries = n_states * n_actions * count
+        entries = table_size(mode, kappa, n_states, n_actions)
         if entries > MAX_TABLE_ENTRIES:
             raise BudgetError(
                 f"table with {entries} entries exceeds the memory budget "
                 f"({MAX_TABLE_ENTRIES})"
             )
         return QTable(mode, kappa, n_states, n_actions,
-                      np.zeros((n_states, n_actions, count)), gamma,
+                      np.zeros(entries).reshape(n_states, n_actions, -1), gamma,
                       env_name=env_name, seed=seed)
 
 
+def histogram_alphabet(mode: str, n_states: int, n_actions: int) -> int:
+    """Histogram cells: (state, action) pairs in joint mode, states in marginal mode."""
+    return n_states * n_actions if mode == "joint" else n_states
+
+
 def table_size(mode: str, kappa: int, n_states: int, n_actions: int) -> int:
-    alphabet = n_states * n_actions if mode == "joint" else n_states
+    alphabet = histogram_alphabet(mode, n_states, n_actions)
     return n_states * n_actions * num_histograms(alphabet, kappa)
 
 
@@ -678,8 +681,6 @@ class OffPolicyConfig:
 
 def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
                      gamma: float | None = None, config: OffPolicyConfig | None = None,
-                     mode: str = "marginal",
-                     neighbor_action_rule: str = "uniform",
                      aggregate_rule: str = "leave_one_out") -> QTable:
     """Q-learning along one surrogate-system trajectory.
 
@@ -688,13 +689,9 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     behavior-policy assumption, so the learned table approximates the fixed
     point of the uniform-rule sampled operator.
     """
-    if mode != "marginal":
-        raise GmfsError("off-policy learning is implemented for marginal mode")
-    if neighbor_action_rule != "uniform":
-        raise GmfsError("surrogate neighbors explore uniformly in off-policy mode")
     config = config or OffPolicyConfig()
     gamma = env.discount if gamma is None else float(gamma)
-    q = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma,
+    q = QTable.zeros("marginal", kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
     S, A = env.n_states, env.n_actions
     model = tabulate(env, kappa, aggregate_rule)
@@ -830,7 +827,7 @@ def load_qtable(path) -> QTable:
     if min(n_states, n_actions, kappa) < 1:
         raise FormatError(f"q-table header dims |S|={n_states}, |A|={n_actions}, "
                           f"kappa={kappa} must all be >= 1")
-    alphabet = n_states * n_actions if mode == "joint" else n_states
+    alphabet = histogram_alphabet(mode, n_states, n_actions)
     payload = data[off:]
     # the histogram count is bounded by the payload through its logarithm
     # before it is computed, so that no header builds a huge integer

@@ -22,6 +22,7 @@ from .errors import BudgetError, ConfigError, FormatError, GmfsError
 from .harness import (
     ExperimentConfig,
     _parse_seeds,
+    _read_value,
     build_environment,
     build_system_weights,
     check_init,
@@ -43,9 +44,7 @@ EXIT_IO = 6
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig().validate()
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text() if path is not None else "")
 
 
 def _output_path(raw: str) -> Path:
@@ -62,7 +61,7 @@ def cmd_train(args) -> int:
     out = _output_path(args.out)
     kappa = args.kappa if args.kappa is not None else cfg.kappa_list[0]
     if args.kappa is not None:
-        cfg = replace(cfg, kappa_list=(kappa,)).validate()
+        cfg = replace(cfg, kappa_list=(kappa,))
     env = build_environment(cfg)
     q = train_kappa(cfg, env, kappa)
     save_qtable(q, out)
@@ -84,8 +83,8 @@ def cmd_execute(args) -> int:
         print(f"warning: q-table was trained on {q.env_name!r} but the config "
               f"builds {env.name!r}", file=sys.stderr)
     if args.seeds:
-        seeds = _parse_seeds(args.seeds, "command line", "--seeds")
-        cfg = replace(cfg, seed_list=seeds).validate()
+        seeds = _read_value("command line", "--seeds", args.seeds, _parse_seeds)
+        cfg = replace(cfg, seed_list=seeds)
     weights = build_system_weights(cfg)
     evaluation = evaluate_table(cfg, env, weights, q)
     write_episodes_csv(out, cfg, {q.kappa: evaluation.returns})

@@ -59,7 +59,7 @@ def small_env(gamma: float = 0.9) -> Environment:
     return linear_env("small", kernel, rewards, discount=gamma)
 
 
-def contraction_suite(cfg=None, *, pairs: int = 100, gamma: float = 0.9,
+def contraction_suite(*, pairs: int = 100, gamma: float = 0.9,
                       kappa: int = 2, seed: int = 0) -> DiagnosticResult:
     """sup-norm contraction of the exact sampled operator on random table
     pairs, in joint mode and in marginal mode with the uniform action rule
@@ -96,7 +96,7 @@ def contraction_suite(cfg=None, *, pairs: int = 100, gamma: float = 0.9,
     )
 
 
-def concentration_suite(cfg=None, *, kappas=(10, 50, 200), delta: float = 0.05,
+def concentration_suite(*, kappas=(10, 50, 200), delta: float = 0.05,
                         trials: int = 10_000, n: int = 300, n_states: int = 3,
                         seed: int = 0) -> DiagnosticResult:
     """Empirical-vs-exact TV against the finite-alphabet bound, sampling
@@ -147,7 +147,7 @@ def measured_kernel_lipschitz(env: Environment, samples: int = 2000, seed: int =
     return worst
 
 
-def lipschitz_suite(cfg=None, *, kappa_full: int = 3, kappa_sub: int = 2,
+def lipschitz_suite(*, kappa_full: int = 3, kappa_sub: int = 2,
                     gamma: float = 0.9, sweeps: int = 60, seed: int = 0) -> DiagnosticResult:
     """Iterate-gap diagnostic between the full operator (kappa = n-1) and a
     subsampled operator on the warehouse kernel, both exactly computable.
@@ -196,7 +196,7 @@ def lipschitz_suite(cfg=None, *, kappa_full: int = 3, kappa_sub: int = 2,
     )
 
 
-def ht_suite(cfg=None, *, n: int = 10, kappa: int = 5, replications: int = 100_000,
+def ht_suite(*, n: int = 10, kappa: int = 5, replications: int = 100_000,
              n_states: int = 2, n_actions: int = 2, seed: int = 0) -> DiagnosticResult:
     """Cell-wise unbiasedness of the Horvitz-Thompson estimator under a
     uniform proposal against non-uniform graphon weights, at 5 sigma."""
@@ -231,7 +231,7 @@ def ht_suite(cfg=None, *, n: int = 10, kappa: int = 5, replications: int = 100_0
     )
 
 
-def offpolicy_suite(cfg=None, *, steps: int = 200_000, alpha: float = 0.05,
+def offpolicy_suite(*, steps: int = 200_000, alpha: float = 0.05,
                     kappa: int = 2, gamma: float = 0.9, tolerance: float = 0.05,
                     seed: int = 0) -> DiagnosticResult:
     """Constant-step Q-learning along a uniform-behavior trajectory against

@@ -19,18 +19,20 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-import io
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bellman import QTable, save_qtable, table_size, value_iteration
+from .bellman import (ACTION_RULES, AGGREGATE_RULES, MODES, QTable, save_qtable,
+                      table_size, value_iteration)
 from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
 from .execution import Policy, PolicyEvaluation, evaluate_policy, read_init
@@ -38,14 +40,6 @@ from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
 MAX_SEEDS = 1_000_000  # one episode per seed; a larger count or range is refused
-
-_ENV_KEYS = {"name", "file"} | set(WAREHOUSE_DEFAULTS)
-_GRAPHON_KEYS = {"kind", "radius", "beta", "blocks", "latent", "coords"}
-_SYSTEM_KEYS = {"n", "master_seed"}
-_TRAIN_KEYS = {"gamma", "iterations", "mc_samples", "kappa_list", "mode", "epsilon",
-               "neighbor_action_rule", "surrogate_aggregate", "xi", "reward_noise"}
-_EXECUTE_KEYS = {"horizon", "seeds", "init", "reward_aggregates", "baseline"}
-_OUTPUT_KEYS = {"dir"}
 
 
 def check_kappa(kappa: int, n: int) -> None:
@@ -56,8 +50,151 @@ def check_kappa(kappa: int, n: int) -> None:
             f"kappa {kappa} outside the valid range [1, n-1] = [1, {n - 1}] for n = {n}")
 
 
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    if isinstance(value, tuple):
+        return " ".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def _number(kind, raw: str):
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"expected {kind.__name__}") from None
+    if value != value:  # a config holding nan equals no config, itself included
+        raise ValueError("expected a number, not nan")
+    return value
+
+
+def _numbers(kind, raw: str) -> tuple:
+    """Whitespace-separated numbers, each read by ``_number``."""
+    return tuple(_number(kind, token) for token in raw.split())
+
+
+def _number_or_floats(kind, raw: str):
+    """One number of ``kind``, or two or more floats."""
+    return _number(kind, raw) if len(raw.split()) == 1 else _numbers(float, raw)
+
+
+def _parse_seeds(raw: str) -> tuple:
+    """The one seed grammar: a count N (seeds 0..N-1), a half-open range
+    'lo..hi', or a list of two or more seeds separated by spaces or commas."""
+    if ".." in raw:
+        lo, hi = (_number(int, end) for end in raw.split("..", 1))
+    else:
+        seeds = _numbers(int, raw.replace(",", " "))
+        if len(seeds) != 1:
+            return seeds  # an empty list is refused by ExperimentConfig
+        lo, hi = 0, seeds[0]
+    if hi - lo > MAX_SEEDS:  # checked before the tuple is built
+        raise ValueError(f"more than {MAX_SEEDS} seeds")
+    return tuple(range(lo, hi))
+
+
+def _read_blocks(raw: str) -> tuple:
+    """Boundaries | value matrix rows, e.g. '0.5 | 0.9 0.1 ; 0.1 0.7'."""
+    if "|" not in raw:
+        raise ValueError("expected '<boundaries> | <rows ; ...>'")
+    bounds, rows = raw.split("|", 1)
+    return _numbers(float, bounds), tuple(_numbers(float, row) for row in rows.split(";"))
+
+
+def _read_noise(raw: str):
+    if raw == "none":
+        return None
+    parts = raw.split()
+    if len(parts) != 2 or parts[0] != "uniform":
+        raise ValueError("expected 'uniform <half_width>' or 'none'")
+    return _number(float, parts[1])
+
+
+class _Key(NamedTuple):
+    """One config key, which sets the ExperimentConfig ``field`` of its name
+    unless told otherwise. The canonical text writes it when it holds a value
+    (neither None nor empty) and ``kind`` is unset or the configured kind."""
+    section: str
+    name: str
+    read: Callable = str         # text -> value; its ValueError names what it expected
+    write: Callable = _fmt       # value -> text
+    field: str | tuple = ""
+    kind: str | None = None
+    legal: tuple = ()
+
+
+_FLOAT, _INT = partial(_number, float), partial(_number, int)
+
+# Every config key, in the order of the canonical text.
+CONFIG_KEYS = (
+    _Key("env", "name", field="env_name"),
+    _Key("env", "file", field="env_file"),
+    *(_Key("env", key, partial(_number_or_floats, float), field="env_overrides")
+      for key in sorted(WAREHOUSE_DEFAULTS)),
+    _Key("graphon", "kind", field="graphon_kind"),
+    _Key("graphon", "radius", _FLOAT, kind="radial"),
+    _Key("graphon", "beta", _FLOAT, kind="expdecay"),
+    _Key("graphon", "blocks", _read_blocks,
+         lambda blocks: f"{_fmt(blocks[0])} | " + " ; ".join(map(_fmt, blocks[1])),
+         field=("boundaries", "block_values"), kind="block"),
+    _Key("graphon", "latent", legal=("sequential", "grid", "explicit")),
+    # one token per agent: a number, or coordinates joined by commas; a point of
+    # fewer than two coordinates keeps a comma, so that it reads back as a point
+    _Key("graphon", "coords",
+         lambda raw: tuple(_numbers(float, token.replace(",", " ")) if "," in token
+                           else _number(float, token) for token in raw.split()),
+         lambda coords: " ".join(",".join(repr(float(x)) for x in pt) + "," * (len(pt) < 2)
+                                 if isinstance(pt, tuple) else repr(float(pt)) for pt in coords)),
+    _Key("system", "n", _INT),
+    _Key("system", "master_seed", _INT),
+    _Key("train", "gamma", _FLOAT),
+    _Key("train", "iterations", _INT),
+    _Key("train", "mc_samples", _INT),
+    _Key("train", "kappa_list", partial(_numbers, int)),
+    _Key("train", "mode", legal=MODES),
+    _Key("train", "epsilon", _FLOAT),
+    _Key("train", "neighbor_action_rule", legal=ACTION_RULES),
+    _Key("train", "surrogate_aggregate", legal=AGGREGATE_RULES),
+    _Key("train", "xi", _INT),
+    _Key("train", "reward_noise", _read_noise, lambda width: f"uniform {_fmt(width)}"),
+    _Key("execute", "horizon", _INT),
+    # contiguous seeds as a range; the test builds at most len(seeds) items,
+    # however far apart the seeds are
+    _Key("execute", "seeds", _parse_seeds,
+         lambda s: f"{s[0]}..{s[-1] + 1}" if s == tuple(range(s[0], s[0] + len(s))) else _fmt(s),
+         field="seed_list"),
+    # idle (state 0), a state id, or a pmf or per-agent state list
+    _Key("execute", "init", lambda raw: 0 if raw == "idle" else _number_or_floats(int, raw)),
+    _Key("execute", "reward_aggregates", legal=("exact", "sampled")),
+    _Key("execute", "baseline", legal=("none", "exact")),
+    _Key("output", "dir", field="out_dir"),
+)
+_KEY_NAMES = {(key.section, key.name) for key in CONFIG_KEYS}
+
+
+def _value(cfg: ExperimentConfig, key: _Key):
+    """What ``key`` holds in ``cfg``; None for an unset warehouse parameter or blocks."""
+    field = key.field or key.name
+    if field == "env_overrides":
+        return dict(cfg.env_overrides).get(key.name)
+    if isinstance(field, tuple):
+        parts = tuple(getattr(cfg, name) for name in field)
+        return parts if any(parts) else None
+    return getattr(cfg, field)
+
+
+def _read_value(section: str, name: str, raw: str, read):
+    try:
+        return read(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {name} = {raw!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A valid experiment: building one, also by ``replace``, refuses what no text could give."""
     env_name: str = "warehouse"
     env_file: str | None = None
     env_overrides: tuple = ()
@@ -87,241 +224,81 @@ class ExperimentConfig:
     baseline: str = "none"
     out_dir: str = "out"
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        for key in CONFIG_KEYS:
+            value = _value(self, key)
+            if (isinstance(value, str) and not value) or (key.legal and value not in key.legal):
+                raise ConfigError(f"[{key.section}] {key.name} = {value}: expected "
+                                  + (" or ".join(key.legal) or "a value"))
         if self.n < 2:
             raise ConfigError("system.n must be at least 2")
+        if not self.kappa_list or len(set(self.kappa_list)) != len(self.kappa_list):
+            raise ConfigError("train.kappa_list must name at least one kappa, none twice")
         for k in self.kappa_list:
             check_kappa(k, self.n)
-        if len(set(self.kappa_list)) != len(self.kappa_list):
-            raise ConfigError("kappa_list contains duplicates")
         if not 0 < self.gamma < 1:
             raise ConfigError("train.gamma must lie in (0, 1)")
         if self.iterations < 1 or self.mc_samples < 1 or self.horizon < 0:
             raise ConfigError("iterations, mc_samples must be >= 1 and horizon >= 0")
-        if self.mode not in ("joint", "marginal"):
-            raise ConfigError("train.mode must be 'joint' or 'marginal'")
-        if self.neighbor_action_rule not in ("greedy", "uniform"):
-            raise ConfigError("train.neighbor_action_rule must be 'greedy' or 'uniform'")
-        if self.surrogate_aggregate not in ("leave_one_out", "shared"):
-            raise ConfigError("train.surrogate_aggregate must be 'leave_one_out' or 'shared'")
         if self.xi is not None and self.xi < 1:
             raise ConfigError("train.xi must be >= 1 when given")
         if self.reward_noise is not None and not 0 <= self.reward_noise < np.inf:
             raise ConfigError(f"train.reward_noise = uniform {_fmt(self.reward_noise)}: "
                               "the half-width must be finite and >= 0")
-        if self.reward_aggregates not in ("exact", "sampled"):
-            raise ConfigError("execute.reward_aggregates must be 'exact' or 'sampled'")
-        if self.baseline not in ("none", "exact"):
-            raise ConfigError("execute.baseline must be 'none' or 'exact'")
         if not self.seed_list:
             raise ConfigError("execute.seeds must name at least one seed")
-        if self.latent not in ("sequential", "grid", "explicit"):
-            raise ConfigError("graphon.latent must be sequential, grid, or explicit")
-        return self
-
-
-def _parse_number(section: str, key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: expected {kind.__name__}") from exc
-
-
-def _parse_numbers(section: str, key: str, raw: str, kind) -> tuple:
-    """Whitespace-separated numbers, each checked by ``_parse_number``."""
-    return tuple(_parse_number(section, key, tok, kind) for tok in raw.split())
-
-
-def _parse_seeds(raw: str, section: str = "execute", key: str = "seeds") -> tuple:
-    """The one seed grammar: a count N (seeds 0..N-1), a half-open range
-    'lo..hi', or a list of two or more seeds separated by spaces or commas."""
-    raw = raw.strip()
-    if ".." in raw:
-        lo, hi = (_parse_number(section, key, end, int) for end in raw.split("..", 1))
-    else:
-        seeds = _parse_numbers(section, key, raw.replace(",", " "), int)
-        if len(seeds) != 1:
-            return seeds  # empty fails validate()
-        lo, hi = 0, seeds[0]
-    if hi - lo > MAX_SEEDS:  # checked before the tuple is built
-        raise ConfigError(f"[{section}] {key} = {raw!r}: more than {MAX_SEEDS} seeds")
-    return tuple(range(lo, hi))
-
-
-def _parse_init(raw: str):
-    raw = raw.strip()
-    if raw == "idle":
-        return 0
-    parts = raw.split()
-    if len(parts) == 1:
-        return _parse_number("execute", "init", parts[0], int)
-    return _parse_numbers("execute", "init", raw, float)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a sectioned key-value config; unknown keys are
-    rejected with field-precise messages."""
+    """Parse a sectioned key-value config. Unknown sections and keys, empty
+    values and graphon parameters of another kind are refused, so that every
+    accepted text round-trips through ``serialize_config``."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-
-    allowed = {"env": _ENV_KEYS, "graphon": _GRAPHON_KEYS, "system": _SYSTEM_KEYS,
-               "train": _TRAIN_KEYS, "execute": _EXECUTE_KEYS, "output": _OUTPUT_KEYS}
     for section in parser.sections():
-        if section not in allowed:
+        if section not in {key.section for key in CONFIG_KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in allowed[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        for name in parser[section]:
+            if (section, name) not in _KEY_NAMES:
+                raise ConfigError(f"unknown key {name!r} in section [{section}]")
 
-    def get(section, key, default=None):
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return default
-
-    cfg = ExperimentConfig()
-    overrides = {}
-    if parser.has_section("env"):
-        for key in parser["env"]:
-            if key in WAREHOUSE_DEFAULTS:
-                raw = parser["env"][key]
-                vals = _parse_numbers("env", key, raw, float)
-                if not vals:
-                    raise ConfigError(f"[env] {key} = {raw!r}: expected float")
-                overrides[key] = vals if len(vals) > 1 else vals[0]
-    kwargs = dict(
-        env_name=get("env", "name", cfg.env_name),
-        env_file=get("env", "file"),
-        env_overrides=tuple(sorted(overrides.items())),
-        graphon_kind=get("graphon", "kind", cfg.graphon_kind),
-        latent=get("graphon", "latent", cfg.latent),
-        n=_parse_number("system", "n", get("system", "n", str(cfg.n)), int),
-        master_seed=_parse_number("system", "master_seed",
-                                  get("system", "master_seed", str(cfg.master_seed)), int),
-        gamma=_parse_number("train", "gamma", get("train", "gamma", str(cfg.gamma)), float),
-        iterations=_parse_number("train", "iterations",
-                                 get("train", "iterations", str(cfg.iterations)), int),
-        mc_samples=_parse_number("train", "mc_samples",
-                                 get("train", "mc_samples", str(cfg.mc_samples)), int),
-        mode=get("train", "mode", cfg.mode),
-        epsilon=_parse_number("train", "epsilon", get("train", "epsilon", str(cfg.epsilon)), float),
-        neighbor_action_rule=get("train", "neighbor_action_rule", cfg.neighbor_action_rule),
-        surrogate_aggregate=get("train", "surrogate_aggregate", cfg.surrogate_aggregate),
-        horizon=_parse_number("execute", "horizon",
-                              get("execute", "horizon", str(cfg.horizon)), int),
-        reward_aggregates=get("execute", "reward_aggregates", cfg.reward_aggregates),
-        baseline=get("execute", "baseline", cfg.baseline),
-        out_dir=get("output", "dir", cfg.out_dir),
-    )
-    raw_kappas = get("train", "kappa_list")
-    kwargs["kappa_list"] = (_parse_numbers("train", "kappa_list", raw_kappas, int)
-                            if raw_kappas else cfg.kappa_list)
-    raw_xi = get("train", "xi")
-    kwargs["xi"] = _parse_number("train", "xi", raw_xi, int) if raw_xi not in (None, "") else None
-    raw_noise = get("train", "reward_noise")
-    if raw_noise not in (None, "", "none"):
-        parts = raw_noise.split()
-        if parts[0] != "uniform" or len(parts) != 2:
-            raise ConfigError("train.reward_noise must be 'uniform <half_width>' or 'none'")
-        kwargs["reward_noise"] = _parse_number("train", "reward_noise", parts[1], float)
-    raw_seeds = get("execute", "seeds")
-    kwargs["seed_list"] = _parse_seeds(raw_seeds) if raw_seeds else cfg.seed_list
-    raw_init = get("execute", "init")
-    kwargs["init"] = _parse_init(raw_init) if raw_init else cfg.init
-
-    raw_radius = get("graphon", "radius")
-    if raw_radius:
-        kwargs["radius"] = _parse_number("graphon", "radius", raw_radius, float)
-    raw_beta = get("graphon", "beta")
-    if raw_beta:
-        kwargs["beta"] = _parse_number("graphon", "beta", raw_beta, float)
-    raw_blocks = get("graphon", "blocks")
-    if raw_blocks:
-        # boundaries | value matrix rows, e.g. "0.5 | 0.9 0.1 ; 0.1 0.7"
-        if "|" not in raw_blocks:
-            raise ConfigError("graphon.blocks must be '<boundaries> | <rows ; ...>'")
-        bounds_part, values_part = raw_blocks.split("|", 1)
-        kwargs["boundaries"] = _parse_numbers("graphon", "blocks", bounds_part, float)
-        kwargs["block_values"] = tuple(
-            _parse_numbers("graphon", "blocks", row, float) for row in values_part.split(";"))
-    raw_coords = get("graphon", "coords")
-    if raw_coords:
-        pts = []
-        for token in raw_coords.split():
-            if "," in token:
-                pts.append(_parse_numbers("graphon", "coords", token.replace(",", " "), float))
-            else:
-                pts.append(_parse_number("graphon", "coords", token, float))
-        kwargs["coords"] = tuple(pts)
-
-    return ExperimentConfig(**kwargs).validate()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if isinstance(value, tuple):
-        return " ".join(_fmt(v) for v in value)
-    return str(value)
+    fields = {}
+    for key in CONFIG_KEYS:
+        raw = parser.get(key.section, key.name, fallback=None)
+        if raw is None:
+            continue
+        prefix = f"[{key.section}] {key.name} = "
+        if not raw:
+            raise ConfigError(prefix + ": empty value; leave the key out for its default")
+        value = _read_value(key.section, key.name, raw, key.read)
+        kind = fields.get("graphon_kind", ExperimentConfig.graphon_kind)
+        if key.kind not in (None, kind):
+            raise ConfigError(f"{prefix}{raw!r}: no effect under kind = {kind}; "
+                              f"only kind = {key.kind} reads it")
+        field = key.field or key.name
+        if field == "env_overrides":
+            value = fields.get(field, ()) + ((key.name, value),)
+        fields.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
+    return ExperimentConfig(**fields)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: fixed section and key order, defaults made
     explicit. parse(serialize(parse(x))) == parse(x)."""
-    out = io.StringIO()
-    out.write("[env]\n")
-    out.write(f"name = {cfg.env_name}\n")
-    if cfg.env_file:
-        out.write(f"file = {cfg.env_file}\n")
-    for key, value in cfg.env_overrides:
-        out.write(f"{key} = {_fmt(value)}\n")
-    out.write("\n[graphon]\n")
-    out.write(f"kind = {cfg.graphon_kind}\n")
-    if cfg.graphon_kind == "radial":
-        out.write(f"radius = {_fmt(cfg.radius)}\n")
-    elif cfg.graphon_kind == "expdecay":
-        out.write(f"beta = {_fmt(cfg.beta)}\n")
-    elif cfg.graphon_kind == "block":
-        out.write(f"blocks = {_fmt(cfg.boundaries)} | "
-                  + " ; ".join(_fmt(row) for row in cfg.block_values) + "\n")
-    out.write(f"latent = {cfg.latent}\n")
-    if cfg.coords:
-        tokens = [",".join(repr(float(x)) for x in pt) if isinstance(pt, tuple) else repr(float(pt))
-                  for pt in cfg.coords]
-        out.write("coords = " + " ".join(tokens) + "\n")
-    out.write("\n[system]\n")
-    out.write(f"n = {cfg.n}\nmaster_seed = {cfg.master_seed}\n")
-    out.write("\n[train]\n")
-    out.write(f"gamma = {_fmt(cfg.gamma)}\n")
-    out.write(f"iterations = {cfg.iterations}\n")
-    out.write(f"mc_samples = {cfg.mc_samples}\n")
-    out.write(f"kappa_list = {_fmt(cfg.kappa_list)}\n")
-    out.write(f"mode = {cfg.mode}\n")
-    out.write(f"epsilon = {_fmt(cfg.epsilon)}\n")
-    out.write(f"neighbor_action_rule = {cfg.neighbor_action_rule}\n")
-    out.write(f"surrogate_aggregate = {cfg.surrogate_aggregate}\n")
-    if cfg.xi is not None:
-        out.write(f"xi = {cfg.xi}\n")
-    if cfg.reward_noise is not None:
-        out.write(f"reward_noise = uniform {_fmt(cfg.reward_noise)}\n")
-    out.write("\n[execute]\n")
-    out.write(f"horizon = {cfg.horizon}\n")
-    seeds = cfg.seed_list
-    # builds at most len(seeds) items, however far apart the seeds are
-    contiguous = seeds == tuple(range(seeds[0], seeds[0] + len(seeds)))
-    out.write(f"seeds = {seeds[0]}..{seeds[-1] + 1}\n" if contiguous
-              else "seeds = " + " ".join(str(s) for s in seeds) + "\n")
-    out.write(f"init = {_fmt(cfg.init)}\n")
-    out.write(f"reward_aggregates = {cfg.reward_aggregates}\n")
-    out.write(f"baseline = {cfg.baseline}\n")
-    out.write("\n[output]\n")
-    out.write(f"dir = {cfg.out_dir}\n")
-    return out.getvalue()
+    lines, section = [], ""
+    for key in CONFIG_KEYS:
+        if key.section != section:
+            section = key.section
+            lines.append(f"\n[{section}]" if lines else f"[{section}]")
+        value = _value(cfg, key)
+        if key.kind in (None, cfg.graphon_kind) and value is not None and value != ():
+            # a line break inside a value continues on an indented line
+            lines.append(f"{key.name} = " + key.write(value).replace("\n", "\n\t"))
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -414,7 +391,6 @@ class SweepRow:
 class SweepReport:
     rows: list
     config_hash: str
-    version: str
     tables: dict = field(default_factory=dict)
 
     def ok(self) -> bool:
@@ -473,8 +449,7 @@ def _sweep_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> 
                         status="error", error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
-              save_tables: bool = True) -> SweepReport:
+def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepReport:
     """Train and evaluate every kappa in the config; write CSV reports."""
     env = build_environment(cfg)
     check_init(cfg, env)
@@ -486,12 +461,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
         rows = list(pool.map(lambda k: _sweep_one(cfg, env, weights, k), cfg.kappa_list))
     rows.sort(key=lambda r: r.kappa)
 
-    report = SweepReport(rows=rows, config_hash=config_hash(cfg), version=__version__)
+    report = SweepReport(rows=rows, config_hash=config_hash(cfg))
     for row in rows:
         if row.status == "ok":
             report.tables[row.kappa] = row.qtable
-            if save_tables:
-                save_qtable(row.qtable, directory / f"q_kappa{row.kappa:02d}.bin")
+            save_qtable(row.qtable, directory / f"q_kappa{row.kappa:02d}.bin")
 
     _write_sweep_csv(report, cfg, directory / "sweep.csv")
     write_episodes_csv(directory / "episodes.csv", cfg,
@@ -550,7 +524,7 @@ def run_diagnostics(cfg: ExperimentConfig, suites, out_dir: str | None = None) -
     directory.mkdir(parents=True, exist_ok=True)
     results = {}
     for name in names:
-        result = diagnostics.SUITES[name](cfg)
+        result = diagnostics.SUITES[name]()
         csv_path = directory / f"diagnostic_{name}.csv"
         with open(csv_path, "w", newline="") as fh:
             fh.write(_provenance_lines(cfg))

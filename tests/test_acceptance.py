@@ -45,9 +45,9 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def paper_sweep(tmp_path_factory):
-    cfg = ExperimentConfig().validate()
+    cfg = ExperimentConfig()
     out = tmp_path_factory.mktemp("paper_sweep")
-    return run_sweep(cfg, out_dir=out, save_tables=False), cfg
+    return run_sweep(cfg, out_dir=out), cfg
 
 
 def test_criterion_1_convergence_at_paper_settings(paper_sweep):
@@ -95,7 +95,7 @@ def test_criterion_3b_performance_shape_with_variance(paper_sweep):
     # stderr ~1e-14, so criterion 3 holds as 0 <= 0; a pmf start moves the
     # agents and gives every kappa a curve with real spread
     report_obj, cfg = paper_sweep
-    cfg = replace(cfg, init=(0.34, 0.33, 0.33), seed_list=tuple(range(300))).validate()
+    cfg = replace(cfg, init=(0.34, 0.33, 0.33), seed_list=tuple(range(300)))
     env = build_environment(cfg)
     weights = build_weights(build_graphon(cfg), build_assignment(cfg))
     kappas = sorted(report_obj.tables)
@@ -235,14 +235,14 @@ def test_criterion_11_stochastic_reward_averaging():
 
 
 def test_criterion_12_sweep_determinism(tmp_path, monkeypatch):
-    cfg = ExperimentConfig().validate()
+    cfg = ExperimentConfig()
     cfg = replace(cfg, kappa_list=(1, 3), seed_list=tuple(range(5)),
-                  iterations=60, mc_samples=10, horizon=20).validate()
+                  iterations=60, mc_samples=10, horizon=20)
     digests = {}
     for threads in ("1", "8"):
         monkeypatch.setenv("GMFS_THREADS", threads)
         out = tmp_path / f"threads_{threads}"
-        run_sweep(cfg, out_dir=out, save_tables=False)
+        run_sweep(cfg, out_dir=out)
         digests[threads] = {
             name: (out / name).read_bytes() for name in ("sweep.csv", "episodes.csv")
         }

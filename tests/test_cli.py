@@ -215,6 +215,19 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "kappa=  2" in text and "kappa=  3" in text
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("[system]", "[env]\nfile = \n\n[system]", "[env] file = "),
+        ("kind = uniform", "kind = expdecay\nradius = 0.5", "[graphon] radius = "),
+        ("kind = uniform", "kind = radial\nblocks = 0.5 | 0.9 0.1 ; 0.1 0.7",
+         "[graphon] blocks = "),
+    ], ids=["empty file", "radius under expdecay", "blocks under radial"])
+    def test_key_the_canonical_text_leaves_out_exit_code(self, tmp_path, capsys, old, new,
+                                                         named):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestUniformGraphonOnTheGrid:
     """The uniform graphon reads no coordinates: under the default
