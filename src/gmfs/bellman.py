@@ -63,6 +63,7 @@ DEFAULT_EPSILON = 1e-4
 DEFAULT_ITERATIONS = 250
 MAX_TABLE_ENTRIES = 50_000_000
 _OFF_POLICY_BLOCK = 4096  # uniform rows per list conversion
+_FROZEN_BLOCK = 1 << 17  # frozen uniforms per engine build block (1 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +398,19 @@ class _FrozenEngine:
     Entries e = (s * A + a) * H + h range over the table's histogram ranks h:
     state marginals, or joint histograms whose neighbor slots take state and
     action from the histogram in cell-major order. The empirical operator
-    draws all its uniforms in one call, an (E, m, kappa + 1) block from
-    ``stream(seed, "vi-frozen", kappa)``. Entry e reads the m (kappa + 1)
-    draws after the first e m (kappa + 1), which the reference
-    ``empirical_operator`` reads from that stream advanced past them. The
-    exact operator holds per entry the focal next-state pmf and the law of
-    the neighbors' next marginal. A sweep is then a gather over the current
-    table, which keeps the iteration an exact contraction and
-    bit-reproducible for any worker count.
+    reads its uniforms from one ``stream(seed, "vi-frozen", kappa)``: entry
+    e reads the m (kappa + 1) draws after the first e m (kappa + 1), which
+    the reference ``empirical_operator`` reads from that stream advanced
+    past them. The build draws them in blocks of whole entries, in entry
+    order, and reduces each block to its frozen indices or codes before it
+    draws the next. Consecutive draws from one generator are the draws of
+    one call, so the block size changes no output. A block holds at most
+    ``_FROZEN_BLOCK`` uniforms, or one entry where that needs more, so the
+    build needs about 1 MB of draws above the arrays the engine keeps,
+    whatever m. The exact operator holds per entry the focal next-state
+    pmf and the law of the neighbors' next marginal. A sweep is then a
+    gather over the current table, which keeps the iteration an exact
+    contraction and bit-reproducible for any worker count.
 
     The empirical operator reads each sample's next marginal as a sum of
     additive slot codes (``HistogramIndex.cell_codes``), which the index's
@@ -444,6 +450,9 @@ class _FrozenEngine:
             raise ValueError("m must be >= 1")
         else:
             cell_codes = get_index(S, kappa).cell_codes()
+            # the smallest dtype that holds a code sum, kappa (kappa+1)^(S-2)
+            code_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                              if kappa * cell_codes[-1] <= np.iinfo(t).max)
         model = tabulate(env, kappa, aggregate_rule)
         G = model.index.total
         if mode == "joint":
@@ -462,53 +471,64 @@ class _FrozenEngine:
         slot_states = model.slot_states[e_g]                           # (E, kappa)
         slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], slot_states]
 
-        if not self.exact:
-            # per sample: the focal uniform, then one per neighbor slot
-            uni = stream(seed, "vi-frozen", kappa).random((self.n_entries, m, kappa + 1))
-            chunk = max(1, 2_000_000 // max(1, m * kappa * A))  # entries per lookup
-            # the next focal state's offset s' * G in the flat (S, G) backup
-            # table: a step of G per cdf threshold its uniform passes
-            focal_cdf = model.cdf[e_s, e_a, e_g][:, None, None, :]      # (E, 1, 1, S)
-            flat = _threshold_codes(focal_cdf, uni[:, :, :1], np.full(S - 1, G),
-                                    np.int64, chunk)                   # (E, m)
-            code_rank = model.index.code_ranker
-            # the smallest dtype that holds a code sum, kappa (kappa+1)^(S-2)
-            code_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                              if kappa * cell_codes[-1] <= np.iinfo(t).max)
-            steps = np.diff(cell_codes)
         if self.greedy:
-            # coupled inverse-CDF outcome code of each slot under each
-            # candidate action, one row of m samples per (entry, slot,
-            # action); advanced indices split by a slice land in front
-            slot_cdf = model.cdf[slot_states, :, slot_gm_rank]           # (E, kappa, A, S)
-            slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :, None]
-            next_codes = _threshold_codes(slot_cdf[:, :, :, None, None, :], slot_uni,
-                                          steps, code_dtype, chunk)    # (E, kappa, A, m)
-            self.next_codes = next_codes.reshape(-1, m)
             # slot-major (kappa, E) lookups: a sweep's row gather comes out
             # (kappa, E, m), and its sum over the slots adds whole blocks
             self.slot_key = (slot_states * G + slot_gm_rank).T.copy()
             self.slot_base = (np.arange(kappa)[:, None]
                               + np.arange(self.n_entries) * kappa) * A
-            self.focal_offset, self.code_rank = flat, code_rank
-            return
-        # otherwise the law of every slot is static, and so are the next marginals
-        if mode == "joint":
-            slot_actions = _slots(layout.counts)[e_h] % A
-            slot_pmf = model.pmf[slot_states, slot_actions, slot_gm_rank]
+            # coupled inverse-CDF outcome code of each slot under each
+            # candidate action, one row of m samples per (entry, slot, action)
+            next_codes = np.empty((self.n_entries, kappa, A, m), dtype=code_dtype)
         else:
-            slot_pmf = model.pmf.mean(axis=1)[slot_states, slot_gm_rank]
-        if self.exact:
-            self.focal_pmf = model.pmf[e_s, e_a, e_g]                  # (E, S)
-            self.law = _marginal_law(slot_pmf, model.index)            # (E, G)
-            return
-        # in place, so the build peaks with one (E, kappa, S) array, not two
-        slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
-        # each sample's code sums its slots' codes: per cdf threshold x, the
-        # step to the next cell's code times the slots whose uniform passes x
-        codes = _threshold_codes(slot_cdf[:, None], uni[:, :, 1:], steps, code_dtype, chunk)
-        flat += code_rank(codes)
-        self.flat = flat
+            # otherwise the law of every slot is static, and so are the next marginals
+            if mode == "joint":
+                slot_actions = _slots(layout.counts)[e_h] % A
+                slot_pmf = model.pmf[slot_states, slot_actions, slot_gm_rank]
+            else:
+                slot_pmf = model.pmf.mean(axis=1)[slot_states, slot_gm_rank]
+            if self.exact:
+                self.focal_pmf = model.pmf[e_s, e_a, e_g]              # (E, S)
+                self.law = _marginal_law(slot_pmf, model.index)        # (E, G)
+                return
+            # in place, so the build holds one (E, kappa, S) array, not two
+            slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
+        code_rank = model.index.code_ranker
+        steps = np.diff(cell_codes)
+        focal_steps = np.full(S - 1, G)
+        # the next focal state's offset s' * G in the flat (S, G) backup table,
+        # plus, where the slot laws are static, the rank of the next marginal
+        flat = np.empty((self.n_entries, m), dtype=np.int64)
+        # whole entries per block: at most _FROZEN_BLOCK uniforms, and at most
+        # 2M uniform-threshold comparisons per cdf threshold
+        block = max(1, min(_FROZEN_BLOCK // (m * (kappa + 1)),
+                           2_000_000 // (m * kappa * A)))
+        frozen = stream(seed, "vi-frozen", kappa)
+        for lo in range(0, self.n_entries, block):
+            b = slice(lo, lo + block)
+            # per sample: the focal uniform, then one per neighbor slot; the
+            # blocks read the stream in entry order, as one call would
+            uni = frozen.random((min(block, self.n_entries - lo), m, kappa + 1))
+            # a step of G per cdf threshold the focal uniform passes
+            focal_cdf = model.cdf[e_s[b], e_a[b], e_g[b]][:, None, None, :]  # (B, 1, 1, S)
+            flat[b] = _threshold_codes(focal_cdf, uni[:, :, :1], focal_steps, np.int64)
+            if self.greedy:
+                # advanced indices split by a slice land in front
+                action_cdf = model.cdf[slot_states[b], :, slot_gm_rank[b]]  # (B, kappa, A, S)
+                slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :, None]
+                next_codes[b] = _threshold_codes(action_cdf[:, :, :, None, None, :], slot_uni,
+                                                 steps, code_dtype)   # (B, kappa, A, m)
+            else:
+                # each sample's code sums its slots' codes: per cdf threshold
+                # x, the step to the next cell's code times the slots whose
+                # uniform passes x
+                codes = _threshold_codes(slot_cdf[b, None], uni[:, :, 1:], steps, code_dtype)
+                flat[b] += code_rank(codes)
+        if self.greedy:
+            self.next_codes = next_codes.reshape(-1, m)
+            self.focal_offset, self.code_rank = flat, code_rank
+        else:
+            self.flat = flat
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Continuation vector: the expected (exact operator) or mean frozen
@@ -546,11 +566,10 @@ def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
     return law
 
 
-def _threshold_codes(cdf: np.ndarray, u: np.ndarray, steps: np.ndarray, dtype,
-                     chunk: int) -> np.ndarray:
+def _threshold_codes(cdf: np.ndarray, u: np.ndarray, steps: np.ndarray, dtype) -> np.ndarray:
     """Sum over x < S - 1 of ``steps[x]`` times the number of uniforms at
     or past ``cdf[..., x]``, counted over the last axis of ``u`` broadcast
-    against ``cdf[..., x]``; ``chunk`` entries (the first axis) at a time.
+    against ``cdf[..., x]``.
 
     On a non-decreasing cdf row the thresholds a uniform passes are the
     first min(searchsorted(row, u, side="right"), S - 1), the state it
@@ -559,10 +578,8 @@ def _threshold_codes(cdf: np.ndarray, u: np.ndarray, steps: np.ndarray, dtype,
     The sums must fit ``dtype``.
     """
     out = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1])[:-1], dtype=dtype)
-    for lo in range(0, out.shape[0], chunk):
-        part, block = out[lo:lo + chunk], u[lo:lo + chunk]
-        for x, step in enumerate(steps.tolist()):
-            part += (block >= cdf[lo:lo + chunk, ..., x]).sum(axis=-1, dtype=dtype) * dtype(step)
+    for x, step in enumerate(steps.tolist()):
+        out += (u >= cdf[..., x]).sum(axis=-1, dtype=dtype) * dtype(step)
     return out
 
 

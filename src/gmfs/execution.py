@@ -44,6 +44,11 @@ from .histograms import get_index, nearest_histograms
 from .rng import stream
 from .sampler import exact_state_aggregates, stacked_alias
 
+REWARD_AGGREGATES = ("exact", "sampled")
+# what the policy reads under each baseline: kappa sampled neighbors (none),
+# or the exact aggregates rounded onto the histogram grid
+BASELINE_POLICY_INPUTS = {"none": "sampled", "exact": "exact"}
+
 
 @dataclass
 class Policy:
@@ -137,10 +142,10 @@ def _simulate(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
         raise GmfsError(
             f"q-table has |S|={policy.n_states}, |A|={policy.table.n_actions} but "
             f"environment {env.name!r} has |S|={env.n_states}, |A|={env.n_actions}")
-    if reward_aggregates not in ("exact", "sampled"):
-        raise ValueError("reward_aggregates must be 'exact' or 'sampled'")
-    if policy_inputs not in ("sampled", "exact"):
-        raise ValueError("policy_inputs must be 'sampled' or 'exact'")
+    if reward_aggregates not in REWARD_AGGREGATES:
+        raise ValueError(f"reward_aggregates must be one of {REWARD_AGGREGATES}")
+    if policy_inputs not in BASELINE_POLICY_INPUTS.values():
+        raise ValueError(f"policy_inputs must be one of {tuple(BASELINE_POLICY_INPUTS.values())}")
     S = env.n_states
     E = len(seeds)
     g_index = get_index(S, kappa)

@@ -35,7 +35,8 @@ from .bellman import (ACTION_RULES, AGGREGATE_RULES, MODES, QTable, save_qtable,
                       table_size, value_iteration)
 from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
-from .execution import Policy, PolicyEvaluation, evaluate_policy, read_init
+from .execution import (BASELINE_POLICY_INPUTS, REWARD_AGGREGATES, Policy, PolicyEvaluation,
+                        evaluate_policy, read_init)
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
@@ -167,8 +168,8 @@ CONFIG_KEYS = (
          field="seed_list"),
     # idle (state 0), a state id, or a pmf or per-agent state list
     _Key("execute", "init", lambda raw: 0 if raw == "idle" else _number_or_floats(int, raw)),
-    _Key("execute", "reward_aggregates", legal=("exact", "sampled")),
-    _Key("execute", "baseline", legal=("none", "exact")),
+    _Key("execute", "reward_aggregates", legal=REWARD_AGGREGATES),
+    _Key("execute", "baseline", legal=tuple(BASELINE_POLICY_INPUTS)),
     _Key("output", "dir", field="out_dir"),
 )
 _KEY_NAMES = {(key.section, key.name) for key in CONFIG_KEYS}
@@ -230,6 +231,9 @@ class ExperimentConfig:
             if (isinstance(value, str) and not value) or (key.legal and value not in key.legal):
                 raise ConfigError(f"[{key.section}] {key.name} = {value}: expected "
                                   + (" or ".join(key.legal) or "a value"))
+        if self.coords and self.latent != "explicit":
+            raise ConfigError(f"[graphon] coords: no effect under latent = {self.latent}; "
+                              "only latent = explicit reads it")
         if self.n < 2:
             raise ConfigError("system.n must be at least 2")
         if not self.kappa_list or len(set(self.kappa_list)) != len(self.kappa_list):
@@ -423,7 +427,7 @@ def evaluate_table(cfg: ExperimentConfig, env: Environment, weights,
         env, weights, Policy(q), cfg.n, q.kappa, cfg.horizon, cfg.gamma, seeds,
         init=cfg.init,
         reward_aggregates=cfg.reward_aggregates,
-        policy_inputs="exact" if cfg.baseline == "exact" else "sampled",
+        policy_inputs=BASELINE_POLICY_INPUTS[cfg.baseline],
     )
 
 

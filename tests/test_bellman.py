@@ -108,7 +108,16 @@ def engine_and_reference(env, q, m, seed, rule, agg):
     same frozen draws, both as (S, A, H) tables."""
     eng = _FrozenEngine(env, q.kappa, m, seed, mode=q.mode, neighbor_action_rule=rule,
                         aggregate_rule=agg)
-    fast = (eng.rewards + q.gamma * eng.sweep(q.values)).reshape(q.values.shape)
+    return engine_sweep(eng, q), reference_sweep(env, q, m, seed, rule, agg)
+
+
+def engine_sweep(eng, q):
+    return (eng.rewards + q.gamma * eng.sweep(q.values)).reshape(q.values.shape)
+
+
+def reference_sweep(env, q, m, seed, rule, agg):
+    """The per-entry empirical operator at every entry of q, entry e on the
+    frozen stream advanced to its first draw."""
     joint_shape = (q.n_states, q.n_actions) if q.mode == "joint" else None
     hists = list(enumerate_histograms(q.alphabet_size(), q.kappa, joint_shape=joint_shape))
     ref = np.empty_like(q.values)
@@ -120,7 +129,7 @@ def engine_and_reference(env, q, m, seed, rule, agg):
                     env, q, s, a, hist, m, frozen_stream(seed, q.kappa, m, e),
                     neighbor_action_rule=rule, aggregate_rule=agg)
                 e += 1
-    return fast, ref
+    return ref
 
 
 def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
@@ -533,6 +542,77 @@ class TestValueIteration:
             _FrozenEngine(warehouse, 2, 3, 7, mode=mode, neighbor_action_rule=rule,
                           aggregate_rule="leave_one_out")
             assert keys == [(7, "vi-frozen", 2)], (mode, rule)
+
+    @pytest.mark.parametrize("mode, kappa, rule", [("marginal", 3, "uniform"),
+                                                   ("marginal", 3, "greedy"),
+                                                   ("joint", 2, "uniform")])
+    def test_block_boundaries_change_no_draw(self, warehouse, rng, monkeypatch,
+                                             mode, kappa, rule):
+        from gmfs import bellman
+
+        m, seed = 7, 13
+        per_entry = m * (kappa + 1)
+        q = QTable.zeros(mode, kappa, 3, 3, 0.95, env_name="warehouse")
+        q.values = rng.uniform(-5, 5, q.values.shape)
+        ref = reference_sweep(warehouse, q, m, seed, rule, "leave_one_out")
+        rows = []
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, shape):
+                rows.append(shape[0])
+                return self.gen.random(shape)
+
+        monkeypatch.setattr(bellman, "stream", lambda *key: Counted(stream(*key)))
+        arrays = ("flat", "next_codes", "focal_offset")
+        single = None
+        # one block; a constant that ends inside the third entry's draws,
+        # so two whole entries per block; one below a single entry's draws,
+        # so one entry per block
+        E = table_size(mode, kappa, 3, 3)
+        for size, k in ((10**9, E), (2 * per_entry + per_entry // 2, 2), (per_entry - 1, 1)):
+            monkeypatch.setattr(bellman, "_FROZEN_BLOCK", size)
+            rows.clear()
+            eng = _FrozenEngine(warehouse, kappa, m, seed, mode=mode, neighbor_action_rule=rule,
+                                aggregate_rule="leave_one_out")
+            assert rows == [min(k, E - lo) for lo in range(0, E, k)], size
+            assert np.array_equal(engine_sweep(eng, q), ref), size
+            built = {name: getattr(eng, name) for name in arrays if hasattr(eng, name)}
+            assert set(built) == ({"next_codes", "focal_offset"} if rule == "greedy"
+                                  else {"flat"})
+            if single is None:
+                single = built
+            for name, array in built.items():
+                assert array.dtype == single[name].dtype, (size, name)
+                assert np.array_equal(array, single[name]), (size, name)
+
+    def test_build_memory_does_not_grow_with_m(self, warehouse):
+        import tracemalloc
+
+        def build(m):
+            return _FrozenEngine(warehouse, 24, m, 1, mode="marginal",
+                                 neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+
+        def peak_and_excess(m):
+            """The build's tracemalloc peak, and that peak less the arrays
+            the engine keeps."""
+            tracemalloc.start()
+            try:
+                eng = build(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+            return peak, peak - held
+
+        build(1)  # the cached histogram index, code ranker and model tables
+        _, excess_50 = peak_and_excess(50)
+        peak_250, excess_250 = peak_and_excess(250)
+        # one (E, m, kappa + 1) block of every frozen uniform is 146 MB at m 250
+        assert peak_250 < 24 * 2**20
+        assert excess_250 < excess_50 + 2**20
 
     def test_codes_past_the_int16_range_match_the_reference(self, rng):
         # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs int32

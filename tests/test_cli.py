@@ -228,6 +228,20 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(f"config error: {named}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("latent", ["sequential", "grid"])
+    def test_coords_without_explicit_latent_exit_code(self, tmp_path, capsys, latent):
+        # 2-D points under latent = sequential used to fail on a latent_dim
+        # mismatch that did not name coords; under latent = grid they were
+        # ignored, yet entered the config hash
+        points = " ".join(f"{i / 8!r},{1 - i / 8!r}" for i in range(9))
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "kind = uniform\nlatent = sequential",
+            f"kind = radial\nlatent = {latent}\ncoords = {points}"))
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [graphon] coords: no effect under latent = {latent}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestUniformGraphonOnTheGrid:
     """The uniform graphon reads no coordinates: under the default

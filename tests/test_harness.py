@@ -193,15 +193,18 @@ def _configs(draw):
     """Valid configs whose every field the text form can carry."""
     n = draw(st.integers(2, 300))
     kind = draw(st.sampled_from(["radial", "expdecay", "block", "uniform"]))
+    latent = draw(st.sampled_from(["sequential", "grid", "explicit"]))
     fields = dict(
         env_name=draw(_NAME),
         env_file=draw(st.none() | _NAME),
         env_overrides=tuple(sorted(draw(st.dictionaries(
             st.sampled_from(sorted(WAREHOUSE_DEFAULTS)), _FINITE | _FLOATS)).items())),
         graphon_kind=kind,
-        latent=draw(st.sampled_from(["sequential", "grid", "explicit"])),
+        latent=latent,
+        # only an explicit assignment reads coords
         coords=draw(st.just(()) | st.lists(_FINITE, min_size=1, max_size=4).map(tuple)
-                    | st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4).map(tuple)),
+                    | st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4).map(tuple))
+        if latent == "explicit" else (),
         n=n,
         master_seed=draw(st.integers(-2 ** 63, 2 ** 64)),
         gamma=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
@@ -389,6 +392,16 @@ class TestConfigRefusals:
                               (dict(n=1), "at least 2"), (dict(kappa_list=(25,)), "kappa 25")):
             with pytest.raises(ConfigError, match=match):
                 replace(ExperimentConfig(), **fields)
+
+    def test_coords_need_an_explicit_latent_assignment(self):
+        for latent in ("sequential", "grid"):
+            with pytest.raises(ConfigError, match=rf"^\[graphon\] coords: no effect under "
+                                                  rf"latent = {latent}"):
+                parse_config(f"[graphon]\nlatent = {latent}\ncoords = 0.1 0.5 0.9\n")
+            with pytest.raises(ConfigError, match=r"^\[graphon\] coords"):
+                replace(ExperimentConfig(), latent=latent, coords=(0.1, 0.5))
+        cfg = parse_config("[graphon]\nlatent = explicit\ncoords = 0.1 0.5 0.9\n")
+        assert cfg.coords == (0.1, 0.5, 0.9)
 
     def test_nan_is_refused(self):
         for line in ("[train]\nepsilon = nan", "[graphon]\nradius = nan",
