@@ -46,6 +46,6 @@ from .bellman import (
     table_size,
     value_iteration,
 )
-from .execution import EpisodeResult, Policy, evaluate_policy, run_episode
+from .execution import EpisodeResult, Policy, evaluate_policies, evaluate_policy, run_episode
 from .harness import ExperimentConfig, SweepReport, parse_config, run_diagnostics, run_sweep
 from .errors import BudgetError, ConfigError, FormatError, GmfsError

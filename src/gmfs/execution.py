@@ -7,26 +7,37 @@ sampled aggregates into the reward instead is available as an ablation, and a
 diagnostic mode feeds the policy exact aggregates rounded to the histogram
 grid (the no-sampling baseline).
 
-The simulator steps a batch of episodes at once as whole-population arrays
-of shape (episodes, n, ...); a single episode is a batch of one. Per step:
-the exact aggregates ``W_bar @ onehot(states)``; one uniform block per
-episode; the kappa neighbor ids of every agent from the stacked alias
-tables; the rank of each agent's neighbor histogram, read as the sum of its
-neighbors' additive cell codes (``cell_codes.take(states)`` gathered at the
-ids) through the index's one code -> rank map, so no count vector is built;
-the greedy actions ``greedy[states, ranks]``; the stage reward and the
-inverse-cdf transition at the exact aggregates. The sampled-reward ablation
-reads its histograms back by rank (``counts_by_rank``), and the
-exact-input baseline ranks the rounded aggregates by their codes too. A
-(|S|, kappa) whose codes pass 64 bits is a BudgetError before any episode.
+The simulator steps a batch of policies, each on the same seeds, as one
+population of shape (policies * episodes, n, ...); a single policy, or a
+single episode, is a batch of one. Once per step, for the whole batch: the
+exact aggregates ``W_bar @ onehot(states)``, the stage reward and the
+inverse-cdf transition at the exact aggregates, one call of each kernel.
+Per policy, since these depend on kappa: the kappa neighbor ids of every
+agent from the stacked alias tables; the rank of each agent's neighbor
+histogram, read as the sum of its neighbors' additive cell codes
+(``cell_codes.take(states)`` gathered at the ids) through the index's one
+code -> rank map, so no count vector is built; the greedy actions
+``greedy[states, ranks]``. The sampled-reward ablation reads its histograms
+back by rank (``counts_by_rank``), and the exact-input baseline ranks the
+rounded aggregates by their codes too. A policy whose (|S|, kappa) codes
+pass 64 bits is a BudgetError before any episode (``check_policy``).
 
-Determinism: one stream per episode, one block per step. Each episode draws
-from its own generator ``stream(seed, "exec")``, created once, and takes one
-(n, 2 kappa + 1) block of uniforms per step: row i holds agent i's kappa
-bucket uniforms, then its kappa accept uniforms for the alias draws, then
-its transition uniform. The block is drawn whether or not the policy samples
-neighbors, so an episode's values depend only on its seed, never on which
-other episodes share its batch or on any parallel schedule.
+Determinism: one stream per episode, (n, 2 kappa + 1) uniforms per step.
+Each episode draws from its own generator ``stream(seed, "exec")``, created
+once, and reads one (n, 2 kappa + 1) block of uniforms per step: row i holds
+agent i's kappa bucket uniforms, then its kappa accept uniforms for the alias
+draws, then its transition uniform. The block is drawn whether or not the
+policy samples neighbors. An episode draws the blocks of several steps in
+one call, and consecutive draws from one generator are the draws of one call,
+so the number of steps per call changes no output. The policies draw one
+after another into one buffer, each reducing its draws to neighbor ids and
+transition uniforms before the next draws; a call covers as many steps as
+keep that buffer and every policy's ids and transition uniforms within
+``_EXEC_BLOCK`` values, or one step where that needs more. Initial states
+come from ``stream(seed, "exec-init")``, drawn once per seed and shared by
+every policy. So an episode's values depend only on its policy and seed,
+never on which other episodes or policies share its batch or on any
+parallel schedule.
 """
 
 from __future__ import annotations
@@ -120,81 +131,148 @@ def _initial_states(init, n: int, n_states: int, rng: np.random.Generator) -> np
     return np.minimum(np.searchsorted(cdf, u, side="right"), n_states - 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """What ``_simulate`` returns for a batch of E episodes."""
-
-    discounted: np.ndarray  # (E,)
-    stage_rewards: np.ndarray  # (E, horizon)
-    trajectory: list | None  # per step, (states, actions) of shape (E, n)
+_EXEC_BLOCK = 1 << 15  # values a draw block holds, over the whole batch (256 KB)
 
 
-def _simulate(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
-              kappa: int, horizon: int, gamma: float, seeds, init, *,
-              reward_aggregates: str, policy_inputs: str,
-              record_trajectory: bool) -> _Batch:
-    """Step one episode per seed together, as (episodes, n, ...) arrays."""
-    if policy.kappa != kappa:
-        raise ValueError(f"policy kappa {policy.kappa} does not match requested {kappa}")
+def check_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: int) -> None:
+    """Refuse a policy that the simulator cannot run on ``env`` and the n
+    agents of ``weights``: a weight matrix for another n (ValueError), a
+    table of other dimensions than ``env`` (GmfsError) or histogram codes
+    past 64 bits (BudgetError)."""
     if weights.n != n:
         raise ValueError(f"weight matrix is for {weights.n} agents, not {n}")
     if (policy.n_states, policy.table.n_actions) != (env.n_states, env.n_actions):
         raise GmfsError(
             f"q-table has |S|={policy.n_states}, |A|={policy.table.n_actions} but "
             f"environment {env.name!r} has |S|={env.n_states}, |A|={env.n_actions}")
+    get_index(env.n_states, policy.kappa).cell_codes()
+
+
+def _one_policy(policy: Policy, kappa: int) -> tuple:
+    if policy.kappa != kappa:
+        raise ValueError(f"policy kappa {policy.kappa} does not match requested {kappa}")
+    return (policy,)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """What ``_simulate`` returns for K policies and E episodes each."""
+
+    discounted: np.ndarray  # (K, E)
+    stage_rewards: np.ndarray  # (K, E, horizon)
+    trajectory: list | None  # per step, (states, actions) of shape (K, E, n)
+
+
+class _PolicyStep:
+    """One policy of a batch: its lookups, the rows ``rows`` of its episodes
+    in the batch, their generators and the neighbor ids of the current block."""
+
+    def __init__(self, policy: Policy, n_states: int, rows: slice, seeds):
+        kappa = policy.kappa
+        index = get_index(n_states, kappa)
+        self.kappa, self.width, self.rows = kappa, 2 * kappa + 1, rows
+        self.cell_codes = index.cell_codes()
+        self.code_rank = index.code_ranker
+        self.greedy = policy.greedy_table()
+        self.rank_g = index.counts_by_rank / kappa  # the sampled histogram of each rank
+        self.generators = [stream(sd, "exec") for sd in seeds]
+        self.ids = None
+
+    def draw(self, scratch: np.ndarray, steps: int, n: int) -> np.ndarray:
+        """The next ``steps`` steps' uniforms of every episode, (E, steps, n,
+        2 kappa + 1), drawn into the front of the flat ``scratch``."""
+        shape = (len(self.generators), steps, n, self.width)
+        out = scratch[:math.prod(shape)].reshape(shape)
+        for e, gen in enumerate(self.generators):
+            gen.random(out=out[e])
+        return out
+
+
+def _cdf_count(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many entries of each cdf ``cumsum(pmf, axis=-1)`` are <= u, that is
+    searchsorted(cdf, u, side="right"). The running sum adds the cells in
+    cumsum's order, so every cdf entry is cumsum's bit for bit, but it runs
+    one whole-array operation per cell where cumsum loops over the rows."""
+    cells = np.moveaxis(pmf, -1, 0)
+    cdf = cells[0].copy()
+    count = (u >= cdf).astype(np.int64)
+    for cell in cells[1:]:
+        cdf += cell
+        count += u >= cdf
+    return count
+
+
+def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon: int,
+              gamma: float, seeds, init, *, reward_aggregates: str, policy_inputs: str,
+              record_trajectory: bool) -> _Batch:
+    """Step one episode per (policy, seed) together, as (K * E, n, ...) arrays:
+    batch row k * E + e is policy k on seed e."""
     if reward_aggregates not in REWARD_AGGREGATES:
         raise ValueError(f"reward_aggregates must be one of {REWARD_AGGREGATES}")
     if policy_inputs not in BASELINE_POLICY_INPUTS.values():
         raise ValueError(f"policy_inputs must be one of {tuple(BASELINE_POLICY_INPUTS.values())}")
+    for policy in policies:
+        check_policy(env, weights, policy, n)  # every refusal comes before any episode
     S = env.n_states
-    E = len(seeds)
-    g_index = get_index(S, kappa)
-    cell_codes = g_index.cell_codes()  # codes past 64 bits: a BudgetError before any episode
-    code_rank = g_index.code_ranker
-    greedy = policy.greedy_table()
+    K, E = len(policies), len(seeds)
+    # per step a block holds the uniforms of the widest policy, which draw one
+    # policy at a time, and every policy's neighbor ids and transition uniforms
+    widest = max(2 * p.kappa + 1 for p in policies)
+    per_step = E * n * (widest + sum(p.kappa + 1 for p in policies))
+    block = max(1, min(horizon, _EXEC_BLOCK // per_step))
+    steppers = [_PolicyStep(p, S, slice(k * E, (k + 1) * E), seeds)
+                for k, p in enumerate(policies)]
     alias = stacked_alias(weights)
-    states = np.stack([_initial_states(init, n, S, stream(sd, "exec-init")) for sd in seeds])
-    generators = [stream(sd, "exec") for sd in seeds]
-    blocks = np.empty((E, n, 2 * kappa + 1))
+    initial = np.stack([_initial_states(init, n, S, stream(sd, "exec-init")) for sd in seeds])
+    states = np.tile(initial, (K, 1))
     # offsets that take every episode's alias ids into the flat (E * n) agents
-    agent_offset = np.arange(0, E * n, n)[:, None, None]
-    discounted = np.zeros(E)
+    agent_offset = np.arange(0, E * n, n)[:, None, None, None]
+    actions = np.empty((K * E, n), dtype=np.int64)
+    reward_g = np.empty((K * E, n, S)) if reward_aggregates == "sampled" else None
+    scratch = np.empty(E * block * n * widest)
+    u_next = np.empty((block, K * E, n))
+    discounted = np.zeros(K * E)
     coeff = 1.0
-    stage_rewards = np.empty((E, horizon))
+    stage_rewards = np.empty((K * E, horizon))
     trajectory = [] if record_trajectory else None
 
-    for t in range(horizon):
-        exact_g = exact_state_aggregates(weights, states, S)  # (E, n, S)
-        for e, gen in enumerate(generators):
-            gen.random(out=blocks[e])
-        if policy_inputs == "exact":
-            codes = nearest_histograms(exact_g, kappa) @ cell_codes
-        else:
-            ids = alias.sample_from_uniforms(blocks[..., :kappa], blocks[..., kappa:2 * kappa])
-            ids += agent_offset
-            codes = cell_codes.take(states).ravel().take(ids).sum(axis=-1)
-        ranks = code_rank(codes)
-        actions = greedy[states, ranks]
+    for t0 in range(0, horizon, block):
+        steps = min(block, horizon - t0)
+        for ps in steppers:
+            kappa = ps.kappa
+            uni = ps.draw(scratch, steps, n)
+            u_next[:steps, ps.rows] = uni[..., 2 * kappa].transpose(1, 0, 2)
+            if policy_inputs == "sampled":
+                ps.ids = alias.sample_from_uniforms(uni[..., :kappa], uni[..., kappa:2 * kappa])
+                ps.ids += agent_offset
+        for t in range(steps):
+            exact_g = exact_state_aggregates(weights, states, S)  # (K * E, n, S)
+            for ps in steppers:
+                own = states[ps.rows]
+                if policy_inputs == "exact":
+                    codes = nearest_histograms(exact_g[ps.rows], ps.kappa) @ ps.cell_codes
+                else:
+                    codes = ps.cell_codes.take(own).ravel().take(ps.ids[:, t]).sum(axis=-1)
+                ranks = ps.code_rank(codes)
+                actions[ps.rows] = ps.greedy[own, ranks]
+                if reward_g is not None:
+                    reward_g[ps.rows] = ps.rank_g[ranks]
+            stage = team_reward(env, states, actions,
+                                exact_g if reward_g is None else reward_g)
 
-        if reward_aggregates == "exact":
-            reward_g = exact_g
-        else:
-            reward_g = g_index.counts_by_rank[ranks] / kappa
-        stage = team_reward(env, states, actions, reward_g)
+            if record_trajectory:
+                trajectory.append((states.reshape(K, E, n).copy(),
+                                   actions.reshape(K, E, n).copy()))
 
-        if record_trajectory:
-            trajectory.append((states.copy(), actions.copy()))
+            next_states = _cdf_count(transitions(env, states, actions, exact_g), u_next[t])
 
-        cdf = np.cumsum(transitions(env, states, actions, exact_g), axis=-1)
-        # counting cdf entries <= u is searchsorted(cdf, u, side="right")
-        next_states = (blocks[..., 2 * kappa, None] >= cdf).sum(axis=-1)
+            stage_rewards[:, t0 + t] = stage
+            discounted += coeff * stage
+            coeff *= gamma
+            states = np.minimum(next_states, S - 1)
 
-        stage_rewards[:, t] = stage
-        discounted += coeff * stage
-        coeff *= gamma
-        states = np.minimum(next_states, S - 1)
-
-    return _Batch(discounted=discounted, stage_rewards=stage_rewards, trajectory=trajectory)
+    return _Batch(discounted=discounted.reshape(K, E),
+                  stage_rewards=stage_rewards.reshape(K, E, horizon), trajectory=trajectory)
 
 
 def run_episode(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
@@ -210,14 +288,14 @@ def run_episode(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
     agent per step; "exact" rounds the true aggregate onto the histogram grid
     (the full-information baseline).
     """
-    batch = _simulate(env, weights, policy, n, kappa, horizon, gamma, (int(seed),), init,
-                      reward_aggregates=reward_aggregates, policy_inputs=policy_inputs,
-                      record_trajectory=record_trajectory)
+    batch = _simulate(env, weights, _one_policy(policy, kappa), n, horizon, gamma,
+                      (int(seed),), init, reward_aggregates=reward_aggregates,
+                      policy_inputs=policy_inputs, record_trajectory=record_trajectory)
     trajectory = None
     if record_trajectory:
-        trajectory = [(s[0], a[0]) for s, a in batch.trajectory]
-    return EpisodeResult(discounted_return=float(batch.discounted[0]),
-                         stage_rewards=batch.stage_rewards[0], seed=seed,
+        trajectory = [(s[0, 0], a[0, 0]) for s, a in batch.trajectory]
+    return EpisodeResult(discounted_return=float(batch.discounted[0, 0]),
+                         stage_rewards=batch.stage_rewards[0, 0], seed=seed,
                          trajectory=trajectory)
 
 
@@ -230,23 +308,40 @@ class PolicyEvaluation:
     tail_bound: float
 
 
-def evaluate_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
-                    kappa: int, horizon: int, gamma: float, seeds, init=0, *,
-                    reward_aggregates: str = "exact",
-                    policy_inputs: str = "sampled") -> PolicyEvaluation:
-    """Run one episode per seed, all seeds as one batch, and summarize.
+def evaluate_policies(env: Environment, weights: WeightMatrix, policies, n: int,
+                      horizon: int, gamma: float, seeds, init=0, *,
+                      reward_aggregates: str = "exact",
+                      policy_inputs: str = "sampled") -> list:
+    """Run one episode per policy and seed, all of them as one batch, and
+    summarize each policy, in the order given.
 
     The tail bound gamma^horizon * reward_bound / (1 - gamma) quantifies the
     truncation of the infinite-horizon objective.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds, policies = tuple(int(s) for s in seeds), tuple(policies)
     if not seeds:
         raise ValueError("seed list must be non-empty")
-    returns = _simulate(env, weights, policy, n, kappa, horizon, gamma, seeds, init,
-                        reward_aggregates=reward_aggregates, policy_inputs=policy_inputs,
-                        record_trajectory=False).discounted
-    mean = float(returns.mean())
-    std_error = float(returns.std(ddof=1) / math.sqrt(len(seeds))) if len(seeds) > 1 else 0.0
+    if not policies:
+        raise ValueError("policy list must be non-empty")
+    discounted = _simulate(env, weights, policies, n, horizon, gamma, seeds, init,
+                           reward_aggregates=reward_aggregates, policy_inputs=policy_inputs,
+                           record_trajectory=False).discounted
     tail = gamma ** horizon * env.reward_bound / (1.0 - gamma) if gamma < 1 else math.inf
-    return PolicyEvaluation(mean=mean, std_error=std_error, returns=returns,
-                            seeds=seeds, tail_bound=tail)
+    evaluations = []
+    for returns in discounted:
+        std_error = (float(returns.std(ddof=1) / math.sqrt(len(seeds)))
+                     if len(seeds) > 1 else 0.0)
+        evaluations.append(PolicyEvaluation(mean=float(returns.mean()), std_error=std_error,
+                                            returns=returns, seeds=seeds, tail_bound=tail))
+    return evaluations
+
+
+def evaluate_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
+                    kappa: int, horizon: int, gamma: float, seeds, init=0, *,
+                    reward_aggregates: str = "exact",
+                    policy_inputs: str = "sampled") -> PolicyEvaluation:
+    """Run one episode per seed, all seeds as one batch, and summarize: the
+    one-policy case of ``evaluate_policies``."""
+    return evaluate_policies(env, weights, _one_policy(policy, kappa), n, horizon, gamma,
+                             seeds, init, reward_aggregates=reward_aggregates,
+                             policy_inputs=policy_inputs)[0]

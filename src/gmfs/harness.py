@@ -9,9 +9,9 @@ Sweep outputs: sweep.csv (one row per kappa) and episodes.csv (one row per
 episode), both byte-identical across repeated runs with the same config and
 master seed for any GMFS_THREADS setting; wall-clock timings go to
 timings.json, which is deliberately outside the determinism contract: per
-kappa, the training and the evaluation wall time and the evaluation's
-agent-steps (seeds x n x horizon), so their quotient is the time per
-agent-step.
+kappa, the training wall time and the evaluation's agent-steps (seeds x n x
+horizon), and the wall time of the one batched evaluation of every trained
+kappa, so that time over the summed agent-steps is the time per agent-step.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .bellman import (ACTION_RULES, AGGREGATE_RULES, MODES, QTable, save_qtable,
 from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
 from .execution import (BASELINE_POLICY_INPUTS, REWARD_AGGREGATES, Policy, PolicyEvaluation,
-                        evaluate_policy, read_init)
+                        check_policy, evaluate_policies, evaluate_policy, read_init)
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
@@ -387,7 +387,6 @@ class SweepRow:
     returns: np.ndarray | None = None
     sup_peak: float = 0.0
     qtable: QTable | None = None
-    evaluate_wall_time: float = 0.0
     agent_steps: int = 0  # seeds x n x horizon of the evaluation
 
 
@@ -418,43 +417,44 @@ def check_init(cfg: ExperimentConfig, env: Environment) -> None:
         raise ConfigError(f"[execute] init = {_fmt(cfg.init)}: {exc}") from exc
 
 
+def _evaluation_settings(cfg: ExperimentConfig) -> dict:
+    """The configured episodes, one per seed of ``cfg.seed_list``, and how they run."""
+    return dict(seeds=[episode_seed(cfg.master_seed, idx) for idx in cfg.seed_list],
+                init=cfg.init, reward_aggregates=cfg.reward_aggregates,
+                policy_inputs=BASELINE_POLICY_INPUTS[cfg.baseline])
+
+
 def evaluate_table(cfg: ExperimentConfig, env: Environment, weights,
                    q: QTable) -> PolicyEvaluation:
-    """Run the configured episodes, one per seed of ``cfg.seed_list``, under
-    the greedy policy of ``q``."""
-    seeds = [episode_seed(cfg.master_seed, idx) for idx in cfg.seed_list]
-    return evaluate_policy(
-        env, weights, Policy(q), cfg.n, q.kappa, cfg.horizon, cfg.gamma, seeds,
-        init=cfg.init,
-        reward_aggregates=cfg.reward_aggregates,
-        policy_inputs=BASELINE_POLICY_INPUTS[cfg.baseline],
-    )
+    """Run the configured episodes under the greedy policy of ``q``."""
+    return evaluate_policy(env, weights, Policy(q), cfg.n, q.kappa, cfg.horizon, cfg.gamma,
+                           **_evaluation_settings(cfg))
 
 
-def _sweep_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> SweepRow:
+def _train_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> SweepRow:
+    """Train one kappa and check that its policy can be evaluated; a kappa
+    refused with a gmfs error is recorded, and the other kappas still run."""
     size = table_size(cfg.mode, kappa, env.n_states, env.n_actions)
     try:
         t0 = time.perf_counter()
         q = train_kappa(cfg, env, kappa)
-        t1 = time.perf_counter()
-        evaluation = evaluate_table(cfg, env, weights, q)
-        return SweepRow(kappa=kappa, table_size=size, train_iterations=q.iterations,
-                        train_residual=q.residual, train_wall_time=t1 - t0,
-                        evaluate_wall_time=time.perf_counter() - t1,
-                        agent_steps=len(cfg.seed_list) * cfg.n * cfg.horizon,
-                        mean_return=evaluation.mean, stderr_return=evaluation.std_error,
-                        returns=evaluation.returns,
-                        sup_peak=max(q.sup_history) if q.sup_history else q.sup_norm(),
-                        qtable=q)
-    except GmfsError as exc:  # a refused kappa is recorded; other kappas still run
+        train_wall_time = time.perf_counter() - t0
+        check_policy(env, weights, Policy(q), cfg.n)
+    except GmfsError as exc:
         return SweepRow(kappa=kappa, table_size=size, train_iterations=0,
                         train_residual=float("nan"), train_wall_time=0.0,
                         mean_return=float("nan"), stderr_return=float("nan"),
                         status="error", error=f"{type(exc).__name__}: {exc}")
+    return SweepRow(kappa=kappa, table_size=size, train_iterations=q.iterations,
+                    train_residual=q.residual, train_wall_time=train_wall_time,
+                    mean_return=float("nan"), stderr_return=float("nan"),
+                    sup_peak=max(q.sup_history) if q.sup_history else q.sup_norm(),
+                    qtable=q)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepReport:
-    """Train and evaluate every kappa in the config; write CSV reports."""
+    """Train every kappa in the config, evaluate every trained table in one
+    batch, and write CSV reports."""
     env = build_environment(cfg)
     check_init(cfg, env)
     weights = build_system_weights(cfg)
@@ -462,21 +462,31 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepReport:
     directory.mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(lambda k: _sweep_one(cfg, env, weights, k), cfg.kappa_list))
+        rows = list(pool.map(lambda k: _train_one(cfg, env, weights, k), cfg.kappa_list))
     rows.sort(key=lambda r: r.kappa)
+    trained = [r for r in rows if r.status == "ok"]
+    t0 = time.perf_counter()
+    if trained:
+        evaluations = evaluate_policies(env, weights, [Policy(r.qtable) for r in trained],
+                                        cfg.n, cfg.horizon, cfg.gamma,
+                                        **_evaluation_settings(cfg))
+        for row, evaluation in zip(trained, evaluations):
+            row.mean_return, row.stderr_return = evaluation.mean, evaluation.std_error
+            row.returns = evaluation.returns
+            row.agent_steps = len(cfg.seed_list) * cfg.n * cfg.horizon
+    evaluate_wall_time = time.perf_counter() - t0
 
     report = SweepReport(rows=rows, config_hash=config_hash(cfg))
-    for row in rows:
-        if row.status == "ok":
-            report.tables[row.kappa] = row.qtable
-            save_qtable(row.qtable, directory / f"q_kappa{row.kappa:02d}.bin")
+    for row in trained:
+        report.tables[row.kappa] = row.qtable
+        save_qtable(row.qtable, directory / f"q_kappa{row.kappa:02d}.bin")
 
     _write_sweep_csv(report, cfg, directory / "sweep.csv")
     write_episodes_csv(directory / "episodes.csv", cfg,
-                       {r.kappa: r.returns for r in rows if r.returns is not None})
+                       {r.kappa: r.returns for r in trained})
     timings = {"config_hash": report.config_hash,
                "train_wall_time_s": {str(r.kappa): r.train_wall_time for r in rows},
-               "evaluate_wall_time_s": {str(r.kappa): r.evaluate_wall_time for r in rows},
+               "evaluate_wall_time_s": evaluate_wall_time,
                "agent_steps": {str(r.kappa): r.agent_steps for r in rows}}
     (directory / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     return report

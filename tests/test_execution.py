@@ -4,7 +4,9 @@ import pytest
 from gmfs.bellman import QTable, value_iteration
 from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError
-from gmfs.execution import Policy, _initial_states, evaluate_policy, run_episode
+from gmfs import execution
+from gmfs.execution import (Policy, _initial_states, evaluate_policies, evaluate_policy,
+                            run_episode)
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
 from gmfs.histograms import Histogram, get_index, nearest_histograms
 from gmfs.rng import stream
@@ -202,11 +204,11 @@ def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed
     return trajectory, np.array(stage_rewards), discounted
 
 
-def random_policy(env, kappa, seed):
+def random_policy(env, kappa, seed, mode="marginal"):
     """A greedy policy from a random table, so every action is taken."""
     rng = np.random.default_rng(seed)
-    shape = (env.n_states, env.n_actions, get_index(env.n_states, kappa).total)
-    return Policy(QTable("marginal", kappa, env.n_states, env.n_actions,
+    shape = QTable.zeros(mode, kappa, env.n_states, env.n_actions, 0.95).values.shape
+    return Policy(QTable(mode, kappa, env.n_states, env.n_actions,
                          rng.standard_normal(shape), 0.95))
 
 
@@ -304,3 +306,83 @@ class TestSimulatorOracle:
         with pytest.raises(BudgetError, match="codes"):
             evaluate_policy(env, weights, policy, 4, 2, 5, 0.9, seeds=[0],
                             policy_inputs=policy_inputs)
+
+
+class TestPolicyBatch:
+    @pytest.mark.parametrize("mode", ["marginal", "joint"])
+    @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
+    @pytest.mark.parametrize("reward_aggregates", ["exact", "sampled"])
+    def test_batch_matches_each_policy_alone_for_any_draw_block(
+            self, warehouse, hetero_weights, monkeypatch, mode, policy_inputs,
+            reward_aggregates):
+        kappas, seeds, n = (1, 4, 7), [2, 9, 4], hetero_weights.n
+        policies = [random_policy(warehouse, k, seed=k, mode=mode) for k in kappas]
+        settings = dict(init=(0.5, 0.3, 0.2), reward_aggregates=reward_aggregates,
+                        policy_inputs=policy_inputs)
+        steps = []
+        real_draw = execution._PolicyStep.draw
+
+        def draw(self, scratch, count, n):
+            steps.append(count)
+            return real_draw(self, scratch, count, n)
+
+        def batch(horizon, budget):
+            monkeypatch.setattr(execution, "_EXEC_BLOCK", budget)
+            steps.clear()
+            out = evaluate_policies(warehouse, hetero_weights, policies, n, horizon, 0.9,
+                                    seeds, **settings)
+            # each block, every policy draws its steps in turn
+            blocks = steps[::len(kappas)]
+            assert steps == [b for b in blocks for _ in kappas]
+            return out, blocks
+
+        monkeypatch.setattr(execution._PolicyStep, "draw", draw)
+        # a step holds the widest policy's uniforms and every policy's ids and
+        # transition uniforms
+        per_step = len(seeds) * n * (2 * max(kappas) + 1 + sum(k + 1 for k in kappas))
+        default = execution._EXEC_BLOCK
+        for horizon in (0, 10):
+            alone = [evaluate_policy(warehouse, hetero_weights, p, n, p.kappa, horizon, 0.9,
+                                     seeds, **settings) for p in policies]
+            # one block of every step, one step per block, and blocks of 3, 3, 3, 1
+            for budget, blocks in ((default, [10]), (1, [1] * 10), (3 * per_step, [3, 3, 3, 1])):
+                together, drawn = batch(horizon, budget)
+                assert drawn == (blocks if horizon else []), budget
+                for ev, own in zip(together, alone, strict=True):
+                    assert ev.returns.tobytes() == own.returns.tobytes(), budget
+                    assert (ev.mean, ev.std_error) == (own.mean, own.std_error)
+        # the returns differ across seeds and kappas, so the comparison has teeth
+        assert len({r for ev in alone for r in ev.returns.tolist()}) == len(kappas) * len(seeds)
+
+    def test_initial_states_are_drawn_once_per_seed(self, warehouse, hetero_weights,
+                                                    monkeypatch):
+        tags = []
+        real_stream = execution.stream
+
+        def count(*key):
+            tags.append(key[1])
+            return real_stream(*key)
+
+        monkeypatch.setattr(execution, "stream", count)
+        policies = [random_policy(warehouse, k, seed=k) for k in (1, 4, 7)]
+        evaluate_policies(warehouse, hetero_weights, policies, hetero_weights.n, 3, 0.9,
+                          [0, 1], init=(0.5, 0.3, 0.2))
+        assert sorted(tags) == ["exec"] * 6 + ["exec-init"] * 2
+
+    def test_a_policy_refused_anywhere_refuses_the_batch_before_any_episode(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an episode stream was opened")
+
+        S = 42  # kappa 1 fits in 64-bit codes; kappa 2 does not
+        env = linear_env("long", np.broadcast_to(np.eye(S), (S, 1, S, S)).copy(),
+                         np.zeros((S, 1, S)))
+        weights = build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(4))
+        policies = [Policy(QTable.zeros("marginal", k, S, 1, 0.9)) for k in (1, 2)]
+        monkeypatch.setattr(execution, "stream", refuse)
+        with pytest.raises(BudgetError, match="codes"):
+            evaluate_policies(env, weights, policies, 4, 5, 0.9, seeds=[0])
+
+    def test_empty_policy_list_rejected(self, warehouse, warehouse_weights):
+        with pytest.raises(ValueError, match="policy"):
+            evaluate_policies(warehouse, warehouse_weights, [], 25, 5, 0.9, seeds=[0])

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmfs import harness
-from gmfs.env import WAREHOUSE_DEFAULTS, local_reward, step_distribution
+from gmfs.bellman import QTable
+from gmfs.env import WAREHOUSE_DEFAULTS, linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, ConfigError
 from gmfs.harness import (
     ExperimentConfig,
@@ -469,12 +470,15 @@ class TestRunSweep:
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert set(timings) == {"config_hash", "train_wall_time_s", "evaluate_wall_time_s",
                                 "agent_steps"}
-        for key in ("train_wall_time_s", "evaluate_wall_time_s", "agent_steps"):
+        for key in ("train_wall_time_s", "agent_steps"):
             assert set(timings[key]) == {"1", "2"}, key
         # 4 seeds x 9 agents x horizon 15; a refused kappa runs no episode
         assert timings["agent_steps"] == {"1": 4 * 9 * 15, "2": 0}
-        assert timings["evaluate_wall_time_s"]["1"] > 0
-        assert timings["evaluate_wall_time_s"]["2"] == 0
+        assert timings["train_wall_time_s"]["1"] > 0
+        assert timings["train_wall_time_s"]["2"] == 0
+        # every trained kappa is evaluated in one batch, timed once
+        assert isinstance(timings["evaluate_wall_time_s"], float)
+        assert timings["evaluate_wall_time_s"] > 0
 
     def test_benchmark_table_size_column(self):
         from gmfs.bellman import table_size
@@ -499,6 +503,45 @@ class TestRunSweep:
         assert lines[2].endswith(',error,"BudgetError: synthetic refusal, with a comma"')
         rows = list(csv.DictReader(lines))
         assert [r["error"] for r in rows] == ["", by_kappa[2].error]
+
+    def test_a_kappa_refused_by_evaluation_leaves_the_others_byte_identical(
+            self, tmp_path, monkeypatch):
+        # 41 states: the histogram codes of kappas 1 and 2 fit in 64 bits, kappa 3's
+        # do not, so the simulator refuses kappa 3 after it trained
+        S, A = 41, 2
+        rng = np.random.default_rng(5)
+        kernel = rng.dirichlet(np.ones(S), size=(S, A, S))
+        env = linear_env("wide", kernel, rng.standard_normal((S, A, S)))
+
+        def train(cfg, env, kappa):
+            shape = QTable.zeros("marginal", kappa, S, A, cfg.gamma).values.shape
+            values = np.random.default_rng(kappa).standard_normal(shape)
+            return QTable("marginal", kappa, S, A, values, cfg.gamma, iterations=1,
+                          residual=0.5)
+
+        monkeypatch.setattr(harness, "build_environment", lambda cfg: env)
+        monkeypatch.setattr(harness, "train_kappa", train)
+        cfg = small_sweep_config(kappa_list=(1, 2, 3), n=6, graphon_kind="uniform")
+        report = run_sweep(cfg, out_dir=tmp_path / "all")
+        assert [r.status for r in report.rows] == ["ok", "ok", "error"]
+        assert report.rows[2].error.startswith("BudgetError: histogram codes")
+        run_sweep(replace(cfg, kappa_list=(1, 2)), out_dir=tmp_path / "without")
+
+        def data_lines(run, name):  # the lines after the two provenance comments
+            return (tmp_path / run / name).read_text().splitlines()[2:]
+
+        with_refusal = data_lines("all", "sweep.csv")
+        assert with_refusal[:3] == data_lines("without", "sweep.csv")
+        assert with_refusal[3].startswith("3,")
+        episodes = data_lines("all", "episodes.csv")
+        assert episodes == data_lines("without", "episodes.csv")
+        assert len(episodes) == 1 + 2 * len(cfg.seed_list)
+        assert len({line.rsplit(",", 1)[1] for line in episodes[1:]}) == len(episodes) - 1
+        for kappa in (1, 2):
+            name = f"q_kappa{kappa:02d}.bin"
+            assert (tmp_path / "all" / name).read_bytes() == (
+                tmp_path / "without" / name).read_bytes()
+        assert not (tmp_path / "all" / "q_kappa03.bin").exists()
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(cfg, env, kappa):
