@@ -20,14 +20,18 @@ One tabulated surrogate model (``tabulate``: kernel, cdf and reward at the
 histogram points, leave-one-out ranks, neighbor slots) feeds every learner,
 and one engine runs value iteration with either Bellman operator in both
 modes. The empirical operator freezes per-entry sample sets across sweeps
-(consecutive blocks of one stream keyed by seed and kappa, in entry order),
-so the iteration is a fixed gamma-contraction and the residual decays
-geometrically to the sample-operator fixed point. The exact operator takes
-the expectation instead: per entry, the focal next-state pmf and the law of
-g', the kappa neighbor laws convolved over histogram ranks. The greedy rule
-makes that law depend on Q, so the exact operator runs under the uniform
-rule (or in joint mode) only. ``surrogate_step`` and ``empirical_operator`` work per entry;
-they are the reference the engine is tested against bit for bit.
+(consecutive blocks of one stream keyed by seed and kappa, in entry order).
+The exact operator takes the expectation instead: per entry, the focal
+next-state pmf and the law of g', the kappa neighbor laws convolved over
+histogram ranks. Under the uniform rule, in joint mode and with the exact
+operator the operator is fixed, so the iteration is a gamma-contraction and
+the residual decays geometrically to its fixed point. The greedy rule reads
+the neighbor actions off the current Q, so its operator changes from sweep
+to sweep and need not contract: the greedy actions can cycle and the run
+end at its sweep cap with a residual far above epsilon. For the same reason
+the exact operator runs under the uniform rule (or in joint mode) only.
+``surrogate_step`` and ``empirical_operator`` work per entry; they are the
+reference the engine is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -409,8 +413,7 @@ class _FrozenEngine:
     build needs about 1 MB of draws above the arrays the engine keeps,
     whatever m. The exact operator holds per entry the focal next-state
     pmf and the law of the neighbors' next marginal. A sweep is then a
-    gather over the current table, which keeps the iteration an exact
-    contraction and bit-reproducible for any worker count.
+    gather over the current table, bit-reproducible for any worker count.
 
     The empirical operator reads each sample's next marginal as a sum of
     additive slot codes (``HistogramIndex.cell_codes``), which the index's
@@ -420,10 +423,15 @@ class _FrozenEngine:
     code step ``codes[x + 1] - codes[x]`` (``_threshold_codes``); the focal
     next state is the same count with a step of G. Where the slot laws are
     static, every sample's backup sits at one frozen flat index
-    ``s' * G + rank`` of the (S, G) backup table. Under the greedy rule each
-    (entry, slot, action) keeps its m next-state codes; a sweep gathers the
-    rows of the current greedy slot actions, sums them over the slots and
-    ranks the sums.
+    ``s' * G + rank`` of the (S, G) backup table. Under the greedy rule
+    every slot in state x sees the aggregate ``gm_rank[g, s, x]``, so all
+    the slots of one state take the same greedy action in every sweep. Each
+    (entry, state, action) keeps, per sample, the sum of the codes its
+    state's slots draw under that action: E S A m codes, not E kappa A m (a
+    state without slots keeps zeros). A sweep gathers the row of each
+    state's current greedy action, sums the rows over the states and ranks
+    the sums; integer sums are exact in any order, so every rank is the one
+    the per-slot codes give.
     """
 
     def __init__(self, env: Environment, kappa: int, m: int, seed: int, *, mode: str,
@@ -472,14 +480,15 @@ class _FrozenEngine:
         slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], slot_states]
 
         if self.greedy:
-            # slot-major (kappa, E) lookups: a sweep's row gather comes out
-            # (kappa, E, m), and its sum over the slots adds whole blocks
-            self.slot_key = (slot_states * G + slot_gm_rank).T.copy()
-            self.slot_base = (np.arange(kappa)[:, None]
-                              + np.arange(self.n_entries) * kappa) * A
-            # coupled inverse-CDF outcome code of each slot under each
-            # candidate action, one row of m samples per (entry, slot, action)
-            next_codes = np.empty((self.n_entries, kappa, A, m), dtype=code_dtype)
+            # state-major (S, E) lookups: a sweep's row gather comes out
+            # (S, E, m), and its sum over the states adds whole blocks
+            state_gm_rank = model.gm_rank[e_g, e_s]                       # (E, S)
+            self.slot_key = (np.arange(S) * G + state_gm_rank).T.copy()
+            self.slot_base = (np.arange(S)[:, None] + np.arange(self.n_entries) * S) * A
+            # the summed coupled inverse-CDF outcome codes of each state's
+            # slots under each candidate action, one row of m samples per
+            # (entry, state, action); a state without slots sums to 0
+            next_codes = np.zeros((self.n_entries, S, A, m), dtype=code_dtype)
         else:
             # otherwise the law of every slot is static, and so are the next marginals
             if mode == "joint":
@@ -516,8 +525,13 @@ class _FrozenEngine:
                 # advanced indices split by a slice land in front
                 action_cdf = model.cdf[slot_states[b], :, slot_gm_rank[b]]  # (B, kappa, A, S)
                 slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :, None]
-                next_codes[b] = _threshold_codes(action_cdf[:, :, :, None, None, :], slot_uni,
-                                                 steps, code_dtype)   # (B, kappa, A, m)
+                codes = _threshold_codes(action_cdf[:, :, :, None, None, :], slot_uni,
+                                         steps, code_dtype)           # (B, kappa, A, m)
+                # each slot's codes go to its state's rows; one slot index
+                # names one state per entry, so no row is added twice
+                by_state, at = next_codes[b], np.arange(len(codes))
+                for k in range(kappa):
+                    by_state[at, slot_states[b, k]] += codes[:, k]
             else:
                 # each sample's code sums its slots' codes: per cdf threshold
                 # x, the step to the next cell's code times the slots whose
@@ -537,8 +551,8 @@ class _FrozenEngine:
         if self.exact:
             return ((self.focal_pmf @ m_values) * self.law).sum(axis=1)
         if self.greedy:
-            greedy = np.argmax(values, axis=1).ravel().take(self.slot_key)  # (kappa, E)
-            codes = self.next_codes.take(self.slot_base + greedy, axis=0)  # (kappa, E, m)
+            greedy = np.argmax(values, axis=1).ravel().take(self.slot_key)  # (S, E)
+            codes = self.next_codes.take(self.slot_base + greedy, axis=0)  # (S, E, m)
             flat = self.code_rank(codes.sum(axis=0, dtype=codes.dtype))
             flat += self.focal_offset
         else:
@@ -708,55 +722,67 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     """
     config = config or OffPolicyConfig()
     gamma = env.discount if gamma is None else float(gamma)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if not 0 <= gamma < 1:
+        raise ValueError("gamma must lie in [0, 1)")
     q = QTable.zeros("marginal", kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
     S, A = env.n_states, env.n_actions
     model = tabulate(env, kappa, aggregate_rule)
     G = model.index.total
     # The trajectory never reads Q, so each step is a few scalar lookups in
-    # Python-list tables. Every cdf row drops its last entry: bisect_right
-    # on the rest counts the entries <= u, capped at S - 1, exactly as
-    # min(searchsorted(row, u, side="right"), S - 1) does.
-    cdf = model.cdf[..., :-1].tolist()                         # [s][a][g]
-    rewards = model.rewards.tolist()                           # [s][a][g]
-    nb_cdf = model.uniform_cdf()[..., :-1]
-    nb_rows = [[[nb_cdf[x, model.gm_rank[g, s, x]].tolist() for x in model.slot_states[g]]
-                for s in range(S)] for g in range(G)]           # [g][s][slot]
-    # a histogram's cell-code sum as a Python int, which no kappa or S overflows
-    cell_code = [0] + [(kappa + 1) ** (x - 1) for x in range(1, S)]
-    rank_of = {sum(c * code for c, code in zip(counts, cell_code)): g
-               for g, counts in enumerate(model.hist_counts.tolist())}
+    # Python-list tables indexed by the chain state x = s * G + g. Every cdf
+    # row drops its last entry: bisect_right on the rest counts the entries
+    # <= u, capped at S - 1, exactly as min(searchsorted(row, u,
+    # side="right"), S - 1) does.
+    x_s, x_g = np.divmod(np.arange(S * G), G)
+    focal_cdf = model.cdf[x_s, :, x_g, :-1].tolist()           # [x][a]
+    rewards = model.rewards[x_s, :, x_g].tolist()               # [x][a]
+    x_slots = model.slot_states[x_g]                            # (S G, kappa)
+    nb_rows = model.uniform_cdf()[..., :-1][
+        x_slots, model.gm_rank[x_g[:, None], x_s[:, None], x_slots]].tolist()
+    # per x, each neighbor slot's uniform column (after the action's and the
+    # focal agent's) and cdf row
+    nb_slots = [list(enumerate(rows, 2)) for rows in nb_rows]  # [x][slot]
+    # a next chain state x' = s' * G + g' by its code s' * span plus the
+    # cell-code sum of g', a Python int, which no kappa or S overflows
+    cell_code = [0] + [(kappa + 1) ** (y - 1) for y in range(1, S)]
+    span = kappa * cell_code[-1] + 1  # past every cell-code sum
+    focal_code = [s * span for s in range(S)]
+    x_of = {s * span + sum(c * code for c, code in zip(counts, cell_code)): s * G + g
+            for s in range(S) for g, counts in enumerate(model.hist_counts.tolist())}
     behavior_cdf = None
     if config.behavior_policy is not None:
-        behavior_cdf = [[np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()
-                         for g in range(G)] for s in range(S)]
-    values = [[[0.0] * A for _ in range(G)] for _ in range(S)]  # [s][g][a]
+        behavior_cdf = [np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()
+                        for s, g in zip(x_s.tolist(), x_g.tolist())]  # [x]
+    values = [[0.0] * A for _ in range(S * G)]                  # [x][a]
 
     rng = stream(seed, "off-policy", kappa)
-    s_cur = int(rng.integers(0, S))
-    g_cur = int(rng.integers(0, G))
+    x = int(rng.integers(0, S)) * G + int(rng.integers(0, G))
     t = 0
     while t < steps:
         # the same rows whatever the block length; short blocks keep the
-        # list copy small
-        block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), kappa + 2)).tolist()
+        # list copies small
+        block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), kappa + 2))
         alphas = config.alpha(np.arange(t, t + len(block))).tolist()
-        for u, alpha in zip(block, alphas):
-            if behavior_cdf is None:
-                a = min(int(u[0] * A), A - 1)
-            else:
-                a = bisect_right(behavior_cdf[s_cur][g_cur], u[0])
-            s_next = bisect_right(cdf[s_cur][a][g_cur], u[1])
-            code = 0
-            for j, row in enumerate(nb_rows[g_cur][s_cur], 2):
+        # per row: the action under the uniform behavior policy, which is
+        # min(int(u * A), A - 1) by the same float product, else the uniform
+        # the behavior policy reads
+        first = (np.minimum((block[:, 0] * A).astype(np.int64), A - 1)
+                 if behavior_cdf is None else block[:, 0]).tolist()
+        for a, u, alpha in zip(first, block.tolist(), alphas):
+            if behavior_cdf is not None:
+                a = bisect_right(behavior_cdf[x], a)
+            code = focal_code[bisect_right(focal_cdf[x][a], u[1])]
+            for j, row in nb_slots[x]:
                 code += cell_code[bisect_right(row, u[j])]
-            g_next = rank_of[code]
-            backup = rewards[s_cur][a][g_cur] + gamma * max(values[s_next][g_next])
-            entry = values[s_cur][g_cur]
-            entry[a] += alpha * (backup - entry[a])
-            s_cur, g_cur = s_next, g_next
+            xn = x_of[code]
+            entry = values[x]
+            entry[a] += alpha * (rewards[x][a] + gamma * max(values[xn]) - entry[a])
+            x = xn
         t += len(block)
-    q.values = np.array(values).transpose(0, 2, 1).copy()
+    q.values = np.array(values).reshape(S, G, A).transpose(0, 2, 1).copy()
     q.iterations = steps
     q.residual = float("nan")
     return q

@@ -188,10 +188,16 @@ def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
     return q
 
 
-def random_linear_env(seed=3):
+def random_linear_env(seed=3, S=3):
     rng = np.random.default_rng(seed)
-    return linear_env("random", rng.dirichlet(np.ones(3), size=(3, 2, 3)),
-                      rng.normal(size=(3, 2, 3)))
+    return linear_env("random", rng.dirichlet(np.ones(S), size=(S, 2, S)),
+                      rng.normal(size=(S, 2, S)))
+
+
+@pytest.fixture(scope="module")
+def four_state():
+    """A random 4-state 2-action linear env: at kappa 2 it has 10 marginals."""
+    return random_linear_env(seed=4, S=4)
 
 
 class TestTabulate:
@@ -685,9 +691,32 @@ class TestValueIteration:
                     flat[e, j] = s_next * index.total + index.rank(counts)
         if rule == "greedy":
             assert np.array_equal(eng.focal_offset, flat)
-            assert np.array_equal(eng.next_codes, next_codes.reshape(-1, m))
+            # the slots of one state share their greedy action, so the
+            # engine keeps the sum of their codes per (entry, state, action)
+            by_state = np.zeros((eng.n_entries, S, A, m), dtype=np.int64)
+            for e, (_, _, hist) in enumerate(itertools.product(range(S), range(A), hists)):
+                for k, x in enumerate(expand_surrogate(hist)[0]):
+                    by_state[e, x] += next_codes[e, k]
+            assert np.array_equal(eng.next_codes, by_state.reshape(-1, m))
         else:
             assert np.array_equal(eng.flat, flat)
+
+    def test_greedy_codes_are_kept_per_state(self, warehouse):
+        # one row of m code sums per (entry, state, action), not per slot
+        kappa, m = 24, 50
+        eng = _FrozenEngine(warehouse, kappa, m, 3, mode="marginal",
+                            neighbor_action_rule="greedy", aggregate_rule="leave_one_out")
+        assert eng.next_codes.shape == (eng.n_entries * 3 * 3, m)
+        assert eng.slot_key.shape == eng.slot_base.shape == (3, eng.n_entries)
+        assert eng.next_codes.nbytes <= 2.7e6
+
+    def test_greedy_rule_need_not_converge(self, warehouse):
+        # the greedy slot actions read the current table, so the operator
+        # changes from sweep to sweep and is no fixed contraction: here the
+        # actions keep cycling and the residual stays far above epsilon
+        q = value_iteration(warehouse, 6, 50, 250, seed=5, neighbor_action_rule="greedy")
+        assert q.iterations == 250
+        assert q.residual > 1.0
 
     def test_sweeps_never_rank_rows(self, warehouse, monkeypatch):
         from gmfs import histograms
@@ -891,6 +920,15 @@ class TestOffPolicy:
             off_policy_learn(small, 2, seed=0, gamma=0.9)
         assert off_policy_learn(small, 2, 500, seed=0, gamma=0.9).iterations == 500
 
+    def test_negative_steps_are_refused(self, small):
+        with pytest.raises(ValueError, match="steps"):
+            off_policy_learn(small, 2, -5, seed=0, gamma=0.9)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1])
+    def test_gamma_outside_the_unit_interval_is_refused(self, small, gamma):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            off_policy_learn(small, 2, 10, seed=0, gamma=gamma)
+
     def test_decaying_schedule(self):
         cfg = OffPolicyConfig(learning_rate=0.5, decay=0.1)
         assert cfg.alpha(0) == 0.5
@@ -905,6 +943,10 @@ class TestOffPolicy:
         ("warehouse", 3, 2 * 4096 + 811, 4, {"config": OffPolicyConfig(
             learning_rate=0.2, behavior_policy=lambda s, g: (1.0, 2.0, 0.5 + s))}),
         ("warehouse", 4, 1, 5, {}),
+        # more chain states x = s * G + g than states, past one block
+        ("warehouse", 6, 4096 + 1500, 6, {}),
+        ("four_state", 2, 4000, 7, {"config": OffPolicyConfig(
+            behavior_policy=lambda s, g: (1.0 + s, 2.0 + g % 3))}),
     ])
     def test_matches_the_per_step_numpy_oracle(self, request, env_name, kappa, steps,
                                                seed, kwargs):
