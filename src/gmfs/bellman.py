@@ -241,8 +241,7 @@ def _neighbor_marginal(counts: np.ndarray, focal_state: int, x: int,
 
 
 def _greedy_action(q: QTable, x: int, gm_counts: np.ndarray) -> int:
-    g_rank = get_index(q.n_states, q.kappa).rank_rows(gm_counts[None, :])[0]
-    return fiber_argmax(q, x, int(g_rank))
+    return fiber_argmax(q, x, get_index(q.n_states, q.kappa).rank(gm_counts))
 
 
 def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
@@ -369,6 +368,7 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
         raise ValueError(f"aggregate_rule must be one of {AGGREGATE_RULES}")
     S, A = env.n_states, env.n_actions
     index = get_index(S, kappa)
+    index.cell_codes()  # codes past 64 bits: a BudgetError before the kernel runs
     G = index.total
     hist_counts = index.counts_by_rank
     s_grid, a_grid, _ = np.indices((S, A, G))
@@ -457,6 +457,12 @@ class _FrozenEngine:
         elif m < 1:
             raise ValueError("m must be >= 1")
         else:
+            # the kept samples: flat, and next_codes under the greedy rule
+            kept = self.n_entries * m * (1 + S * A * self.greedy)
+            if kept > MAX_TABLE_ENTRIES:
+                raise BudgetError(
+                    f"{kept} kept frozen samples exceed the memory budget "
+                    f"({MAX_TABLE_ENTRIES}); lower m")
             cell_codes = get_index(S, kappa).cell_codes()
             # the smallest dtype that holds a code sum, kappa (kappa+1)^(S-2)
             code_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
@@ -498,7 +504,7 @@ class _FrozenEngine:
                 slot_pmf = model.pmf.mean(axis=1)[slot_states, slot_gm_rank]
             if self.exact:
                 self.focal_pmf = model.pmf[e_s, e_a, e_g]              # (E, S)
-                self.law = _marginal_law(slot_pmf, model.index)        # (E, G)
+                self.law = _marginal_law(slot_pmf)                     # (E, G)
                 return
             # in place, so the build holds one (E, kappa, S) array, not two
             slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
@@ -560,20 +566,20 @@ class _FrozenEngine:
         return m_values.ravel().take(flat).mean(axis=1)                # (E, m) -> (E,)
 
 
-def _marginal_law(slot_pmf: np.ndarray, index: HistogramIndex) -> np.ndarray:
+def _marginal_law(slot_pmf: np.ndarray) -> np.ndarray:
     """(E, G) law of the histogram of kappa independent draws, draw k from
-    ``slot_pmf[:, k]`` ((E, kappa, S)), by rank of ``index``. One draw at a
-    time: the mass of each histogram of k draws moves, per state x, to the
-    histogram of k + 1 draws with one more agent in x."""
+    ``slot_pmf[:, k]`` ((E, kappa, S)), by rank. One draw at a time: the
+    mass of each histogram of k draws moves, per state x, to the histogram
+    of k + 1 draws with one more agent in x."""
     E, kappa, S = slot_pmf.shape
     counts = np.zeros((1, S), dtype=np.int64)  # the one histogram of no draws
     law = np.ones((E, 1))
     for k in range(kappa):
+        grown_index = get_index(S, k + 1)
         grown = (counts[:, None, :] + np.eye(S, dtype=np.int64)).reshape(-1, S)
-        ranks = index.rank_rows(grown).reshape(-1, S)  # ranks among histograms of k + 1
-        counts = np.empty((num_histograms(S, k + 1), S), dtype=np.int64)
-        counts[ranks.ravel()] = grown
-        nxt = np.zeros((E, counts.shape[0]))
+        ranks = grown_index.rank_rows(grown).reshape(-1, S)
+        counts = grown_index.counts_by_rank
+        nxt = np.zeros((E, grown_index.total))
         for x in range(S):  # adding one agent in x is injective
             nxt[:, ranks[:, x]] += law * slot_pmf[:, k, x, None]
         law = nxt
@@ -746,12 +752,12 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     # focal agent's) and cdf row
     nb_slots = [list(enumerate(rows, 2)) for rows in nb_rows]  # [x][slot]
     # a next chain state x' = s' * G + g' by its code s' * span plus the
-    # cell-code sum of g', a Python int, which no kappa or S overflows
-    cell_code = [0] + [(kappa + 1) ** (y - 1) for y in range(1, S)]
+    # cell-code sum of g', a Python int
+    cell_code = model.index.cell_codes().tolist()
     span = kappa * cell_code[-1] + 1  # past every cell-code sum
     focal_code = [s * span for s in range(S)]
-    x_of = {s * span + sum(c * code for c, code in zip(counts, cell_code)): s * G + g
-            for s in range(S) for g, counts in enumerate(model.hist_counts.tolist())}
+    x_of = {s * span + code: s * G + g for s in range(S)
+            for g, code in enumerate((model.hist_counts @ cell_code).tolist())}
     behavior_cdf = None
     if config.behavior_policy is not None:
         behavior_cdf = [np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()

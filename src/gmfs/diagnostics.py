@@ -167,15 +167,11 @@ def lipschitz_suite(*, kappa_full: int = 3, kappa_sub: int = 2,
     q_sub = value_iteration(env, kappa_sub, 1, sweeps, seed, mode="marginal",
                             gamma=gamma, epsilon=0.0, operator="exact",
                             neighbor_action_rule="uniform")
-    idx_full = get_index(env.n_states, kappa_full)
-    idx_sub = get_index(env.n_states, kappa_sub)
     max_ratio = 0.0
     granularity_floor = 0.0
-    for gf in range(idx_full.total):
-        cf = np.asarray(idx_full.unrank_counts(gf))
+    for gf, cf in enumerate(get_index(env.n_states, kappa_full).counts_by_rank):
         pf = cf / kappa_full
-        for gs in range(idx_sub.total):
-            cs = np.asarray(idx_sub.unrank_counts(gs))
+        for gs, cs in enumerate(get_index(env.n_states, kappa_sub).counts_by_rank):
             if np.any((cs > 0) & (cf == 0)):
                 continue  # not a realizable draw from the full marginal
             tv = 0.5 * float(np.abs(pf - cs / kappa_sub).sum())

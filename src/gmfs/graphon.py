@@ -116,7 +116,6 @@ class LatentAssignment:
 
     n: int
     coords: np.ndarray
-    scheme: str = "explicit"
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.float64)
@@ -135,7 +134,7 @@ class LatentAssignment:
     @staticmethod
     def sequential(n: int) -> "LatentAssignment":
         """alpha_i = i/n for agents i = 1..n."""
-        return LatentAssignment(n, np.arange(1, n + 1) / n, scheme="sequential")
+        return LatentAssignment(n, np.arange(1, n + 1) / n)
 
     @staticmethod
     def grid(n: int) -> "LatentAssignment":
@@ -149,12 +148,12 @@ class LatentAssignment:
             axis = np.linspace(0.0, 1.0, k)
             rows, cols = np.divmod(np.arange(n), k)
             coords = np.column_stack([axis[rows], axis[cols]])
-        return LatentAssignment(n, coords, scheme="grid")
+        return LatentAssignment(n, coords)
 
     @staticmethod
     def explicit(coords) -> "LatentAssignment":
         coords = np.asarray(coords, dtype=np.float64)
-        return LatentAssignment(coords.shape[0], coords, scheme="explicit")
+        return LatentAssignment(coords.shape[0], coords)
 
 
 @dataclass(frozen=True, eq=False)

@@ -236,6 +236,9 @@ class ExperimentConfig:
                               "only latent = explicit reads it")
         if self.n < 2:
             raise ConfigError("system.n must be at least 2")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"[system] master_seed = {self.master_seed}: "
+                              "expected an integer in [0, 2^64)")
         if not self.kappa_list or len(set(self.kappa_list)) != len(self.kappa_list):
             raise ConfigError("train.kappa_list must name at least one kappa, none twice")
         for k in self.kappa_list:

@@ -4,8 +4,9 @@ A histogram with denominator ``kappa`` over an alphabet of size ``d`` is a
 length-``d`` vector of non-negative integer counts summing to ``kappa``; the
 cell probabilities are ``counts / kappa``. These index the third axis of the
 Q-table, so enumeration order must be stable: we use colexicographic order on
-the count vectors, which admits an O(d) rank formula through cumulative
-binomial coefficients.
+the count vectors. One definition serves every rank: the index lists its
+count rows in that order (``counts_by_rank``), and a histogram's additive
+cell code, which ascends with its rank, maps back to its position.
 
 Counts are always integers (never floats) so the denominator constraint is
 exact; probabilities are derived views.
@@ -102,8 +103,10 @@ class HistogramIndex:
     """Bijective rank/unrank between histograms and [0, total).
 
     Rank order is colexicographic on count vectors: vectors compare by their
-    last differing coordinate. Binomials come from a Pascal-triangle cache in
-    int64 with an explicit overflow check, so ranks never wrap silently.
+    last differing coordinate. ``counts_by_rank`` lists the count rows in
+    that order, and ``code_ranker`` maps a histogram's additive cell code
+    back to its rank. Codes past 64 bits are a BudgetError, so no rank wraps
+    silently.
     """
 
     def __init__(self, alphabet_size: int, kappa: int):
@@ -116,8 +119,6 @@ class HistogramIndex:
                 f"kappa {kappa} exceeds 64-bit range"
             )
         self.total = total
-        # choose[n, k] for n <= kappa + alphabet_size, k <= alphabet_size
-        self._choose = _pascal_table(self.kappa + self.alphabet_size, self.alphabet_size)
 
     def rank(self, h) -> int:
         """Position of ``h`` in the colex enumeration."""
@@ -130,14 +131,7 @@ class HistogramIndex:
 
     def rank_rows(self, counts: np.ndarray) -> np.ndarray:
         """Vectorized rank of each row of an (m, alphabet_size) count matrix."""
-        counts = np.asarray(counts, dtype=np.int64)
-        pre = np.cumsum(counts, axis=1)  # K_j, j = 1..d
-        d = self.alphabet_size
-        ch = self._choose
-        ranks = np.zeros(counts.shape[0], dtype=np.int64)
-        for j in range(2, d + 1):
-            ranks += ch[pre[:, j - 1] + j - 1, j - 1] - ch[pre[:, j - 2] + j - 1, j - 1]
-        return ranks
+        return self.code_ranker(np.asarray(counts, dtype=np.int64) @ self.cell_codes())
 
     @cached_property
     def counts_by_rank(self) -> np.ndarray:
@@ -193,41 +187,7 @@ class HistogramIndex:
         """Histogram at position ``idx`` of the colex enumeration."""
         if not 0 <= idx < self.total:
             raise ValueError(f"rank {idx} out of range [0, {self.total})")
-        return Histogram(tuple(self.unrank_counts(idx)), self.kappa)
-
-    def unrank_counts(self, idx: int) -> list:
-        r = int(idx)
-        d = self.alphabet_size
-        ch = self._choose
-        rem = self.kappa
-        counts = [0] * d
-        for j in range(d, 1, -1):
-            # largest u with (number of colex-smaller tails) <= r
-            u = 0
-            while u < rem:
-                off = ch[rem + j - 1, j - 1] - ch[rem - (u + 1) + j - 1, j - 1]
-                if off > r:
-                    break
-                u += 1
-            off = ch[rem + j - 1, j - 1] - ch[rem - u + j - 1, j - 1]
-            counts[j - 1] = u
-            r -= int(off)
-            rem -= u
-        counts[0] = rem
-        return counts
-
-
-@lru_cache(maxsize=None)
-def _pascal_table(max_n: int, max_k: int) -> np.ndarray:
-    check = math.comb(max_n, min(max_k, max_n // 2))
-    if check > _INT64_MAX:
-        raise BudgetError(f"binomial C({max_n},{max_k}) exceeds 64-bit range")
-    table = np.zeros((max_n + 1, max_k + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for n in range(1, max_n + 1):
-        hi = min(n, max_k)
-        table[n, 1 : hi + 1] = table[n - 1, 1 : hi + 1] + table[n - 1, 0:hi]
-    return table
+        return Histogram(self.counts_by_rank[idx], self.kappa)
 
 
 @lru_cache(maxsize=None)

@@ -241,6 +241,21 @@ class TestTabulate:
                 value_iteration(env, 2, 5, 3, mode=mode, operator=operator)
 
 
+    def test_codes_past_64_bits_are_refused_before_the_kernel(self, monkeypatch):
+        from gmfs import bellman
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel reached")
+
+        monkeypatch.setattr(bellman, "transitions", refuse)
+        monkeypatch.setattr(bellman, "env_rewards", refuse)
+        S = 65  # kappa 1: the largest code, 2^63, exceeds 64 bits
+        env = linear_env("long", np.broadcast_to(np.eye(S), (S, 1, S, S)).copy(),
+                         np.zeros((S, 1, S)))
+        with pytest.raises(BudgetError, match="codes"):
+            tabulate(env, 1, "leave_one_out")
+
+
 class TestSurrogateStep:
     def test_deterministic_kernel(self):
         # point-mass transitions: outcome fully determined by inputs
@@ -272,7 +287,7 @@ class TestSurrogateStep:
         z_index, g_index = get_index(9, kappa), get_index(3, kappa)
         z = z_index.rank(Histogram((0,) * 8 + (2,), kappa, joint_shape=(3, 3)))
         flat = eng.flat[np.arange(pairs) * z_index.total + z].ravel()[:samples]
-        working = np.array([g_index.unrank_counts(g)[2] for g in range(g_index.total)])
+        working = g_index.counts_by_rank[:, 2]
         p_hat = working[flat % g_index.total].sum() / (2 * samples)
         se = math.sqrt(0.1 * 0.9 / (2 * samples))
         assert abs(p_hat - 0.1) <= 5 * se
@@ -313,7 +328,7 @@ class TestSurrogateStep:
         index = get_index(2, kappa)
         e = (s * small.n_actions + a) * index.total + index.rank(g_counts)
         outcomes, tally = np.unique(eng.flat[e], return_counts=True)
-        freq = {(int(f) // index.total, tuple(index.unrank_counts(int(f) % index.total))): int(c)
+        freq = {(int(f) // index.total, tuple(index.unrank(int(f) % index.total).counts)): int(c)
                 for f, c in zip(outcomes, tally)}
         tv = 0.5 * sum(abs(oracle.get(k, 0.0) - freq.get(k, 0) / trials)
                        for k in set(oracle) | set(freq))
@@ -418,7 +433,7 @@ class TestOperators:
                 got = exact_sweep(env, q, aggregate_rule=agg)
                 idx = q.index()
                 for s, a, h in itertools.product(range(S), range(A), range(idx.total)):
-                    want = exact_backup_oracle(env, q, s, a, tuple(idx.unrank_counts(h)),
+                    want = exact_backup_oracle(env, q, s, a, idx.unrank(h).counts,
                                                kappa, agg)
                     assert abs(got[s, a, h] - want) <= 1e-12, (env.name, mode, kappa, agg)
 
@@ -645,6 +660,23 @@ class TestValueIteration:
         for rule in ("uniform", "greedy"):
             with pytest.raises(BudgetError, match="codes"):
                 value_iteration(env, 2, 1, 1, neighbor_action_rule=rule)
+
+    # kappa 2, m 10: 12 entries keep 120 samples, plus 480 codes under greedy
+    @pytest.mark.parametrize("rule, kept", [("uniform", 120), ("greedy", 600)])
+    def test_kept_frozen_samples_are_refused_before_the_draws(self, small, monkeypatch,
+                                                              rule, kept):
+        from gmfs import bellman
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("frozen draws reached")
+
+        monkeypatch.setattr(bellman, "MAX_TABLE_ENTRIES", kept - 1)
+        monkeypatch.setattr(bellman, "stream", refuse)
+        with pytest.raises(BudgetError, match="frozen samples"):
+            value_iteration(small, 2, 10, 1, neighbor_action_rule=rule)
+        monkeypatch.setattr(bellman, "MAX_TABLE_ENTRIES", kept)
+        with pytest.raises(AssertionError, match="frozen draws reached"):
+            value_iteration(small, 2, 10, 1, neighbor_action_rule=rule)
 
     @pytest.mark.parametrize("mode, rule", [("marginal", "uniform"), ("marginal", "greedy"),
                                             ("joint", "uniform")])

@@ -404,8 +404,9 @@ class TestMalformedInit:
 
 class TestMalformedEnvironment:
     """Environment parameters that name no valid environment, or that give
-    an invalid pmf at some marginal, exit 2 before any training, with a
-    message naming the key or the environment file line."""
+    an invalid pmf at some marginal, and other out-of-range values, exit 2
+    before any training, with a message naming the key or the environment
+    file line."""
 
     CONFIG_CASES = {
         "two state values": ("[env]\n", "state_values = 1 2", "state_values"),
@@ -414,6 +415,8 @@ class TestMalformedEnvironment:
         "base success above 1": ("[env]\n", "base_success = 1.5", "base_success"),
         "negative congestion slope": ("[env]\n", "congestion_slope = -2", "congestion_slope"),
         "negative reward noise": ("[train]\n", "reward_noise = uniform -1", "reward_noise"),
+        "negative master seed": ("[system]\n", "master_seed = -1", "master_seed"),
+        "master seed past 64 bits": ("[system]\n", f"master_seed = {2**64}", "master_seed"),
     }
     SPEC = ("states 2\nactions 1\ndiscount 0.9\nkernel 0 0 0 : 1.0 0.0\n"
             "kernel 0 0 1 : 0.5 0.5\nkernel 1 0 0 : 0.25 0.75\nkernel 1 0 1 : 0.0 1.0\n")

@@ -207,7 +207,7 @@ def _configs(draw):
                     | st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4).map(tuple))
         if latent == "explicit" else (),
         n=n,
-        master_seed=draw(st.integers(-2 ** 63, 2 ** 64)),
+        master_seed=draw(st.integers(0, 2 ** 64 - 1)),
         gamma=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
         iterations=draw(st.integers(1, 10 ** 6)),
         mc_samples=draw(st.integers(1, 10 ** 6)),

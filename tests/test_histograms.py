@@ -163,7 +163,7 @@ class TestRankUnrank:
     def test_rank_rows_vectorized(self, rng):
         idx = get_index(4, 9)
         ranks = rng.integers(0, idx.total, size=64)
-        counts = np.stack([np.array(idx.unrank_counts(int(r))) for r in ranks])
+        counts = idx.counts_by_rank[ranks]
         assert np.array_equal(idx.rank_rows(counts), ranks)
 
     def test_out_of_range(self):
@@ -187,17 +187,19 @@ class TestRankUnrank:
 
     @given(st.integers(2, 6), st.integers(1, 15), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_code_ranker_matches_rank_rows(self, d, kappa, data):
+    def test_code_ranker_matches_enumeration(self, d, kappa, data):
         # random count rows: d - 1 sorted cut points split kappa into d cells
         cuts = data.draw(st.lists(st.lists(st.integers(0, kappa), min_size=d - 1,
                                            max_size=d - 1), min_size=1, max_size=30))
         counts = np.diff(np.column_stack([np.zeros(len(cuts), dtype=np.int64),
                                           np.sort(cuts, axis=1),
                                           np.full(len(cuts), kappa)]), axis=1)
+        position = {h.counts: pos for pos, h in enumerate(enumerate_histograms(d, kappa))}
+        ranks = np.array([position[tuple(row)] for row in counts.tolist()])
         idx = get_index(d, kappa)
         codes = counts @ idx.cell_codes()
-        ranks = idx.rank_rows(counts)
         assert np.array_equal(idx.code_ranker(codes), ranks)
+        assert np.array_equal(idx.rank_rows(counts), ranks)
         # a dense table and a binary search, whichever the shared map uses
         for limit in (0, 1 << 62):
             with mock.patch.object(histograms, "_DENSE_CODES", limit):
