@@ -16,7 +16,7 @@ mode they are assigned by ``neighbor_action_rule``: "greedy" picks the argmax
 action of the current Q at (x_m, g_m), "uniform" draws uniformly over actions.
 Every backup reads only the neighbors' next state marginal g'.
 
-One tabulated surrogate model (``tabulate``: kernel, cdf and reward at the
+One tabulated surrogate model (``tabulate``: kernel and reward at the
 histogram points, leave-one-out ranks, neighbor slots) feeds every learner,
 and one engine runs value iteration with either Bellman operator in both
 modes. The empirical operator freezes per-entry sample sets across sweeps
@@ -57,6 +57,7 @@ from .histograms import (
     num_histograms,
 )
 from .rng import stream
+from .sampler import inverse_cdf
 
 MODES = ("joint", "marginal")
 AGGREGATE_RULES = ("leave_one_out", "shared")
@@ -342,24 +343,18 @@ class SurrogateModel(NamedTuple):
     """Surrogate kernel and reward tabulated at the marginal histogram
     points g = 0..G-1, shared by every learner.
 
-    ``pmf[s, a, g]``/``cdf[s, a, g]`` are P(. | s, a, g / kappa) and
-    ``rewards[s, a, g]`` the local reward; ``gm_rank[g, s, x]`` ranks the
-    aggregate a neighbor in state x sees next to a focal agent in state s
-    (0 where g has no agent in x); ``slot_states[g]`` lists the kappa
-    neighbor states in state-major order.
+    ``pmf[s, a, g]`` is P(. | s, a, g / kappa) and ``rewards[s, a, g]`` the
+    local reward; ``gm_rank[g, s, x]`` ranks the aggregate a neighbor in
+    state x sees next to a focal agent in state s (0 where g has no agent in
+    x); ``slot_states[g]`` lists the kappa neighbor states in state-major
+    order. Histogram g counts ``index.counts_by_rank[g]``.
     """
 
     index: HistogramIndex
-    hist_counts: np.ndarray  # (G, S)
     pmf: np.ndarray  # (S, A, G, S)
-    cdf: np.ndarray  # (S, A, G, S)
     rewards: np.ndarray  # (S, A, G)
     gm_rank: np.ndarray  # (G, S, S)
     slot_states: np.ndarray  # (G, kappa)
-
-    def uniform_cdf(self) -> np.ndarray:
-        """(S, G, S) neighbor next-state cdf under uniformly drawn actions."""
-        return np.cumsum(self.pmf.mean(axis=1), axis=2)
 
 
 def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateModel:
@@ -377,11 +372,13 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
     rewards = env_rewards(env, s_grid, a_grid, g_grid)
     if pmf.shape != (S, A, G, S) or rewards.shape != (S, A, G):
         raise ValueError("environment kernel returned a malformed table")
-    invalid = (np.abs(pmf.sum(axis=3) - 1.0) > 1e-12) | np.any(pmf < 0, axis=3)
-    if invalid.any():
-        s, a, g = np.argwhere(invalid)[0]
-        raise ValueError(f"transition kernel returned an invalid pmf at (s={s}, a={a}), "
-                         f"g = {hist_counts[g]} / {kappa}")
+    # a NaN entry fails pmf >= 0, an infinite one the sum
+    bad_pmf = (np.abs(pmf.sum(axis=3) - 1.0) > 1e-12) | ~np.all(pmf >= 0, axis=3)
+    for invalid, what in ((bad_pmf, "transition kernel returned an invalid pmf"),
+                          (~np.isfinite(rewards), "reward kernel returned a non-finite reward")):
+        if invalid.any():
+            s, a, g = np.argwhere(invalid)[0]
+            raise ValueError(f"{what} at (s={s}, a={a}), g = {hist_counts[g]} / {kappa}")
 
     gm = np.broadcast_to(hist_counts[:, None, None, :], (G, S, S, S)).copy()  # [g, s, x]
     if aggregate_rule == "leave_one_out":
@@ -391,8 +388,7 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
     present = np.broadcast_to((hist_counts > 0)[:, None, :], (G, S, S))
     gm_rank = np.zeros((G, S, S), dtype=np.int64)
     gm_rank[present] = index.rank_rows(gm[present])
-    return SurrogateModel(index, hist_counts, pmf, np.cumsum(pmf, axis=3), rewards,
-                          gm_rank, _slots(hist_counts))
+    return SurrogateModel(index, pmf, rewards, gm_rank, _slots(hist_counts))
 
 
 class _FrozenEngine:
@@ -418,10 +414,10 @@ class _FrozenEngine:
     The empirical operator reads each sample's next marginal as a sum of
     additive slot codes (``HistogramIndex.cell_codes``), which the index's
     one code -> rank map (``HistogramIndex.code_ranker``) turns into a rank.
-    The build never materializes a drawn state: per cdf threshold x it
-    counts the slots whose uniform passes x and adds that count times the
-    code step ``codes[x + 1] - codes[x]`` (``_threshold_codes``); the focal
-    next state is the same count with a step of G. Where the slot laws are
+    The build never materializes a drawn state: the inverse transform
+    (``sampler.inverse_cdf``) adds the code step ``codes[x + 1] - codes[x]``
+    for each cdf threshold x that a slot's uniform passes, and a step of G
+    for each that the focal uniform passes. Where the slot laws are
     static, every sample's backup sits at one frozen flat index
     ``s' * G + rank`` of the (S, G) backup table. Under the greedy rule
     every slot in state x sees the aggregate ``gm_rank[g, s, x]``, so all
@@ -506,8 +502,6 @@ class _FrozenEngine:
                 self.focal_pmf = model.pmf[e_s, e_a, e_g]              # (E, S)
                 self.law = _marginal_law(slot_pmf)                     # (E, G)
                 return
-            # in place, so the build holds one (E, kappa, S) array, not two
-            slot_cdf = np.cumsum(slot_pmf, axis=2, out=slot_pmf)
         code_rank = model.index.code_ranker
         steps = np.diff(cell_codes)
         focal_steps = np.full(S - 1, G)
@@ -525,25 +519,23 @@ class _FrozenEngine:
             # blocks read the stream in entry order, as one call would
             uni = frozen.random((min(block, self.n_entries - lo), m, kappa + 1))
             # a step of G per cdf threshold the focal uniform passes
-            focal_cdf = model.cdf[e_s[b], e_a[b], e_g[b]][:, None, None, :]  # (B, 1, 1, S)
-            flat[b] = _threshold_codes(focal_cdf, uni[:, :, :1], focal_steps, np.int64)
+            focal_pmf = model.pmf[e_s[b], e_a[b], e_g[b]][:, None, :]  # (B, 1, S)
+            flat[b] = inverse_cdf(focal_pmf, uni[:, :, 0], focal_steps)
             if self.greedy:
                 # advanced indices split by a slice land in front
-                action_cdf = model.cdf[slot_states[b], :, slot_gm_rank[b]]  # (B, kappa, A, S)
-                slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :, None]
-                codes = _threshold_codes(action_cdf[:, :, :, None, None, :], slot_uni,
-                                         steps, code_dtype)           # (B, kappa, A, m)
+                action_pmf = model.pmf[slot_states[b], :, slot_gm_rank[b]]  # (B, kappa, A, S)
+                slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :]
+                codes = inverse_cdf(action_pmf[:, :, :, None, :], slot_uni,
+                                    steps, code_dtype)                # (B, kappa, A, m)
                 # each slot's codes go to its state's rows; one slot index
                 # names one state per entry, so no row is added twice
                 by_state, at = next_codes[b], np.arange(len(codes))
                 for k in range(kappa):
                     by_state[at, slot_states[b, k]] += codes[:, k]
             else:
-                # each sample's code sums its slots' codes: per cdf threshold
-                # x, the step to the next cell's code times the slots whose
-                # uniform passes x
-                codes = _threshold_codes(slot_cdf[b, None], uni[:, :, 1:], steps, code_dtype)
-                flat[b] += code_rank(codes)
+                # each sample's code sums the codes its slots draw
+                codes = inverse_cdf(slot_pmf[b, None], uni[:, :, 1:], steps, code_dtype)
+                flat[b] += code_rank(codes.sum(axis=2, dtype=code_dtype))
         if self.greedy:
             self.next_codes = next_codes.reshape(-1, m)
             self.focal_offset, self.code_rank = flat, code_rank
@@ -584,23 +576,6 @@ def _marginal_law(slot_pmf: np.ndarray) -> np.ndarray:
             nxt[:, ranks[:, x]] += law * slot_pmf[:, k, x, None]
         law = nxt
     return law
-
-
-def _threshold_codes(cdf: np.ndarray, u: np.ndarray, steps: np.ndarray, dtype) -> np.ndarray:
-    """Sum over x < S - 1 of ``steps[x]`` times the number of uniforms at
-    or past ``cdf[..., x]``, counted over the last axis of ``u`` broadcast
-    against ``cdf[..., x]``.
-
-    On a non-decreasing cdf row the thresholds a uniform passes are the
-    first min(searchsorted(row, u, side="right"), S - 1), the state it
-    draws. With ``steps`` the differences of additive cell codes, this sums
-    the codes of the drawn states; with steps of 1 it is the drawn state.
-    The sums must fit ``dtype``.
-    """
-    out = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1])[:-1], dtype=dtype)
-    for x, step in enumerate(steps.tolist()):
-        out += (u >= cdf[..., x]).sum(axis=-1, dtype=dtype) * dtype(step)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +718,11 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     # <= u, capped at S - 1, exactly as min(searchsorted(row, u,
     # side="right"), S - 1) does.
     x_s, x_g = np.divmod(np.arange(S * G), G)
-    focal_cdf = model.cdf[x_s, :, x_g, :-1].tolist()           # [x][a]
+    focal_cdf = np.cumsum(model.pmf[x_s, :, x_g], axis=2)[..., :-1].tolist()  # [x][a]
     rewards = model.rewards[x_s, :, x_g].tolist()               # [x][a]
     x_slots = model.slot_states[x_g]                            # (S G, kappa)
-    nb_rows = model.uniform_cdf()[..., :-1][
+    nb_cdf = np.cumsum(model.pmf.mean(axis=1), axis=2)          # uniform actions
+    nb_rows = nb_cdf[..., :-1][
         x_slots, model.gm_rank[x_g[:, None], x_s[:, None], x_slots]].tolist()
     # per x, each neighbor slot's uniform column (after the action's and the
     # focal agent's) and cdf row
@@ -757,7 +733,7 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     span = kappa * cell_code[-1] + 1  # past every cell-code sum
     focal_code = [s * span for s in range(S)]
     x_of = {s * span + code: s * G + g for s in range(S)
-            for g, code in enumerate((model.hist_counts @ cell_code).tolist())}
+            for g, code in enumerate((model.index.counts_by_rank @ cell_code).tolist())}
     behavior_cdf = None
     if config.behavior_policy is not None:
         behavior_cdf = [np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()

@@ -82,7 +82,7 @@ def cmd_execute(args) -> int:
     if q.env_name and q.env_name != env.name:
         print(f"warning: q-table was trained on {q.env_name!r} but the config "
               f"builds {env.name!r}", file=sys.stderr)
-    if args.seeds:
+    if args.seeds is not None:
         seeds = _read_value("command line", "--seeds", args.seeds, _parse_seeds)
         cfg = replace(cfg, seed_list=seeds)
     weights = build_system_weights(cfg)

@@ -8,7 +8,8 @@ plus a trailing state axis, and return the pmfs (trailing state axis) or the
 rewards elementwise. Functions rather than tables because g ranges over a
 continuum; the learning core tabulates them at the histogram points in one
 call, and the simulator evaluates them for the whole population in one call.
-``step_distribution`` and ``local_reward`` validate and read one point.
+``step_distribution`` and ``local_reward`` validate and read one point; a
+non-finite pmf or reward entry is invalid.
 
 All functions are stateless; RNG is passed explicitly, so everything here is
 safe under arbitrary concurrent use with per-worker streams.
@@ -66,15 +67,19 @@ def step_distribution(env: Environment, s: int, a: int, g) -> np.ndarray:
     pmf = transitions(env, s, a, g)
     if pmf.shape != (env.n_states,):
         raise ValueError("transition kernel returned a malformed pmf")
-    if abs(float(pmf.sum()) - 1.0) > 1e-12 or np.any(pmf < 0):
-        raise ValueError(f"transition kernel returned an invalid pmf at (s={s}, a={a})")
+    # a NaN entry fails pmf >= 0, an infinite one the sum
+    if abs(float(pmf.sum()) - 1.0) > 1e-12 or not np.all(pmf >= 0):
+        raise ValueError(f"transition kernel returned an invalid pmf at (s={s}, a={a}), g = {g}")
     return pmf
 
 
 def local_reward(env: Environment, s: int, a: int, g) -> float:
     g = _check_marginal(env, g)
     _check_ids(env, s, a)
-    return float(rewards(env, s, a, g))
+    value = float(rewards(env, s, a, g))
+    if not np.isfinite(value):
+        raise ValueError(f"reward kernel returned a non-finite reward at (s={s}, a={a}), g = {g}")
+    return value
 
 
 def transitions(env: Environment, s, a, g) -> np.ndarray:

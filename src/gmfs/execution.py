@@ -53,7 +53,7 @@ from .errors import GmfsError
 from .graphon import WeightMatrix
 from .histograms import get_index, nearest_histograms
 from .rng import stream
-from .sampler import exact_state_aggregates, stacked_alias
+from .sampler import exact_state_aggregates, inverse_cdf, stacked_alias
 
 REWARD_AGGREGATES = ("exact", "sampled")
 # what the policy reads under each baseline: kappa sampled neighbors (none),
@@ -126,9 +126,7 @@ def _initial_states(init, n: int, n_states: int, rng: np.random.Generator) -> np
     states, pmf = read_init(init, n, n_states)
     if pmf is None:
         return states
-    cdf = np.cumsum(pmf / pmf.sum())
-    u = rng.random(n)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), n_states - 1).astype(np.int64)
+    return inverse_cdf(pmf / pmf.sum(), rng.random(n))
 
 
 _EXEC_BLOCK = 1 << 15  # values a draw block holds, over the whole batch (256 KB)
@@ -186,20 +184,6 @@ class _PolicyStep:
         for e, gen in enumerate(self.generators):
             gen.random(out=out[e])
         return out
-
-
-def _cdf_count(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """How many entries of each cdf ``cumsum(pmf, axis=-1)`` are <= u, that is
-    searchsorted(cdf, u, side="right"). The running sum adds the cells in
-    cumsum's order, so every cdf entry is cumsum's bit for bit, but it runs
-    one whole-array operation per cell where cumsum loops over the rows."""
-    cells = np.moveaxis(pmf, -1, 0)
-    cdf = cells[0].copy()
-    count = (u >= cdf).astype(np.int64)
-    for cell in cells[1:]:
-        cdf += cell
-        count += u >= cdf
-    return count
 
 
 def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon: int,
@@ -264,12 +248,10 @@ def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon
                 trajectory.append((states.reshape(K, E, n).copy(),
                                    actions.reshape(K, E, n).copy()))
 
-            next_states = _cdf_count(transitions(env, states, actions, exact_g), u_next[t])
-
             stage_rewards[:, t0 + t] = stage
             discounted += coeff * stage
             coeff *= gamma
-            states = np.minimum(next_states, S - 1)
+            states = inverse_cdf(transitions(env, states, actions, exact_g), u_next[t])
 
     return _Batch(discounted=discounted.reshape(K, E),
                   stage_rewards=stage_rewards.reshape(K, E, horizon), trajectory=trajectory)

@@ -10,6 +10,10 @@ matrix, from which execution draws for the whole population at once. Callers
 draw the uniforms, two per draw, from keyed streams, so results are
 schedule-independent; the Horvitz-Thompson estimator likewise takes one
 block of uniforms for all its replications.
+
+Next states are drawn by the other rule here, the inverse transform
+(``inverse_cdf``): the surrogate's focal and neighbor draws in offline
+learning, and each agent's transition and initial state in execution.
 """
 
 from __future__ import annotations
@@ -45,6 +49,31 @@ class AliasTable(NamedTuple):
         flat += np.arange(0, rows * k, k)[:, None]  # row * k + bucket
         return np.where(u_accept < self.prob.ravel().take(flat),
                         self.keep_ids.ravel().take(flat), self.alias_ids.ravel().take(flat))
+
+
+def inverse_cdf(pmf: np.ndarray, u: np.ndarray, steps=None, dtype=np.int64) -> np.ndarray:
+    """Inverse-transform draws from the pmfs on the last axis of ``pmf``, one
+    per uniform of ``u``, which broadcasts against ``pmf[..., 0]``.
+
+    A uniform draws the number of cdf thresholds ``cumsum(pmf, axis=-1)`` at
+    or below it among the first S - 1, that is min(searchsorted(cdf, u,
+    side="right"), S - 1): a tail that rounds below 1 needs no cap. Each
+    threshold is a running sum in cumsum's order, so it is cumsum's bit for
+    bit, and each step is one whole-array operation where cumsum would loop
+    over the rows. With ``steps`` ((S - 1,)), passing threshold x adds
+    ``steps[x]`` instead of 1; the differences of additive cell codes then
+    give the code of the drawn state. The draws must fit ``dtype``.
+    """
+    cells = np.moveaxis(pmf, -1, 0)
+    out = np.zeros(np.broadcast_shapes(np.shape(u), cells.shape[1:]), dtype=dtype)
+    cdf = np.zeros(cells.shape[1:])
+    for x, cell in enumerate(cells[:-1]):
+        cdf += cell
+        if steps is None:
+            out += u >= cdf
+        else:
+            out += (u >= cdf) * dtype(steps[x])
+    return out
 
 
 def alias_table(probs, support=None) -> AliasTable:

@@ -142,8 +142,9 @@ def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
                      env_name=env.name, seed=seed)
     S, A = env.n_states, env.n_actions
     model = tabulate(env, kappa, aggregate_rule)
-    index, cdf, rewards, gm_rank = model.index, model.cdf, model.rewards, model.gm_rank
-    slot_states, nb_cdf = model.slot_states, model.uniform_cdf()
+    index, rewards, gm_rank = model.index, model.rewards, model.gm_rank
+    cdf = np.cumsum(model.pmf, axis=3)
+    slot_states, nb_cdf = model.slot_states, np.cumsum(model.pmf.mean(axis=1), axis=2)
     G = index.total
 
     uniform_behavior = config.behavior_policy is None
@@ -211,7 +212,7 @@ class TestTabulate:
         pmf = np.empty((S, A, G, S))
         rewards = np.empty((S, A, G))
         for s, a, g in itertools.product(range(S), range(A), range(G)):
-            point = model.hist_counts[g] / kappa
+            point = model.index.counts_by_rank[g] / kappa
             pmf[s, a, g] = step_distribution(env, s, a, point)
             rewards[s, a, g] = local_reward(env, s, a, point)
         assert model.pmf.tobytes() == pmf.tobytes()
@@ -220,7 +221,9 @@ class TestTabulate:
     @pytest.mark.parametrize("breakage", [
         lambda pmf: 1.1 * pmf,  # sums to 1.1
         lambda pmf: pmf + np.array([-1.0, 1.0]),  # sums to 1, one entry negative
-    ], ids=["unnormalized", "negative"])
+        # abs(nan - 1) > 1e-12 and nan < 0 are both False
+        lambda pmf: np.where(np.arange(2) == 0, np.nan, pmf),
+    ], ids=["unnormalized", "negative", "nan"])
     def test_invalid_pmf_at_one_point_is_refused(self, small, breakage):
         def kernel(s, a, g):
             pmf = small.transition(s, a, g)
@@ -240,6 +243,19 @@ class TestTabulate:
             with pytest.raises(ValueError, match=r"invalid pmf at \(s=1, a=0\)"):
                 value_iteration(env, 2, 5, 3, mode=mode, operator=operator)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_reward_is_refused(self, small, value):
+        def reward(s, a, g):
+            r = small.reward(s, a, g)
+            return np.where((s == 1) & (a == 0) & (g[..., 1] == 0.5), value, r)
+
+        env = dataclasses.replace(small, reward=reward)
+        with pytest.raises(ValueError, match=r"non-finite reward at \(s=1, a=0\), g = \[0.5 0.5\]"):
+            local_reward(env, 1, 0, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"non-finite reward at \(s=1, a=0\), g = \[1 1\] / 2"):
+            tabulate(env, 2, "shared")
+        with pytest.raises(ValueError, match=r"non-finite reward at \(s=1, a=0\)"):
+            value_iteration(env, 2, 5, 3)
 
     def test_codes_past_64_bits_are_refused_before_the_kernel(self, monkeypatch):
         from gmfs import bellman
@@ -689,7 +705,8 @@ class TestValueIteration:
         eng = _FrozenEngine(env, kappa, m, seed, mode=mode, neighbor_action_rule=rule,
                             aggregate_rule="leave_one_out")
         model = tabulate(env, kappa, "leave_one_out")
-        index, uniform_cdf = model.index, model.uniform_cdf()
+        index, cdf = model.index, np.cumsum(model.pmf, axis=3)
+        uniform_cdf = np.cumsum(model.pmf.mean(axis=1), axis=2)
         codes = index.cell_codes()
         uni = stream(seed, "vi-frozen", kappa).random((eng.n_entries, m, kappa + 1))
 
@@ -704,16 +721,16 @@ class TestValueIteration:
             g = index.rank(marginal(hist) if joint_shape else hist)
             slot_states, slot_actions = expand_surrogate(hist)
             for j in range(m):
-                s_next = lookup(model.cdf[s, a, g], uni[e, j, 0])
+                s_next = lookup(cdf[s, a, g], uni[e, j, 0])
                 drawn = []
                 for k, x in enumerate(slot_states):
                     gm = model.gm_rank[g, s, x]
                     u = uni[e, j, 1 + k]
                     if rule == "greedy":
                         for b in range(A):
-                            next_codes[e, k, b, j] = codes[lookup(model.cdf[x, b, gm], u)]
+                            next_codes[e, k, b, j] = codes[lookup(cdf[x, b, gm], u)]
                     elif joint_shape:
-                        drawn.append(lookup(model.cdf[x, slot_actions[k], gm], u))
+                        drawn.append(lookup(cdf[x, slot_actions[k], gm], u))
                     else:
                         drawn.append(lookup(uniform_cdf[x, gm], u))
                 if rule == "greedy":

@@ -104,7 +104,8 @@ class TestExecuteAndInspect:
         cfg = write_config(tmp_path)
         qpath = tmp_path / "q.bin"
         main(["train", "--config", cfg, "--kappa", "2", "--out", str(qpath)])
-        for bad in ("0..x", "5..2"):
+        # an empty value names no seed, as an empty '[execute] seeds =' does
+        for bad in ("0..x", "5..2", ""):
             assert main(["execute", "--config", cfg, "--qtable", str(qpath),
                          "--seeds", bad, "--out", str(tmp_path / "e.csv")]) == 2
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
-from gmfs.histograms import tv_distance
+from gmfs.histograms import get_index, tv_distance
 from gmfs.rng import stream
 from gmfs.sampler import (
     alias_table,
     exact_aggregate,
     exact_state_aggregates,
     ht_estimate,
+    inverse_cdf,
     row_alias,
     stacked_alias,
     tv_concentration_bound,
@@ -206,3 +209,61 @@ class TestHTEstimate:
         with pytest.raises(ValueError):
             ht_estimate(hetero_weights, 0, proposal, np.zeros(10, int),
                         np.zeros(10, int), 2, 2, np.full(shape, 0.5))
+
+
+# (pmf batch shape, uniform shape) as the simulator and the engine build pass
+# them: initial states, transitions, focal draws (B, 1) x (B, m), static
+# slots (B, 1, kappa) x (B, m, kappa), greedy slots (B, kappa, A, 1) x (B, kappa, 1, m)
+DRAW_SHAPES = [((), (7,)), ((3, 4), (3, 4)), ((3, 1), (3, 5)), ((3, 1, 2), (3, 5, 2)),
+               ((3, 2, 2, 1), (3, 2, 1, 5))]
+
+
+def capped_searchsorted(pmf, u):
+    """min(searchsorted(cumsum(pmf), u, side="right"), S - 1), one pmf row
+    and one uniform at a time over their broadcast shape."""
+    shape = np.broadcast_shapes(u.shape, pmf.shape[:-1])
+    pmf, u = np.broadcast_to(pmf, shape + pmf.shape[-1:]), np.broadcast_to(u, shape)
+    out = np.empty(shape, dtype=np.int64)
+    for i in np.ndindex(shape):
+        out[i] = min(np.searchsorted(np.cumsum(pmf[i]), u[i], side="right"), pmf.shape[-1] - 1)
+    return out
+
+
+class TestInverseCdf:
+    def test_a_uniform_past_a_tail_below_one_draws_the_last_state(self):
+        pmf = np.array([0.7, 0.2, 0.1])
+        tail = np.cumsum(pmf)[-1]
+        assert tail < 1.0  # 0.9999999999999999
+        u = np.array([tail, np.nextafter(tail, 1.0)])
+        assert np.array_equal(inverse_cdf(pmf, u), [2, 2])
+        assert np.array_equal(np.searchsorted(np.cumsum(pmf), u, side="right"), [3, 3])
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(DRAW_SHAPES))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_capped_searchsorted(self, S, seed, shapes):
+        rng = np.random.default_rng(seed)
+        pmf_shape, u_shape = shapes
+        # every row is one of three pmfs, so a uniform set to a threshold of
+        # one of them often ties its own row's threshold
+        sparse = rng.dirichlet(np.ones(S)) * (rng.random(S) < 0.5)
+        sparse[rng.integers(S)] += 1.0 - sparse.sum()  # some cells exactly 0
+        tail_below_one = next(p for p in rng.dirichlet(np.ones(S), size=1000)
+                              if S == 1 or np.cumsum(p)[-1] < 1.0)
+        rows = np.stack([rng.dirichlet(np.ones(S)), sparse, tail_below_one])
+        pmf = rows[rng.integers(3, size=pmf_shape)]
+        # uniforms at, just below and just past every threshold, at and past
+        # a tail below 1, and the largest uniform below 1
+        cdf = np.cumsum(rows, axis=1)
+        edges = np.concatenate([cdf.ravel(), np.nextafter(cdf.ravel(), 0.0),
+                                np.nextafter(cdf.ravel(), 1.0), [1.0 - 2.0 ** -53, 0.0]])
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        u = np.where(rng.random(u_shape) < 0.5, rng.choice(edges, size=u_shape),
+                     rng.random(u_shape))
+        draws = capped_searchsorted(pmf, u)
+        assert np.array_equal(inverse_cdf(pmf, u), draws)
+        assert inverse_cdf(pmf, u).dtype == np.int64
+        # with the steps of additive cell codes, each draw reads its cell's code
+        codes = get_index(S, 3).cell_codes()
+        coded = inverse_cdf(pmf, u, np.diff(codes), np.int16)
+        assert coded.dtype == np.int16
+        assert np.array_equal(coded, codes[draws])
