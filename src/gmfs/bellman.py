@@ -687,8 +687,8 @@ class OffPolicyConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning rate must lie in (0, 1]")
-        if self.decay < 0:
-            raise ValueError("decay must be >= 0")
+        if not 0 <= self.decay < np.inf:  # nan fails too
+            raise ValueError("decay must be finite and >= 0")
 
 
 def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,

@@ -43,7 +43,7 @@ parallel schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ REWARD_AGGREGATES = ("exact", "sampled")
 BASELINE_POLICY_INPUTS = {"none": "sampled", "exact": "exact"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Policy:
     """Greedy decision rule induced by a learned Q-table.
 
@@ -71,7 +71,6 @@ class Policy:
     """
 
     table: QTable
-    _greedy: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def kappa(self) -> int:
@@ -83,10 +82,8 @@ class Policy:
 
     def greedy_table(self) -> np.ndarray:
         """(S, G) action lookup on the marginal-histogram grid."""
-        if self._greedy is None:
-            t = self.table
-            self._greedy = fiber_max(t.values, t.mode, t.kappa).argmax(axis=1)
-        return self._greedy
+        t = self.table
+        return fiber_max(t.values, t.mode, t.kappa).argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ class EpisodeResult:
     discounted_return: float
     stage_rewards: np.ndarray
     seed: int
-    trajectory: list | None = None
 
 
 def read_init(init, n: int, n_states: int):
@@ -146,19 +142,12 @@ def check_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: int
     get_index(env.n_states, policy.kappa).cell_codes()
 
 
-def _one_policy(policy: Policy, kappa: int) -> tuple:
-    if policy.kappa != kappa:
-        raise ValueError(f"policy kappa {policy.kappa} does not match requested {kappa}")
-    return (policy,)
-
-
 @dataclass(frozen=True)
 class _Batch:
     """What ``_simulate`` returns for K policies and E episodes each."""
 
     discounted: np.ndarray  # (K, E)
     stage_rewards: np.ndarray  # (K, E, horizon)
-    trajectory: list | None  # per step, (states, actions) of shape (K, E, n)
 
 
 class _PolicyStep:
@@ -187,8 +176,8 @@ class _PolicyStep:
 
 
 def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon: int,
-              gamma: float, seeds, init, *, reward_aggregates: str, policy_inputs: str,
-              record_trajectory: bool) -> _Batch:
+              gamma: float, seeds, init, *, reward_aggregates: str,
+              policy_inputs: str) -> _Batch:
     """Step one episode per (policy, seed) together, as (K * E, n, ...) arrays:
     batch row k * E + e is policy k on seed e."""
     if reward_aggregates not in REWARD_AGGREGATES:
@@ -218,7 +207,6 @@ def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon
     discounted = np.zeros(K * E)
     coeff = 1.0
     stage_rewards = np.empty((K * E, horizon))
-    trajectory = [] if record_trajectory else None
 
     for t0 in range(0, horizon, block):
         steps = min(block, horizon - t0)
@@ -243,25 +231,19 @@ def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon
                     reward_g[ps.rows] = ps.rank_g[ranks]
             stage = team_reward(env, states, actions,
                                 exact_g if reward_g is None else reward_g)
-
-            if record_trajectory:
-                trajectory.append((states.reshape(K, E, n).copy(),
-                                   actions.reshape(K, E, n).copy()))
-
             stage_rewards[:, t0 + t] = stage
             discounted += coeff * stage
             coeff *= gamma
             states = inverse_cdf(transitions(env, states, actions, exact_g), u_next[t])
 
     return _Batch(discounted=discounted.reshape(K, E),
-                  stage_rewards=stage_rewards.reshape(K, E, horizon), trajectory=trajectory)
+                  stage_rewards=stage_rewards.reshape(K, E, horizon))
 
 
 def run_episode(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
-                kappa: int, horizon: int, gamma: float, init=0, seed: int = 0, *,
+                horizon: int, gamma: float, init=0, seed: int = 0, *,
                 reward_aggregates: str = "exact",
-                policy_inputs: str = "sampled",
-                record_trajectory: bool = False) -> EpisodeResult:
+                policy_inputs: str = "sampled") -> EpisodeResult:
     """Simulate one episode and return the discounted team return.
 
     reward_aggregates: "exact" scores stages at the true graphon aggregates
@@ -270,15 +252,10 @@ def run_episode(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
     agent per step; "exact" rounds the true aggregate onto the histogram grid
     (the full-information baseline).
     """
-    batch = _simulate(env, weights, _one_policy(policy, kappa), n, horizon, gamma,
-                      (int(seed),), init, reward_aggregates=reward_aggregates,
-                      policy_inputs=policy_inputs, record_trajectory=record_trajectory)
-    trajectory = None
-    if record_trajectory:
-        trajectory = [(s[0, 0], a[0, 0]) for s, a in batch.trajectory]
+    batch = _simulate(env, weights, (policy,), n, horizon, gamma, (int(seed),), init,
+                      reward_aggregates=reward_aggregates, policy_inputs=policy_inputs)
     return EpisodeResult(discounted_return=float(batch.discounted[0, 0]),
-                         stage_rewards=batch.stage_rewards[0, 0], seed=seed,
-                         trajectory=trajectory)
+                         stage_rewards=batch.stage_rewards[0, 0], seed=seed)
 
 
 @dataclass(frozen=True)
@@ -306,8 +283,8 @@ def evaluate_policies(env: Environment, weights: WeightMatrix, policies, n: int,
     if not policies:
         raise ValueError("policy list must be non-empty")
     discounted = _simulate(env, weights, policies, n, horizon, gamma, seeds, init,
-                           reward_aggregates=reward_aggregates, policy_inputs=policy_inputs,
-                           record_trajectory=False).discounted
+                           reward_aggregates=reward_aggregates,
+                           policy_inputs=policy_inputs).discounted
     tail = gamma ** horizon * env.reward_bound / (1.0 - gamma) if gamma < 1 else math.inf
     evaluations = []
     for returns in discounted:
@@ -319,11 +296,11 @@ def evaluate_policies(env: Environment, weights: WeightMatrix, policies, n: int,
 
 
 def evaluate_policy(env: Environment, weights: WeightMatrix, policy: Policy, n: int,
-                    kappa: int, horizon: int, gamma: float, seeds, init=0, *,
+                    horizon: int, gamma: float, seeds, init=0, *,
                     reward_aggregates: str = "exact",
                     policy_inputs: str = "sampled") -> PolicyEvaluation:
     """Run one episode per seed, all seeds as one batch, and summarize: the
     one-policy case of ``evaluate_policies``."""
-    return evaluate_policies(env, weights, _one_policy(policy, kappa), n, horizon, gamma,
-                             seeds, init, reward_aggregates=reward_aggregates,
+    return evaluate_policies(env, weights, (policy,), n, horizon, gamma, seeds, init,
+                             reward_aggregates=reward_aggregates,
                              policy_inputs=policy_inputs)[0]

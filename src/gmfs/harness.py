@@ -132,8 +132,9 @@ _FLOAT, _INT = partial(_number, float), partial(_number, int)
 CONFIG_KEYS = (
     _Key("env", "name", field="env_name"),
     _Key("env", "file", field="env_file"),
+    # sweeps train and evaluate with [train] gamma, so the warehouse discount is no key
     *(_Key("env", key, partial(_number_or_floats, float), field="env_overrides")
-      for key in sorted(WAREHOUSE_DEFAULTS)),
+      for key in sorted(WAREHOUSE_DEFAULTS) if key != "discount"),
     _Key("graphon", "kind", field="graphon_kind"),
     _Key("graphon", "radius", _FLOAT, kind="radial"),
     _Key("graphon", "beta", _FLOAT, kind="expdecay"),
@@ -173,6 +174,7 @@ CONFIG_KEYS = (
     _Key("output", "dir", field="out_dir"),
 )
 _KEY_NAMES = {(key.section, key.name) for key in CONFIG_KEYS}
+_ENV_OVERRIDES = {key.name for key in CONFIG_KEYS if key.field == "env_overrides"}
 
 
 def _value(cfg: ExperimentConfig, key: _Key):
@@ -231,6 +233,9 @@ class ExperimentConfig:
             if (isinstance(value, str) and not value) or (key.legal and value not in key.legal):
                 raise ConfigError(f"[{key.section}] {key.name} = {value}: expected "
                                   + (" or ".join(key.legal) or "a value"))
+        for name, _ in self.env_overrides:
+            if name not in _ENV_OVERRIDES:
+                raise ConfigError(f"[env] {name}: not an [env] key")
         if self.coords and self.latent != "explicit":
             raise ConfigError(f"[graphon] coords: no effect under latent = {self.latent}; "
                               "only latent = explicit reads it")
@@ -271,7 +276,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown config section [{section}]")
         for name in parser[section]:
             if (section, name) not in _KEY_NAMES:
-                raise ConfigError(f"unknown key {name!r} in section [{section}]")
+                hint = ("; sweeps train and evaluate with [train] gamma"
+                        if (section, name) == ("env", "discount") else "")
+                raise ConfigError(f"unknown key {name!r} in section [{section}]{hint}")
 
     fields = {}
     for key in CONFIG_KEYS:
@@ -430,7 +437,7 @@ def _evaluation_settings(cfg: ExperimentConfig) -> dict:
 def evaluate_table(cfg: ExperimentConfig, env: Environment, weights,
                    q: QTable) -> PolicyEvaluation:
     """Run the configured episodes under the greedy policy of ``q``."""
-    return evaluate_policy(env, weights, Policy(q), cfg.n, q.kappa, cfg.horizon, cfg.gamma,
+    return evaluate_policy(env, weights, Policy(q), cfg.n, cfg.horizon, cfg.gamma,
                            **_evaluation_settings(cfg))
 
 
@@ -532,8 +539,8 @@ def run_diagnostics(cfg: ExperimentConfig, suites, out_dir: str | None = None) -
     from . import diagnostics
 
     names = tuple(suites)
-    if not names:
-        raise ConfigError("diagnose needs at least one suite name")
+    if not names or len(set(names)) != len(names):
+        raise ConfigError("diagnose needs at least one suite name, none twice")
     unknown = set(names) - set(diagnostics.SUITES)
     if unknown:
         raise ConfigError(f"unknown diagnostic suite(s): {sorted(unknown)}")

@@ -5,8 +5,8 @@ w_bar[i, .] on [n] \\ {i} by the alias method: a row's table takes O(n) to
 build and a draw takes O(1), so online execution can afford fresh samples
 for every agent at every time step. One table type holds one or many rows
 and one rule draws from it: ``row_alias`` gives agent i's one-row table and
-``stacked_alias`` all n rows as (n, n-1) arrays, built once per weight
-matrix, from which execution draws for the whole population at once. Callers
+``stacked_alias`` all n rows as (n, n-1) arrays, which execution builds
+once per simulation and draws from for the whole population at once. Callers
 draw the uniforms, two per draw, from keyed streams, so results are
 schedule-independent; the Horvitz-Thompson estimator likewise takes one
 block of uniforms for all its replications.
@@ -19,7 +19,6 @@ learning, and each agent's transition and initial state in execution.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,23 +111,16 @@ def row_alias(weights: WeightMatrix, i: int) -> AliasTable:
     return alias_table(weights.normalized[i, others], support=others)
 
 
-_STACKED_CACHE: "weakref.WeakKeyDictionary[WeightMatrix, AliasTable]" = (
-    weakref.WeakKeyDictionary())
-
-
 def stacked_alias(weights: WeightMatrix) -> AliasTable:
-    """The row alias tables of every agent, stacked once per weight matrix:
-    row i is ``row_alias(weights, i)``."""
-    stacked = _STACKED_CACHE.get(weights)
-    if stacked is None:
-        n = weights.n
-        stacked = AliasTable(prob=np.empty((n, n - 1)),
-                             keep_ids=np.empty((n, n - 1), dtype=np.int64),
-                             alias_ids=np.empty((n, n - 1), dtype=np.int64))
-        for i in range(n):
-            for whole, row in zip(stacked, row_alias(weights, i)):
-                whole[i] = row[0]
-        _STACKED_CACHE[weights] = stacked
+    """The row alias tables of every agent, stacked: row i is
+    ``row_alias(weights, i)``."""
+    n = weights.n
+    stacked = AliasTable(prob=np.empty((n, n - 1)),
+                         keep_ids=np.empty((n, n - 1), dtype=np.int64),
+                         alias_ids=np.empty((n, n - 1), dtype=np.int64))
+    for i in range(n):
+        for whole, row in zip(stacked, row_alias(weights, i)):
+            whole[i] = row[0]
     return stacked
 
 

@@ -983,6 +983,12 @@ class TestOffPolicy:
         assert cfg.alpha(0) == 0.5
         assert cfg.alpha(10) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("decay", [-0.1, float("nan"), float("inf")])
+    def test_decay_outside_the_finite_half_line_is_refused(self, decay):
+        # inf gives alpha(0) = rate / (1 + inf * 0), a nan at the first step
+        with pytest.raises(ValueError, match="decay"):
+            OffPolicyConfig(decay=decay)
+
     @pytest.mark.parametrize("env_name, kappa, steps, seed, kwargs", [
         ("small", 2, 3000, 0, {}),
         ("small", 2, 3000, 1, {"config": OffPolicyConfig(

@@ -299,6 +299,17 @@ class TestDiagnose:
         code = main(["diagnose", "concentration", "--out-dir", str(tmp_path)])
         assert code == 4
 
+    def test_repeated_suite_exit_code(self, tmp_path, capsys, monkeypatch):
+        import gmfs.diagnostics as diag
+
+        def refuse(cfg=None, **kw):
+            raise AssertionError("suite ran")
+
+        monkeypatch.setitem(diag.SUITES, "offpolicy", refuse)
+        code = main(["diagnose", "offpolicy", "offpolicy", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "none twice" in capsys.readouterr().err
+
 
 class TestIOErrors:
     """A path that cannot be read or written exits 6 and names the path."""
@@ -413,6 +424,7 @@ class TestMalformedEnvironment:
         "two state values": ("[env]\n", "state_values = 1 2", "state_values"),
         "one state value": ("[env]\n", "state_values = 5", "state_values"),
         "discount above 1": ("[env]\n", "discount = 1.5", "discount"),
+        "discount, which sweeps take from gamma": ("[env]\n", "discount = 0.5", "[train] gamma"),
         "base success above 1": ("[env]\n", "base_success = 1.5", "base_success"),
         "negative congestion slope": ("[env]\n", "congestion_slope = -2", "congestion_slope"),
         "negative reward noise": ("[train]\n", "reward_noise = uniform -1", "reward_noise"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ def warehouse_weights():
 @pytest.fixture(scope="module")
 def trained_k6(warehouse):
     return value_iteration(warehouse, 6, 50, 250, seed=0)
+
+
+def recording(env):
+    """``env`` whose transition kernel records the (states, actions) of each
+    call, and the list it records into. The simulator calls the kernel once
+    per step on the whole batch, so the list is the trajectory."""
+    trajectory = []
+
+    def transition(s, a, g):
+        trajectory.append((s.copy(), a.copy()))
+        return env.transition(s, a, g)
+
+    return replace(env, transition=transition), trajectory
 
 
 def act(policy, s, g):
@@ -49,10 +64,6 @@ class TestAct:
         g_rank = get_index(3, 6).rank(full_congestion)
         assert trained_k6.values[0, a, g_rank] >= trained_k6.values[0, 2, g_rank]
 
-    def test_kappa_mismatch_rejected(self, warehouse, warehouse_weights, trained_k6):
-        with pytest.raises(ValueError, match="kappa"):
-            run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 2, 5, 0.95)
-
     def test_joint_mode_policy(self, small, rng):
         q = value_iteration(small, 2, 4, 40, seed=0, mode="joint", gamma=0.9,
                             neighbor_action_rule="uniform")
@@ -62,27 +73,27 @@ class TestAct:
 
 class TestRunEpisode:
     def test_zero_horizon(self, warehouse, warehouse_weights, trained_k6):
-        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25,
                         0, 0.95, seed=0)
         assert r.discounted_return == 0.0
         assert len(r.stage_rewards) == 0
 
     def test_gamma_zero_returns_first_stage(self, warehouse, warehouse_weights, trained_k6):
-        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25,
                         7, 0.0, seed=3)
         assert r.discounted_return == pytest.approx(r.stage_rewards[0])
 
     def test_accounting_identity(self, warehouse, warehouse_weights, trained_k6):
         gamma = 0.95
-        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25,
                         50, gamma, seed=5)
         resum = sum(gamma**t * r.stage_rewards[t] for t in range(50))
         assert r.discounted_return == pytest.approx(resum, rel=1e-12)
 
     def test_deterministic_in_seed(self, warehouse, warehouse_weights, trained_k6):
-        a = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        a = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25,
                         30, 0.95, seed=11)
-        b = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        b = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25,
                         30, 0.95, seed=11)
         assert a.discounted_return == b.discounted_return
         assert np.array_equal(a.stage_rewards, b.stage_rewards)
@@ -91,51 +102,44 @@ class TestRunEpisode:
         # an always-work policy keeps the chain stochastic
         q = QTable.zeros("marginal", 6, 3, 3, 0.95)
         q.values[:, 2, :] = 1.0
-        rets = {run_episode(warehouse, warehouse_weights, Policy(q), 25, 6,
+        rets = {run_episode(warehouse, warehouse_weights, Policy(q), 25,
                             30, 0.95, seed=s).discounted_return for s in range(6)}
         assert len(rets) > 1
 
-    def test_trajectory_recording(self, warehouse, warehouse_weights, trained_k6):
-        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
-                        4, 0.95, seed=2, record_trajectory=True)
-        assert len(r.trajectory) == 4
-        states, actions = r.trajectory[0]
-        assert states.shape == actions.shape == (25,)
-
     def test_initial_distribution(self, warehouse, warehouse_weights, trained_k6):
-        r = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
-                        1, 0.95, init=(0.0, 0.0, 1.0), seed=8,
-                        record_trajectory=True)
-        states, _ = r.trajectory[0]
-        assert np.all(states == 2)
+        env, trajectory = recording(warehouse)
+        run_episode(env, warehouse_weights, Policy(trained_k6), 25, 1, 0.95,
+                    init=(0.0, 0.0, 1.0), seed=8)
+        (states, _), = trajectory
+        assert states.shape == (1, 25) and np.all(states == 2)
 
     def test_wrong_n_rejected(self, warehouse, warehouse_weights, trained_k6):
         with pytest.raises(ValueError):
-            run_episode(warehouse, warehouse_weights, Policy(trained_k6), 24, 6,
+            run_episode(warehouse, warehouse_weights, Policy(trained_k6), 24,
                         5, 0.95, seed=0)
 
 
 class TestEvaluatePolicy:
     def test_single_seed(self, warehouse, warehouse_weights, trained_k6):
-        ev = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        ev = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25,
                              20, 0.95, seeds=[4])
-        single = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        single = run_episode(warehouse, warehouse_weights, Policy(trained_k6), 25,
                              20, 0.95, seed=4)
         assert ev.mean == single.discounted_return
         assert ev.std_error == 0.0
 
     def test_repeated_seed_identical(self, warehouse, warehouse_weights, trained_k6):
-        ev = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        ev = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25,
                              20, 0.95, seeds=[7, 7, 7])
         assert np.all(ev.returns == ev.returns[0])
 
     def test_empty_seed_list_rejected(self, warehouse, warehouse_weights, trained_k6):
         with pytest.raises(ValueError):
-            evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+            evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25,
                             20, 0.95, seeds=[])
 
     def test_tail_bound(self, warehouse, warehouse_weights, trained_k6):
-        ev = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25, 6,
+        ev = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6), 25,
                              100, 0.95, seeds=[0])
         assert ev.tail_bound == pytest.approx(0.95**100 * 20.0 / 0.05)
 
@@ -145,9 +149,9 @@ class TestEvaluatePolicy:
         q24 = value_iteration(warehouse, 24, 50, 250, seed=0)
         seeds = list(range(10))
         sampled = evaluate_policy(warehouse, warehouse_weights, Policy(q24),
-                                  25, 24, 50, 0.95, seeds=seeds)
+                                  25, 50, 0.95, seeds=seeds)
         baseline = evaluate_policy(warehouse, warehouse_weights, Policy(q24),
-                                   25, 24, 50, 0.95, seeds=seeds,
+                                   25, 50, 0.95, seeds=seeds,
                                    policy_inputs="exact")
         pooled = np.hypot(sampled.std_error, baseline.std_error)
         assert abs(sampled.mean - baseline.mean) <= max(pooled, 1e-9)
@@ -157,9 +161,9 @@ class TestEvaluatePolicy:
         # mean return cannot trail the sampled-input mean by real margin
         seeds = list(range(12))
         sampled = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6),
-                                  25, 6, 40, 0.95, seeds=seeds)
+                                  25, 40, 0.95, seeds=seeds)
         exact = evaluate_policy(warehouse, warehouse_weights, Policy(trained_k6),
-                                25, 6, 40, 0.95, seeds=seeds, policy_inputs="exact")
+                                25, 40, 0.95, seeds=seeds, policy_inputs="exact")
         pooled = np.hypot(sampled.std_error, exact.std_error)
         assert exact.mean >= sampled.mean - 2.0 * pooled - 1e-9
 
@@ -228,15 +232,16 @@ class TestSimulatorOracle:
         init = tuple(np.full(env.n_states, 1.0 / env.n_states))
         policy = random_policy(env, kappa, seed=1)
         for seed in (0, 5):
-            got = run_episode(env, hetero_weights, policy, 12, kappa, horizon, gamma,
+            recorder, recorded = recording(env)
+            got = run_episode(recorder, hetero_weights, policy, 12, horizon, gamma,
                               init=init, seed=seed, reward_aggregates=reward_aggregates,
-                              policy_inputs=policy_inputs, record_trajectory=True)
+                              policy_inputs=policy_inputs)
             trajectory, stages, discounted = reference_episode(
                 env, hetero_weights, policy, 12, kappa, horizon, gamma, init, seed,
                 reward_aggregates=reward_aggregates, policy_inputs=policy_inputs)
-            for (s_got, a_got), (s_ref, a_ref) in zip(got.trajectory, trajectory, strict=True):
-                assert np.array_equal(s_got, s_ref)
-                assert np.array_equal(a_got, a_ref)
+            for (s_got, a_got), (s_ref, a_ref) in zip(recorded, trajectory, strict=True):
+                assert np.array_equal(s_got, s_ref[None])
+                assert np.array_equal(a_got, a_ref[None])
             assert got.stage_rewards == pytest.approx(stages, rel=1e-12)
             assert got.discounted_return == pytest.approx(discounted, rel=1e-12)
         # the chain actually moves, so the comparison covers transitions
@@ -248,10 +253,9 @@ class TestSimulatorOracle:
         policy = random_policy(env, 6, seed=2)
         init = tuple(np.full(env.n_states, 1.0 / env.n_states))
         seeds = [3, 7, 3, 11, 7, 0]
-        ev = evaluate_policy(env, warehouse_weights, policy, 25, 6, 30, 0.95, seeds,
-                             init=init)
+        ev = evaluate_policy(env, warehouse_weights, policy, 25, 30, 0.95, seeds, init=init)
         for k, sd in enumerate(seeds):
-            single = run_episode(env, warehouse_weights, policy, 25, 6, 30, 0.95,
+            single = run_episode(env, warehouse_weights, policy, 25, 30, 0.95,
                                  init=init, seed=sd)
             assert ev.returns[k] == single.discounted_return
         assert len(set(ev.returns.tolist())) == 4
@@ -279,12 +283,12 @@ class TestSimulatorOracle:
 
         policy = random_policy(warehouse, 6, seed=3)
         init = (0.3, 0.3, 0.4)
-        expected = [run_episode(warehouse, warehouse_weights, policy, 25, 6, 20, 0.95,
+        expected = [run_episode(warehouse, warehouse_weights, policy, 25, 20, 0.95,
                                 init=init, seed=sd, reward_aggregates=reward_aggregates,
                                 policy_inputs=policy_inputs).discounted_return
                     for sd in (0, 1)]
         monkeypatch.setattr(histograms.HistogramIndex, "rank_rows", refuse)
-        ev = evaluate_policy(warehouse, warehouse_weights, policy, 25, 6, 20, 0.95, [0, 1],
+        ev = evaluate_policy(warehouse, warehouse_weights, policy, 25, 20, 0.95, [0, 1],
                              init=init, reward_aggregates=reward_aggregates,
                              policy_inputs=policy_inputs)
         assert ev.returns.tolist() == expected
@@ -304,7 +308,7 @@ class TestSimulatorOracle:
         policy = Policy(QTable.zeros("marginal", 2, S, 1, 0.9))
         monkeypatch.setattr(execution, "stream", refuse)
         with pytest.raises(BudgetError, match="codes"):
-            evaluate_policy(env, weights, policy, 4, 2, 5, 0.9, seeds=[0],
+            evaluate_policy(env, weights, policy, 4, 5, 0.9, seeds=[0],
                             policy_inputs=policy_inputs)
 
 
@@ -342,7 +346,7 @@ class TestPolicyBatch:
         per_step = len(seeds) * n * (2 * max(kappas) + 1 + sum(k + 1 for k in kappas))
         default = execution._EXEC_BLOCK
         for horizon in (0, 10):
-            alone = [evaluate_policy(warehouse, hetero_weights, p, n, p.kappa, horizon, 0.9,
+            alone = [evaluate_policy(warehouse, hetero_weights, p, n, horizon, 0.9,
                                      seeds, **settings) for p in policies]
             # one block of every step, one step per block, and blocks of 3, 3, 3, 1
             for budget, blocks in ((default, [10]), (1, [1] * 10), (3 * per_step, [3, 3, 3, 1])):

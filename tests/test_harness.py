@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gmfs import harness
 from gmfs.bellman import QTable
-from gmfs.env import WAREHOUSE_DEFAULTS, linear_env, local_reward, step_distribution
+from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, ConfigError
 from gmfs.harness import (
     ExperimentConfig,
@@ -172,6 +172,7 @@ _SECTION_KEYS = {}
 for _key in harness.CONFIG_KEYS:
     _SECTION_KEYS.setdefault(_key.section, set()).add(_key.name)
 _ALL_KEYS = sorted(set().union(*_SECTION_KEYS.values()))
+_ENV_OVERRIDES = sorted(k.name for k in harness.CONFIG_KEYS if k.field == "env_overrides")
 _NUMBERISH = st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,3})?([eE]-?[0-9])?", fullmatch=True)
 _VALUE = st.one_of(st.text(max_size=12), _NUMBERISH,
                    st.lists(_NUMBERISH, min_size=1, max_size=4).map(" ".join),
@@ -199,7 +200,7 @@ def _configs(draw):
         env_name=draw(_NAME),
         env_file=draw(st.none() | _NAME),
         env_overrides=tuple(sorted(draw(st.dictionaries(
-            st.sampled_from(sorted(WAREHOUSE_DEFAULTS)), _FINITE | _FLOATS)).items())),
+            st.sampled_from(_ENV_OVERRIDES), _FINITE | _FLOATS)).items())),
         graphon_kind=kind,
         latent=latent,
         # only an explicit assignment reads coords
@@ -390,7 +391,10 @@ class TestConfigRefusals:
         for fields, match in ((dict(mode="both"), r"\[train\] mode = both: expected joint or "),
                               (dict(latent="ring"), r"\[graphon\] latent = ring"),
                               (dict(out_dir=""), r"\[output\] dir = : expected a value"),
-                              (dict(n=1), "at least 2"), (dict(kappa_list=(25,)), "kappa 25")):
+                              (dict(n=1), "at least 2"), (dict(kappa_list=(25,)), "kappa 25"),
+                              # sweeps discount with [train] gamma, so no text sets it
+                              (dict(env_overrides=(("discount", 0.5),)),
+                               r"^\[env\] discount: not an \[env\] key")):
             with pytest.raises(ConfigError, match=match):
                 replace(ExperimentConfig(), **fields)
 
