@@ -47,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import Environment, local_reward, rewards as env_rewards, step_distribution, transitions
+from .env import (Environment, invalid_pmfs, local_reward, rewards as env_rewards,
+                  step_distribution, transitions)
 from .errors import BudgetError, FormatError, GmfsError
 from .histograms import (
     Histogram,
@@ -68,7 +69,7 @@ DEFAULT_EPSILON = 1e-4
 DEFAULT_ITERATIONS = 250
 MAX_TABLE_ENTRIES = 50_000_000
 _OFF_POLICY_BLOCK = 4096  # uniform rows per list conversion
-_FROZEN_BLOCK = 1 << 17  # frozen uniforms per engine build block (1 MB)
+_FROZEN_BLOCK = 1 << 15  # frozen uniforms per engine build block (256 KB)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +373,7 @@ def tabulate(env: Environment, kappa: int, aggregate_rule: str) -> SurrogateMode
     rewards = env_rewards(env, s_grid, a_grid, g_grid)
     if pmf.shape != (S, A, G, S) or rewards.shape != (S, A, G):
         raise ValueError("environment kernel returned a malformed table")
-    # a NaN entry fails pmf >= 0, an infinite one the sum
-    bad_pmf = (np.abs(pmf.sum(axis=3) - 1.0) > 1e-12) | ~np.all(pmf >= 0, axis=3)
-    for invalid, what in ((bad_pmf, "transition kernel returned an invalid pmf"),
+    for invalid, what in ((invalid_pmfs(pmf), "transition kernel returned an invalid pmf"),
                           (~np.isfinite(rewards), "reward kernel returned a non-finite reward")):
         if invalid.any():
             s, a, g = np.argwhere(invalid)[0]
@@ -405,11 +404,14 @@ class _FrozenEngine:
     order, and reduces each block to its frozen indices or codes before it
     draws the next. Consecutive draws from one generator are the draws of
     one call, so the block size changes no output. A block holds at most
-    ``_FROZEN_BLOCK`` uniforms, or one entry where that needs more, so the
-    build needs about 1 MB of draws above the arrays the engine keeps,
-    whatever m. The exact operator holds per entry the focal next-state
-    pmf and the law of the neighbors' next marginal. A sweep is then a
-    gather over the current table, bit-reproducible for any worker count.
+    ``_FROZEN_BLOCK`` uniforms, or one entry where that needs more, and
+    forms the states and laws of its entries' neighbor slots, which no
+    sweep reads; so the build needs about 256 KB of draws and their slot
+    arrays above the arrays the engine keeps, whatever m. The exact
+    operator holds per entry the focal next-state pmf and the law of the
+    neighbors' next marginal, which it convolves from every slot law at
+    once. A sweep is then a gather over the current table, bit-reproducible
+    for any worker count.
 
     The empirical operator reads each sample's next marginal as a sum of
     additive slot codes (``HistogramIndex.cell_codes``), which the index's
@@ -478,8 +480,21 @@ class _FrozenEngine:
         e_s = entries // H // A
         e_g = h_marginal[e_h]
         self.rewards = model.rewards[e_s, e_a, e_g]
-        slot_states = model.slot_states[e_g]                           # (E, kappa)
-        slot_gm_rank = model.gm_rank[e_g[:, None], e_s[:, None], slot_states]
+        if mode == "marginal" and not self.greedy:
+            uniform_pmf = model.pmf.mean(axis=1)  # (S, G, S): uniform neighbor actions
+
+        def slot_laws(b):
+            """The neighbor slots of the entries ``b``: their states (B, kappa)
+            and next-state laws (B, kappa, S), or (B, kappa, A, S) per
+            candidate action under the greedy rule. No sweep reads them."""
+            states = model.slot_states[e_g[b]]
+            gm_rank = model.gm_rank[e_g[b, None], e_s[b, None], states]
+            if self.greedy:
+                # advanced indices split by a slice land in front
+                return states, model.pmf[states, :, gm_rank]
+            if mode == "joint":
+                return states, model.pmf[states, _slots(layout.counts[e_h[b]]) % A, gm_rank]
+            return states, uniform_pmf[states, gm_rank]
 
         if self.greedy:
             # state-major (S, E) lookups: a sweep's row gather comes out
@@ -491,17 +506,12 @@ class _FrozenEngine:
             # slots under each candidate action, one row of m samples per
             # (entry, state, action); a state without slots sums to 0
             next_codes = np.zeros((self.n_entries, S, A, m), dtype=code_dtype)
-        else:
-            # otherwise the law of every slot is static, and so are the next marginals
-            if mode == "joint":
-                slot_actions = _slots(layout.counts)[e_h] % A
-                slot_pmf = model.pmf[slot_states, slot_actions, slot_gm_rank]
-            else:
-                slot_pmf = model.pmf.mean(axis=1)[slot_states, slot_gm_rank]
-            if self.exact:
-                self.focal_pmf = model.pmf[e_s, e_a, e_g]              # (E, S)
-                self.law = _marginal_law(slot_pmf)                     # (E, G)
-                return
+        elif self.exact:
+            # the slot laws are static, and each entry's law of the next
+            # marginal convolves all of its slots' laws at once
+            self.focal_pmf = model.pmf[e_s, e_a, e_g]                  # (E, S)
+            self.law = _marginal_law(slot_laws(slice(None))[1])        # (E, G)
+            return
         code_rank = model.index.code_ranker
         steps = np.diff(cell_codes)
         focal_steps = np.full(S - 1, G)
@@ -521,20 +531,19 @@ class _FrozenEngine:
             # a step of G per cdf threshold the focal uniform passes
             focal_pmf = model.pmf[e_s[b], e_a[b], e_g[b]][:, None, :]  # (B, 1, S)
             flat[b] = inverse_cdf(focal_pmf, uni[:, :, 0], focal_steps)
+            slot_states, slot_pmf = slot_laws(b)
             if self.greedy:
-                # advanced indices split by a slice land in front
-                action_pmf = model.pmf[slot_states[b], :, slot_gm_rank[b]]  # (B, kappa, A, S)
                 slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :]
-                codes = inverse_cdf(action_pmf[:, :, :, None, :], slot_uni,
+                codes = inverse_cdf(slot_pmf[:, :, :, None, :], slot_uni,
                                     steps, code_dtype)                # (B, kappa, A, m)
                 # each slot's codes go to its state's rows; one slot index
                 # names one state per entry, so no row is added twice
                 by_state, at = next_codes[b], np.arange(len(codes))
                 for k in range(kappa):
-                    by_state[at, slot_states[b, k]] += codes[:, k]
+                    by_state[at, slot_states[:, k]] += codes[:, k]
             else:
                 # each sample's code sums the codes its slots draw
-                codes = inverse_cdf(slot_pmf[b, None], uni[:, :, 1:], steps, code_dtype)
+                codes = inverse_cdf(slot_pmf[:, None], uni[:, :, 1:], steps, code_dtype)
                 flat[b] += code_rank(codes.sum(axis=2, dtype=code_dtype))
         if self.greedy:
             self.next_codes = next_codes.reshape(-1, m)

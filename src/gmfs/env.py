@@ -8,8 +8,9 @@ plus a trailing state axis, and return the pmfs (trailing state axis) or the
 rewards elementwise. Functions rather than tables because g ranges over a
 continuum; the learning core tabulates them at the histogram points in one
 call, and the simulator evaluates them for the whole population in one call.
-``step_distribution`` and ``local_reward`` validate and read one point; a
-non-finite pmf or reward entry is invalid.
+``step_distribution`` and ``local_reward`` validate and read one point, and
+``team_reward`` validates the rewards it averages; a non-finite pmf or
+reward entry is invalid.
 
 All functions are stateless; RNG is passed explicitly, so everything here is
 safe under arbitrary concurrent use with per-worker streams.
@@ -67,8 +68,7 @@ def step_distribution(env: Environment, s: int, a: int, g) -> np.ndarray:
     pmf = transitions(env, s, a, g)
     if pmf.shape != (env.n_states,):
         raise ValueError("transition kernel returned a malformed pmf")
-    # a NaN entry fails pmf >= 0, an infinite one the sum
-    if abs(float(pmf.sum()) - 1.0) > 1e-12 or not np.all(pmf >= 0):
+    if invalid_pmfs(pmf):
         raise ValueError(f"transition kernel returned an invalid pmf at (s={s}, a={a}), g = {g}")
     return pmf
 
@@ -80,6 +80,24 @@ def local_reward(env: Environment, s: int, a: int, g) -> float:
     if not np.isfinite(value):
         raise ValueError(f"reward kernel returned a non-finite reward at (s={s}, a={a}), g = {g}")
     return value
+
+
+def invalid_pmfs(pmf: np.ndarray) -> np.ndarray:
+    """Where a row on the last axis of ``pmf`` is no pmf: a NaN entry fails
+    pmf >= 0, an infinite one the sum."""
+    return (_sum_error(pmf) > 1e-12) | ~np.all(pmf >= 0, axis=-1)
+
+
+def _sum_error(pmf: np.ndarray) -> np.ndarray:
+    # a product with ones sums the short last axis faster than sum(axis=-1)
+    return np.abs(pmf @ np.ones(pmf.shape[-1]) - 1.0)
+
+
+def refuse_invalid_pmfs(pmf: np.ndarray, s, a, g) -> None:
+    """Refuse the first point (s, a, g) of a batch whose pmf is no pmf (see
+    ``invalid_pmfs``); two whole-batch reductions pass a valid batch."""
+    if not (pmf.min() >= 0 and _sum_error(pmf).max() <= 1e-12):  # NaN fails both
+        _refuse_first(invalid_pmfs(pmf), "transition kernel returned an invalid pmf", s, a, g)
 
 
 def transitions(env: Environment, s, a, g) -> np.ndarray:
@@ -98,16 +116,30 @@ def rewards(env: Environment, s, a, g) -> np.ndarray:
                                  np.asarray(g, dtype=np.float64)), dtype=np.float64)
 
 
+def _refuse_first(invalid: np.ndarray, what: str, s, a, g) -> None:
+    """Refuse the first point (s, a, g) of a batch where ``invalid`` holds,
+    worded as ``step_distribution`` and ``local_reward`` word one point
+    (ValueError)."""
+    if invalid.any():
+        i = tuple(np.argwhere(invalid)[0])
+        raise ValueError(f"{what} at (s={s[i]}, a={a[i]}), g = {g[i]}")
+
+
 def team_reward(env: Environment, states, actions, aggregates):
     """Arithmetic mean of the agents' local rewards over the last (agent)
-    axis: a float for one population, an array for a batch of them."""
+    axis: a float for one population, an array for a batch of them. A
+    non-finite local reward is a ValueError."""
     states = np.asarray(states)
     actions = np.asarray(actions)
     aggregates = np.asarray(aggregates, dtype=np.float64)
     if (states.ndim == 0 or actions.shape != states.shape
             or aggregates.shape[:-1] != states.shape):
         raise ValueError("states, actions, and aggregates must share length n")
-    total = rewards(env, states, actions, aggregates).sum(axis=-1) / states.shape[-1]
+    local = rewards(env, states, actions, aggregates)
+    total = local.sum(axis=-1) / states.shape[-1]
+    if not np.isfinite(total).all():  # as is every mean with a non-finite term
+        _refuse_first(~np.isfinite(local), "reward kernel returned a non-finite reward",
+                      states, actions, aggregates)
     return float(total) if total.ndim == 0 else total
 
 

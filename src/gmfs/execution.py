@@ -11,12 +11,13 @@ The simulator steps a batch of policies, each on the same seeds, as one
 population of shape (policies * episodes, n, ...); a single policy, or a
 single episode, is a batch of one. Once per step, for the whole batch: the
 exact aggregates ``W_bar @ onehot(states)``, the stage reward and the
-inverse-cdf transition at the exact aggregates, one call of each kernel.
-Per policy, since these depend on kappa: the kappa neighbor ids of every
-agent from the stacked alias tables; the rank of each agent's neighbor
-histogram, read as the sum of its neighbors' additive cell codes
-(``cell_codes.take(states)`` gathered at the ids) through the index's one
-code -> rank map, so no count vector is built; the greedy actions
+inverse-cdf transition at the exact aggregates, one call of each kernel,
+whose values are checked there (a pmf row that is no pmf or a non-finite
+reward is a ValueError). Per policy, since these depend on kappa: the kappa
+neighbor ids of every agent from the stacked alias tables; the rank of each
+agent's neighbor histogram, read as the sum of its neighbors' additive cell
+codes (``cell_codes.take(states)`` gathered at the ids) through the index's
+one code -> rank map, so no count vector is built; the greedy actions
 ``greedy[states, ranks]``. The sampled-reward ablation reads its histograms
 back by rank (``counts_by_rank``), and the exact-input baseline ranks the
 rounded aggregates by their codes too. A policy whose (|S|, kappa) codes
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import QTable, fiber_max
-from .env import Environment, team_reward, transitions
+from .env import Environment, refuse_invalid_pmfs, team_reward, transitions
 from .errors import GmfsError
 from .graphon import WeightMatrix
 from .histograms import get_index, nearest_histograms
@@ -234,7 +235,10 @@ def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon
             stage_rewards[:, t0 + t] = stage
             discounted += coeff * stage
             coeff *= gamma
-            states = inverse_cdf(transitions(env, states, actions, exact_g), u_next[t])
+            # the exact aggregates lie off the histogram grid that tabulate checks
+            pmf = transitions(env, states, actions, exact_g)
+            refuse_invalid_pmfs(pmf, states, actions, exact_g)
+            states = inverse_cdf(pmf, u_next[t])
 
     return _Batch(discounted=discounted.reshape(K, E),
                   stage_rewards=stage_rewards.reshape(K, E, horizon))

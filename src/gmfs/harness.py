@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -174,7 +173,7 @@ CONFIG_KEYS = (
     _Key("output", "dir", field="out_dir"),
 )
 _KEY_NAMES = {(key.section, key.name) for key in CONFIG_KEYS}
-_ENV_OVERRIDES = {key.name for key in CONFIG_KEYS if key.field == "env_overrides"}
+_ENV_OVERRIDES = tuple(key.name for key in CONFIG_KEYS if key.field == "env_overrides")
 
 
 def _value(cfg: ExperimentConfig, key: _Key):
@@ -233,9 +232,15 @@ class ExperimentConfig:
             if (isinstance(value, str) and not value) or (key.legal and value not in key.legal):
                 raise ConfigError(f"[{key.section}] {key.name} = {value}: expected "
                                   + (" or ".join(key.legal) or "a value"))
-        for name, _ in self.env_overrides:
+        names = [name for name, _ in self.env_overrides]
+        for i, name in enumerate(names):
             if name not in _ENV_OVERRIDES:
                 raise ConfigError(f"[env] {name}: not an [env] key")
+            if name in names[:i]:
+                raise ConfigError(f"[env] {name}: given twice")
+        # the order of the key table, which the canonical text writes
+        object.__setattr__(self, "env_overrides", tuple(
+            sorted(self.env_overrides, key=lambda pair: _ENV_OVERRIDES.index(pair[0]))))
         if self.coords and self.latent != "explicit":
             raise ConfigError(f"[graphon] coords: no effect under latent = {self.latent}; "
                               "only latent = explicit reads it")
@@ -370,13 +375,18 @@ def build_system_weights(cfg: ExperimentConfig) -> WeightMatrix:
 
 
 def worker_count() -> int:
+    """Training threads: ``GMFS_THREADS``, or the cores up to 8 where it is
+    unset; a value that is no integer of at least 1 is a ConfigError."""
     raw = os.environ.get("GMFS_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise ConfigError(f"GMFS_THREADS must be an integer, got {raw!r}") from exc
-    return min(8, os.cpu_count() or 1)
+    if not raw:
+        return min(8, os.cpu_count() or 1)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"GMFS_THREADS must be an integer of at least 1, got {raw!r}")
+    return count
 
 
 def episode_seed(master_seed: int, seed_index: int) -> int:
@@ -464,15 +474,22 @@ def _train_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepReport:
     """Train every kappa in the config, evaluate every trained table in one
-    batch, and write CSV reports."""
+    batch, and write CSV reports. One worker trains in the calling thread."""
+    workers = min(worker_count(), len(cfg.kappa_list))
     env = build_environment(cfg)
     check_init(cfg, env)
     weights = build_system_weights(cfg)
     directory = Path(out_dir if out_dir is not None else cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(lambda k: _train_one(cfg, env, weights, k), cfg.kappa_list))
+    train = partial(_train_one, cfg, env, weights)
+    if workers == 1:
+        rows = [train(k) for k in cfg.kappa_list]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only where work runs in parallel
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(train, cfg.kappa_list))
     rows.sort(key=lambda r: r.kappa)
     trained = [r for r in rows if r.status == "ok"]
     t0 = time.perf_counter()

@@ -651,6 +651,28 @@ class TestValueIteration:
         assert peak_250 < 24 * 2**20
         assert excess_250 < excess_50 + 2**20
 
+    @pytest.mark.parametrize("mode, rule, kappa", [
+        ("marginal", "uniform", 24), ("marginal", "greedy", 24), ("joint", "uniform", 6)])
+    def test_build_holds_little_beyond_what_the_engine_keeps(self, warehouse, mode, rule,
+                                                             kappa):
+        import tracemalloc
+
+        def build(m):
+            return _FrozenEngine(warehouse, kappa, m, 1, mode=mode, neighbor_action_rule=rule,
+                                 aggregate_rule="leave_one_out")
+
+        build(1)  # the cached histogram index, code ranker and joint layout
+        tracemalloc.start()
+        try:
+            eng = build(50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+        # the whole-table slot states, ranks and laws, which no sweep reads,
+        # used to add 5.2, 5.2 and 10.6 MB here
+        assert peak - held < 2 * 2**20
+
     def test_codes_past_the_int16_range_match_the_reference(self, rng):
         # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs int32
         S, A, kappa = 9, 2, 3

@@ -216,6 +216,13 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "kappa=  2" in text and "kappa=  3" in text
 
+    def test_fewer_than_one_thread_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GMFS_THREADS", "0")
+        assert main(["sweep", "--config", write_config(tmp_path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "GMFS_THREADS must be an integer of at least 1, got '0'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old, new, named", [
         ("[system]", "[env]\nfile = \n\n[system]", "[env] file = "),
         ("kind = uniform", "kind = expdecay\nradius = 0.5", "[graphon] radius = "),

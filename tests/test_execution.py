@@ -387,6 +387,29 @@ class TestPolicyBatch:
         with pytest.raises(BudgetError, match="codes"):
             evaluate_policies(env, weights, policies, 4, 5, 0.9, seeds=[0])
 
+    @pytest.mark.parametrize("kernel, message", [
+        ("transition", r"^transition kernel returned an invalid pmf at \(s=\d, a=\d\), g = "),
+        ("reward", r"^reward kernel returned a non-finite reward at \(s=\d, a=\d\), g = "),
+    ], ids=["transition", "reward"])
+    def test_kernel_values_off_the_grid_are_checked(self, small, hetero_weights, kernel,
+                                                    message):
+        # NaN only off the kappa-2 grid: training, which reads the grid alone,
+        # succeeds, and the simulator, which reads the exact aggregates, used
+        # to draw state 0 for every NaN pmf and return finite returns
+        def on_grid(g):
+            return np.isin(g[..., 0], (0.0, 0.5, 1.0))
+
+        nan_off_grid = {
+            "transition": lambda s, a, g: np.where(on_grid(g)[..., None],
+                                                   small.transition(s, a, g), np.nan),
+            "reward": lambda s, a, g: np.where(on_grid(g), small.reward(s, a, g), np.nan),
+        }
+        env = replace(small, **{kernel: nan_off_grid[kernel]})
+        q = value_iteration(env, 2, 4, 20, seed=0)
+        with pytest.raises(ValueError, match=message):
+            evaluate_policy(env, hetero_weights, Policy(q), hetero_weights.n, 5, 0.9,
+                            [0, 1], init=(0.5, 0.5))
+
     def test_empty_policy_list_rejected(self, warehouse, warehouse_weights):
         with pytest.raises(ValueError, match="policy"):
             evaluate_policies(warehouse, warehouse_weights, [], 25, 5, 0.9, seeds=[0])

@@ -394,9 +394,21 @@ class TestConfigRefusals:
                               (dict(n=1), "at least 2"), (dict(kappa_list=(25,)), "kappa 25"),
                               # sweeps discount with [train] gamma, so no text sets it
                               (dict(env_overrides=(("discount", 0.5),)),
-                               r"^\[env\] discount: not an \[env\] key")):
+                               r"^\[env\] discount: not an \[env\] key"),
+                              # a text gives each key once
+                              (dict(env_overrides=(("congestion_slope", 0.5),
+                                                   ("congestion_slope", 0.7))),
+                               r"^\[env\] congestion_slope: given twice")):
             with pytest.raises(ConfigError, match=match):
                 replace(ExperimentConfig(), **fields)
+
+    def test_env_overrides_keep_the_order_of_the_key_table(self):
+        # given out of order, the overrides used to read back sorted from
+        # their canonical text: another config with the same config_hash
+        cfg = replace(ExperimentConfig(),
+                      env_overrides=(("min_utility", 0.3), ("congestion_slope", 0.5)))
+        assert cfg.env_overrides == (("congestion_slope", 0.5), ("min_utility", 0.3))
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_coords_need_an_explicit_latent_assignment(self):
         for latent in ("sequential", "grid"):
@@ -437,6 +449,13 @@ class TestWorkerCount:
                 worker_count()
         finally:
             del os.environ["GMFS_THREADS"]
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_fewer_than_one_thread_is_refused(self, raw, monkeypatch):
+        # used to be read as one thread without a word
+        monkeypatch.setenv("GMFS_THREADS", raw)
+        with pytest.raises(ConfigError, match=rf"GMFS_THREADS .* got '{raw}'"):
+            worker_count()
 
 
 def small_sweep_config(**over):
@@ -564,6 +583,16 @@ class TestRunSweep:
         for name in ("sweep.csv", "episodes.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    def test_one_worker_trains_in_the_calling_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        def refuse(thread):
+            raise AssertionError("the sweep started a thread")
+
+        monkeypatch.setenv("GMFS_THREADS", "1")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run_sweep(small_sweep_config(), out_dir=tmp_path).ok()
 
     def test_joint_mode_sweep(self, tmp_path):
         from gmfs.histograms import num_histograms
