@@ -68,8 +68,10 @@ OPERATORS = ("empirical", "exact")
 DEFAULT_EPSILON = 1e-4
 DEFAULT_ITERATIONS = 250
 MAX_TABLE_ENTRIES = 50_000_000
-_OFF_POLICY_BLOCK = 4096  # uniform rows per list conversion
-_FROZEN_BLOCK = 1 << 15  # frozen uniforms per engine build block (256 KB)
+_OFF_POLICY_BLOCK = 1024  # uniform rows per list conversion
+# frozen uniforms per engine build block, and the most backups a sweep
+# gathers at once (256 KB)
+_FROZEN_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +423,12 @@ class _FrozenEngine:
     for each cdf threshold x that a slot's uniform passes, and a step of G
     for each that the focal uniform passes. Where the slot laws are
     static, every sample's backup sits at one frozen flat index
-    ``s' * G + rank`` of the (S, G) backup table. Under the greedy rule
+    ``s' * G + rank`` of the (S, G) backup table. A sweep gathers the E m
+    backups at once and takes numpy's row mean where they fit in
+    ``_FROZEN_BLOCK``; past that the indices are kept sample-major, (m, E),
+    and the sweep sums each entry's backups eight samples at a time in the
+    same pairwise order (``_sample_mean``), so it never holds all E m of
+    them. Under the greedy rule
     every slot in state x sees the aggregate ``gm_rank[g, s, x]``, so all
     the slots of one state take the same greedy action in every sweep. Each
     (entry, state, action) keeps, per sample, the sum of the codes its
@@ -474,33 +481,36 @@ class _FrozenEngine:
             h_marginal = np.arange(G)
         H = h_marginal.size
 
-        entries = np.arange(self.n_entries)
-        e_h = entries % H
-        e_a = entries // H % A
-        e_s = entries // H // A
-        e_g = h_marginal[e_h]
-        self.rewards = model.rewards[e_s, e_a, e_g]
+        # entry e = (s * A + a) * H + h of the (S, A, H) table
+        self.rewards = model.rewards[:, :, h_marginal].reshape(-1)
         if mode == "marginal" and not self.greedy:
             uniform_pmf = model.pmf.mean(axis=1)  # (S, G, S): uniform neighbor actions
 
-        def slot_laws(b):
-            """The neighbor slots of the entries ``b``: their states (B, kappa)
-            and next-state laws (B, kappa, S), or (B, kappa, A, S) per
-            candidate action under the greedy rule. No sweep reads them."""
-            states = model.slot_states[e_g[b]]
-            gm_rank = model.gm_rank[e_g[b, None], e_s[b, None], states]
+        def entry_keys(lo, hi):
+            """The state, action, histogram rank and marginal rank of the
+            entries lo..hi - 1."""
+            e = np.arange(lo, hi)
+            h = e % H
+            return e // (H * A), e // H % A, h, h_marginal[h]
+
+        def slot_laws(s, h, g):
+            """The neighbor slots of the entries keyed (s, h, g): their states
+            (B, kappa) and next-state laws (B, kappa, S), or (B, kappa, A, S)
+            per candidate action under the greedy rule. No sweep reads them."""
+            states = model.slot_states[g]
+            gm_rank = model.gm_rank[g[:, None], s[:, None], states]
             if self.greedy:
                 # advanced indices split by a slice land in front
                 return states, model.pmf[states, :, gm_rank]
             if mode == "joint":
-                return states, model.pmf[states, _slots(layout.counts[e_h[b]]) % A, gm_rank]
+                return states, model.pmf[states, _slots(layout.counts[h]) % A, gm_rank]
             return states, uniform_pmf[states, gm_rank]
 
         if self.greedy:
             # state-major (S, E) lookups: a sweep's row gather comes out
             # (S, E, m), and its sum over the states adds whole blocks
-            state_gm_rank = model.gm_rank[e_g, e_s]                       # (E, S)
-            self.slot_key = (np.arange(S) * G + state_gm_rank).T.copy()
+            s, _, _, g = entry_keys(0, self.n_entries)
+            self.slot_key = (np.arange(S) * G + model.gm_rank[g, s]).T.copy()
             self.slot_base = (np.arange(S)[:, None] + np.arange(self.n_entries) * S) * A
             # the summed coupled inverse-CDF outcome codes of each state's
             # slots under each candidate action, one row of m samples per
@@ -509,47 +519,53 @@ class _FrozenEngine:
         elif self.exact:
             # the slot laws are static, and each entry's law of the next
             # marginal convolves all of its slots' laws at once
-            self.focal_pmf = model.pmf[e_s, e_a, e_g]                  # (E, S)
-            self.law = _marginal_law(slot_laws(slice(None))[1])        # (E, G)
+            s, a, h, g = entry_keys(0, self.n_entries)
+            self.focal_pmf = model.pmf[s, a, g]                        # (E, S)
+            self.law = _marginal_law(slot_laws(s, h, g)[1])            # (E, G)
             return
         code_rank = model.index.code_ranker
         steps = np.diff(cell_codes)
         focal_steps = np.full(S - 1, G)
         # the next focal state's offset s' * G in the flat (S, G) backup table,
-        # plus, where the slot laws are static, the rank of the next marginal
-        flat = np.empty((self.n_entries, m), dtype=np.int64)
+        # plus, where the slot laws are static, the rank of the next marginal;
+        # sample-major where a sweep sums it slab by slab, written through its
+        # transpose; self.flat is (m, E) either way
+        self.by_slab = not self.greedy and self.n_entries * m > _FROZEN_BLOCK
+        flat = (np.empty((m, self.n_entries), dtype=np.int64).T if self.by_slab
+                else np.empty((self.n_entries, m), dtype=np.int64))
         # whole entries per block: at most _FROZEN_BLOCK uniforms, and at most
         # 2M uniform-threshold comparisons per cdf threshold
         block = max(1, min(_FROZEN_BLOCK // (m * (kappa + 1)),
                            2_000_000 // (m * kappa * A)))
         frozen = stream(seed, "vi-frozen", kappa)
         for lo in range(0, self.n_entries, block):
-            b = slice(lo, lo + block)
+            hi = min(lo + block, self.n_entries)
+            s, a, h, g = entry_keys(lo, hi)
             # per sample: the focal uniform, then one per neighbor slot; the
             # blocks read the stream in entry order, as one call would
-            uni = frozen.random((min(block, self.n_entries - lo), m, kappa + 1))
+            uni = frozen.random((hi - lo, m, kappa + 1))
             # a step of G per cdf threshold the focal uniform passes
-            focal_pmf = model.pmf[e_s[b], e_a[b], e_g[b]][:, None, :]  # (B, 1, S)
-            flat[b] = inverse_cdf(focal_pmf, uni[:, :, 0], focal_steps)
-            slot_states, slot_pmf = slot_laws(b)
+            focal_pmf = model.pmf[s, a, g][:, None, :]                  # (B, 1, S)
+            flat[lo:hi] = inverse_cdf(focal_pmf, uni[:, :, 0], focal_steps)
+            slot_states, slot_pmf = slot_laws(s, h, g)
             if self.greedy:
                 slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :]
                 codes = inverse_cdf(slot_pmf[:, :, :, None, :], slot_uni,
                                     steps, code_dtype)                # (B, kappa, A, m)
                 # each slot's codes go to its state's rows; one slot index
                 # names one state per entry, so no row is added twice
-                by_state, at = next_codes[b], np.arange(len(codes))
+                by_state, at = next_codes[lo:hi], np.arange(len(codes))
                 for k in range(kappa):
                     by_state[at, slot_states[:, k]] += codes[:, k]
             else:
                 # each sample's code sums the codes its slots draw
                 codes = inverse_cdf(slot_pmf[:, None], uni[:, :, 1:], steps, code_dtype)
-                flat[b] += code_rank(codes.sum(axis=2, dtype=code_dtype))
+                flat[lo:hi] += code_rank(codes.sum(axis=2, dtype=code_dtype))
         if self.greedy:
             self.next_codes = next_codes.reshape(-1, m)
             self.focal_offset, self.code_rank = flat, code_rank
         else:
-            self.flat = flat
+            self.flat = flat.T
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Continuation vector: the expected (exact operator) or mean frozen
@@ -562,9 +578,41 @@ class _FrozenEngine:
             codes = self.next_codes.take(self.slot_base + greedy, axis=0)  # (S, E, m)
             flat = self.code_rank(codes.sum(axis=0, dtype=codes.dtype))
             flat += self.focal_offset
+        elif self.by_slab:
+            return _sample_mean(m_values.ravel(), self.flat)
         else:
-            flat = self.flat
-        return m_values.ravel().take(flat).mean(axis=1)                # (E, m) -> (E,)
+            flat = self.flat.T
+        # the row mean of the (E, m) backups, as .mean(axis=1) computes it
+        return np.add.reduce(m_values.ravel().take(flat), axis=1) / flat.shape[1]
+
+
+def _sample_mean(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``table.take(idx.T).mean(axis=1)`` for sample-major indices ``idx``
+    ((m, E) -> (E,)), bit for bit, holding eight samples at a time. The sum
+    runs in numpy's pairwise order along a row: eight running sums over
+    blocks of eight samples, added as a tree, then the rest one at a time;
+    past 128 samples, the sums of two halves split at a multiple of eight.
+    Starting from +0.0 as numpy does makes a sum of -0.0s +0.0."""
+    return (0.0 + _pairwise_sum(table, idx)) / len(idx)
+
+
+def _pairwise_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    n = len(idx)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(table, idx[:half]) + _pairwise_sum(table, idx[half:])
+    if n < 8:
+        total, rest = table.take(idx[0]), idx[1:]
+    else:
+        sums = table.take(idx[:8])
+        for lo in range(8, n - n % 8, 8):
+            sums += table.take(idx[lo:lo + 8])
+        while len(sums) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            sums = sums[0::2] + sums[1::2]
+        total, rest = sums[0], idx[n - n % 8:]
+    for row in rest:
+        total += table.take(row)
+    return total
 
 
 def _marginal_law(slot_pmf: np.ndarray) -> np.ndarray:

@@ -63,11 +63,10 @@ def inverse_cdf(pmf: np.ndarray, u: np.ndarray, steps=None, dtype=np.int64) -> n
     ``steps[x]`` instead of 1; the differences of additive cell codes then
     give the code of the drawn state. The draws must fit ``dtype``.
     """
-    cells = np.moveaxis(pmf, -1, 0)
-    out = np.zeros(np.broadcast_shapes(np.shape(u), cells.shape[1:]), dtype=dtype)
-    cdf = np.zeros(cells.shape[1:])
-    for x, cell in enumerate(cells[:-1]):
-        cdf += cell
+    out = np.zeros(np.broadcast_shapes(np.shape(u), pmf.shape[:-1]), dtype=dtype)
+    cdf = np.zeros(pmf.shape[:-1])
+    for x in range(pmf.shape[-1] - 1):
+        cdf += pmf[..., x]
         if steps is None:
             out += u >= cdf
         else:

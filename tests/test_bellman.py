@@ -5,11 +5,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmfs.bellman import (
+    _OFF_POLICY_BLOCK,
     OffPolicyConfig,
     QTable,
     _FrozenEngine,
+    _sample_mean,
     empirical_operator,
     expand_surrogate,
     exact_operator,
@@ -101,6 +105,29 @@ def frozen_stream(seed, kappa, m, e):
     gen = stream(seed, "vi-frozen", kappa)
     gen.bit_generator.advance(e * m * (kappa + 1))
     return gen
+
+
+def pairwise_sum_oracle(values):
+    """numpy's pairwise summation along a contiguous row, one Python float at
+    a time: below 8 values a running sum from -0.0; up to 128, eight running
+    sums over blocks of eight, added as a tree, then the rest; past 128, the
+    sums of two halves split at a multiple of eight."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum_oracle(values[:half]) + pairwise_sum_oracle(values[half:])
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    r = list(values[:8])
+    for i in range(8, n - n % 8):
+        r[i % 8] += values[i]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[n - n % 8:]:
+        total += v
+    return total
 
 
 def engine_and_reference(env, q, m, seed, rule, agg):
@@ -302,7 +329,8 @@ class TestSurrogateStep:
                             neighbor_action_rule="uniform", aggregate_rule="shared")
         z_index, g_index = get_index(9, kappa), get_index(3, kappa)
         z = z_index.rank(Histogram((0,) * 8 + (2,), kappa, joint_shape=(3, 3)))
-        flat = eng.flat[np.arange(pairs) * z_index.total + z].ravel()[:samples]
+        # eng.flat is sample-major (m, E): entry e's samples are column e
+        flat = eng.flat[:, np.arange(pairs) * z_index.total + z].T.ravel()[:samples]
         working = g_index.counts_by_rank[:, 2]
         p_hat = working[flat % g_index.total].sum() / (2 * samples)
         se = math.sqrt(0.1 * 0.9 / (2 * samples))
@@ -343,7 +371,7 @@ class TestSurrogateStep:
                             neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
         index = get_index(2, kappa)
         e = (s * small.n_actions + a) * index.total + index.rank(g_counts)
-        outcomes, tally = np.unique(eng.flat[e], return_counts=True)
+        outcomes, tally = np.unique(eng.flat[:, e], return_counts=True)
         freq = {(int(f) // index.total, tuple(index.unrank(int(f) % index.total).counts)): int(c)
                 for f, c in zip(outcomes, tally)}
         tv = 0.5 * sum(abs(oracle.get(k, 0.0) - freq.get(k, 0) / trials)
@@ -670,8 +698,9 @@ class TestValueIteration:
             tracemalloc.stop()
         held = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
         # the whole-table slot states, ranks and laws, which no sweep reads,
-        # used to add 5.2, 5.2 and 10.6 MB here
-        assert peak - held < 2 * 2**20
+        # used to add 5.2, 5.2 and 10.6 MB here; a joint build's whole-table
+        # entry keys, another 1.0 MiB
+        assert peak - held < (2**20 if mode == "joint" else 2 * 2**20)
 
     def test_codes_past_the_int16_range_match_the_reference(self, rng):
         # the largest code sum, kappa (kappa + 1)^(S - 2) = 3 * 4^7, needs int32
@@ -770,7 +799,7 @@ class TestValueIteration:
                     by_state[e, x] += next_codes[e, k]
             assert np.array_equal(eng.next_codes, by_state.reshape(-1, m))
         else:
-            assert np.array_equal(eng.flat, flat)
+            assert np.array_equal(eng.flat, flat.T)  # kept sample-major
 
     def test_greedy_codes_are_kept_per_state(self, warehouse):
         # one row of m code sums per (entry, state, action), not per slot
@@ -780,6 +809,44 @@ class TestValueIteration:
         assert eng.next_codes.shape == (eng.n_entries * 3 * 3, m)
         assert eng.slot_key.shape == eng.slot_base.shape == (3, eng.n_entries)
         assert eng.next_codes.nbytes <= 2.7e6
+
+    @pytest.mark.parametrize("m", [8, 9, 50, 129])
+    @pytest.mark.parametrize("mode, kappa", [("marginal", 3), ("joint", 2)])
+    @pytest.mark.parametrize("by_slab", [False, True])
+    def test_sample_sums_past_eight_match_the_reference(self, small, rng, monkeypatch,
+                                                        mode, kappa, m, by_slab):
+        # a sweep takes the row mean of every backup, or, past _FROZEN_BLOCK
+        # backups (here forced), sums eight samples at a time and splits past
+        # 128; the reference takes np.mean of each entry's m backups
+        from gmfs import bellman
+
+        if by_slab:
+            monkeypatch.setattr(bellman, "_FROZEN_BLOCK", 0)
+        q = QTable.zeros(mode, kappa, 2, 2, 0.9)
+        q.values = rng.uniform(-9, 9, q.values.shape)
+        eng = _FrozenEngine(small, kappa, m, 31, mode=mode, neighbor_action_rule="uniform",
+                            aggregate_rule="leave_one_out")
+        assert eng.by_slab == by_slab and eng.flat.shape == (m, eng.n_entries)
+        ref = reference_sweep(small, q, m, 31, "uniform", "leave_one_out")
+        assert engine_sweep(eng, q).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", [50, 250])
+    def test_one_sweep_holds_little_beyond_its_inputs(self, warehouse, rng, m):
+        import tracemalloc
+
+        eng = _FrozenEngine(warehouse, 24, m, 1, mode="marginal",
+                            neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+        assert eng.by_slab
+        values = rng.uniform(-5, 5, (3, 3, eng.n_entries // 9))
+        eng.sweep(values)
+        tracemalloc.start()
+        try:
+            eng.sweep(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (E, m) gather of every backup was 1.15 and 5.61 MiB
+        assert peak < 2**19
 
     def test_greedy_rule_need_not_converge(self, warehouse):
         # the greedy slot actions read the current table, so the operator
@@ -869,6 +936,40 @@ class TestValueIteration:
             for z in fiber(g, 2):
                 spread = qj.values[:, :, z_idx.rank(z)] - qm.values[:, :, g_rank]
                 assert np.abs(spread).max() <= 1e-6
+
+
+magnitudes = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                       st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99),
+                       st.integers(-300, 300))
+
+
+class TestSampleMean:
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), magnitudes,
+                              st.floats(-10.0, 10.0)),
+                    max_size=12),
+           st.one_of(st.sampled_from(range(1, 18)), st.integers(1, 300),
+                     st.sampled_from([8191, 8192, 8193, 20_000])),
+           st.sampled_from([1, 3, 257]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_row_mean_bit_for_bit(self, table, m, E, seed):
+        # plus values whose sums round, so that any other order shows
+        rng = np.random.default_rng(seed)
+        table = np.concatenate([table, rng.standard_normal(8) * 10.0 ** rng.integers(-3, 4, 8)])
+        idx = rng.integers(0, len(table), (m, E))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+            got = _sample_mean(table, idx)
+            assert got.tobytes() == table.take(idx.T).mean(axis=1).tobytes()
+        for e in {0, E - 1}:
+            column = table.take(idx[:, e]).tolist()
+            want = np.float64((0.0 + pairwise_sum_oracle(column)) / m)
+            assert got[e].tobytes() == want.tobytes(), e
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 129])
+    def test_a_sum_of_negative_zeros_is_positive_zero(self, m):
+        # numpy's row sum starts from +0.0, and so must the slab sum
+        got = _sample_mean(np.array([-0.0]), np.zeros((m, 3), dtype=np.int64))
+        assert not np.any(np.signbit(got))
+        assert got.tobytes() == np.full((3, m), -0.0).mean(axis=1).tobytes()
 
 
 class TestStochasticValueIteration:
@@ -1017,11 +1118,11 @@ class TestOffPolicy:
             behavior_policy=lambda s, g: (0.75 if g % 2 else 0.1, 0.25))}),
         ("small", 3, 3000, 2, {"aggregate_rule": "shared"}),
         ("small", 2, 3000, 3, {"config": OffPolicyConfig(learning_rate=0.5, decay=0.01)}),
-        ("warehouse", 3, 2 * 4096 + 811, 4, {"config": OffPolicyConfig(
+        ("warehouse", 3, 8 * _OFF_POLICY_BLOCK + 811, 4, {"config": OffPolicyConfig(
             learning_rate=0.2, behavior_policy=lambda s, g: (1.0, 2.0, 0.5 + s))}),
         ("warehouse", 4, 1, 5, {}),
-        # more chain states x = s * G + g than states, past one block
-        ("warehouse", 6, 4096 + 1500, 6, {}),
+        # more chain states x = s * G + g than states, across blocks
+        ("warehouse", 6, 4 * _OFF_POLICY_BLOCK + 1500, 6, {}),
         ("four_state", 2, 4000, 7, {"config": OffPolicyConfig(
             behavior_policy=lambda s, g: (1.0 + s, 2.0 + g % 3))}),
     ])
