@@ -2,12 +2,10 @@
 
 __version__ = "0.4.0"
 
-from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights, evaluate
+from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 from .histograms import (
     Histogram,
     HistogramIndex,
-    enumerate_histograms,
-    fiber,
     marginal,
     nearest_histograms,
     num_histograms,
@@ -36,16 +34,13 @@ from .sampler import (
 from .bellman import (
     OffPolicyConfig,
     QTable,
-    empirical_operator,
-    exact_operator,
     load_qtable,
     off_policy_learn,
     sample_budget,
     save_qtable,
-    surrogate_step,
     table_size,
     value_iteration,
 )
-from .execution import EpisodeResult, Policy, evaluate_policies, evaluate_policy, run_episode
+from .execution import EpisodeResult, Policy, evaluate_policies, evaluate_policy
 from .harness import ExperimentConfig, SweepReport, parse_config, run_diagnostics, run_sweep
 from .errors import BudgetError, ConfigError, FormatError, GmfsError

@@ -2,10 +2,10 @@
 
 A graphon is a symmetric function W: [0,1]^2 -> [0,1] (2-d latent squares for
 the radial kind) giving pairwise interaction intensity. Materializing it on n
-latent points yields the raw weight matrix w_ij = W(alpha_i, alpha_j) with a
-zero diagonal, and row-normalized sampling weights. Rows whose raw sum is zero
-fall back to the uniform distribution over the other agents, so degenerate
-graphons never abort a run.
+latent points yields the weights w_ij = W(alpha_i, alpha_j) with a zero
+diagonal, kept only row-normalized as sampling weights. Rows whose weights
+sum to zero fall back to the uniform distribution over the other agents, so
+degenerate graphons never abort a run.
 """
 
 from __future__ import annotations
@@ -75,37 +75,6 @@ class Graphon:
         return Graphon("uniform")
 
 
-def _check_point(graphon: Graphon, x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if arr.shape != (graphon.latent_dim,):
-        raise ValueError(
-            f"latent point of dimension {arr.shape} does not match "
-            f"graphon latent_dim {graphon.latent_dim}"
-        )
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError("latent coordinates must lie in [0, 1]")
-    return arr
-
-
-def _block_index(boundaries: np.ndarray, x: float) -> int:
-    # intervals [0,b1), [b1,b2), ..., [bk,1]: half-open, last closed
-    return int(np.searchsorted(boundaries, x, side="right"))
-
-
-def evaluate(graphon: Graphon, x, y) -> float:
-    """W(x, y); symmetric in its arguments and always inside [0, 1]."""
-    xa, ya = _check_point(graphon, x), _check_point(graphon, y)
-    if graphon.kind == "uniform":
-        return 1.0
-    if graphon.kind == "radial":
-        return 1.0 if float(np.linalg.norm(xa - ya)) <= graphon.radius else 0.0
-    if graphon.kind == "expdecay":
-        return float(np.exp(-graphon.beta * abs(xa[0] - ya[0])))
-    b = np.asarray(graphon.boundaries)
-    v = np.asarray(graphon.block_values)
-    return float(v[_block_index(b, xa[0]), _block_index(b, ya[0])])
-
-
 @dataclass(frozen=True)
 class LatentAssignment:
     """Explicit latent coordinates for n agents.
@@ -158,24 +127,24 @@ class LatentAssignment:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Raw and row-normalized interaction weights for n agents.
+    """Row-normalized interaction weights for n agents.
 
-    raw is symmetric with an exactly zero diagonal; each row of normalized
-    sums to 1 (uniform fallback over the other agents when a raw row is all
-    zero). Immutable after construction and safe to share across workers.
+    Row i of normalized is w_ij = W(alpha_i, alpha_j) over its sum, with an
+    exactly zero diagonal, so each row sums to 1; a row whose weights are
+    all zero is uniform over the other agents. Immutable after construction
+    and safe to share across workers.
     """
 
     n: int
-    raw: np.ndarray
     normalized: np.ndarray
 
     def __post_init__(self):
-        for m in (self.raw, self.normalized):
-            m.setflags(write=False)
+        self.normalized.setflags(write=False)
 
 
 def build_weights(graphon: Graphon, assign: LatentAssignment) -> WeightMatrix:
-    """Materialize w_ij = W(alpha_i, alpha_j), w_ii = 0, and the normalized rows.
+    """Materialize w_ij = W(alpha_i, alpha_j), w_ii = 0, and normalize each
+    row in place.
 
     Deterministic: identical inputs give bit-identical matrices.
     """
@@ -190,34 +159,31 @@ def build_weights(graphon: Graphon, assign: LatentAssignment) -> WeightMatrix:
         )
     coords = assign.coords
     if graphon.kind == "uniform":
-        raw = np.ones((n, n))
+        w = np.ones((n, n))
     elif graphon.kind == "radial":
         pts = coords if coords.ndim == 2 else coords[:, None]
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
-        raw = (dist <= graphon.radius).astype(np.float64)
+        w = (dist <= graphon.radius).astype(np.float64)
     elif graphon.kind == "expdecay":
-        raw = np.exp(-graphon.beta * np.abs(coords[:, None] - coords[None, :]))
+        w = np.exp(-graphon.beta * np.abs(coords[:, None] - coords[None, :]))
     else:
         b = np.asarray(graphon.boundaries)
         v = np.asarray(graphon.block_values)
         idx = np.searchsorted(b, coords, side="right")
-        raw = v[idx[:, None], idx[None, :]]
-    np.fill_diagonal(raw, 0.0)
+        w = v[idx[:, None], idx[None, :]]
+    np.fill_diagonal(w, 0.0)
 
-    normalized = np.zeros_like(raw)
-    row_sums = raw.sum(axis=1)
+    row_sums = w.sum(axis=1)
     degenerate = row_sums == 0.0
+    # an all-zero row divided by 1 stays zero until its fallback below
+    w /= np.where(degenerate, 1.0, row_sums)[:, None]
     if np.any(degenerate):
         logger.warning(
             "%d agent(s) have zero total interaction weight; "
             "falling back to uniform neighbor sampling", int(degenerate.sum())
         )
-    ok = ~degenerate
-    normalized[ok] = raw[ok] / row_sums[ok, None]
-    if np.any(degenerate):
-        fallback = np.full(n, 1.0 / (n - 1))
         for i in np.flatnonzero(degenerate):
-            normalized[i] = fallback
-            normalized[i, i] = 0.0
-    return WeightMatrix(n=n, raw=raw, normalized=normalized)
+            w[i] = 1.0 / (n - 1)
+            w[i, i] = 0.0
+    return WeightMatrix(n=n, normalized=w)

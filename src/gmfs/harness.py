@@ -35,7 +35,7 @@ from .bellman import (ACTION_RULES, AGGREGATE_RULES, MODES, QTable, save_qtable,
 from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
 from .errors import ConfigError, GmfsError
 from .execution import (BASELINE_POLICY_INPUTS, REWARD_AGGREGATES, Policy, PolicyEvaluation,
-                        check_policy, evaluate_policies, evaluate_policy, read_init)
+                        evaluate_policies, evaluate_policy, read_init)
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 
 PAPER_KAPPAS = (1, 3, 6, 9, 12, 15, 18, 21, 24)
@@ -452,14 +452,14 @@ def evaluate_table(cfg: ExperimentConfig, env: Environment, weights,
 
 
 def _train_one(cfg: ExperimentConfig, env: Environment, weights, kappa: int) -> SweepRow:
-    """Train one kappa and check that its policy can be evaluated; a kappa
-    refused with a gmfs error is recorded, and the other kappas still run."""
+    """Train one kappa; a kappa refused with a gmfs error (histogram codes
+    past 64 bits among them, which ``tabulate`` refuses before training) is
+    recorded, and the other kappas still run."""
     size = table_size(cfg.mode, kappa, env.n_states, env.n_actions)
     try:
         t0 = time.perf_counter()
         q = train_kappa(cfg, env, kappa)
         train_wall_time = time.perf_counter() - t0
-        check_policy(env, weights, Policy(q), cfg.n)
     except GmfsError as exc:
         return SweepRow(kappa=kappa, table_size=size, train_iterations=0,
                         train_residual=float("nan"), train_wall_time=0.0,
@@ -519,32 +519,30 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> SweepReport:
     return report
 
 
-def _provenance_lines(cfg: ExperimentConfig) -> str:
-    return (f"# config_hash={config_hash(cfg)}\n"
-            f"# version={__version__}\n")
+def _write_csv(path, cfg: ExperimentConfig, header, rows) -> None:
+    """The provenance comment lines, then ``header`` and ``rows`` as CSV
+    of ``_fmt`` values."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)}\n# version={__version__}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_sweep_csv(report: SweepReport, cfg: ExperimentConfig, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_provenance_lines(cfg))
-        rows = csv.writer(fh, lineterminator="\n")
-        rows.writerow(["kappa", "table_size", "train_iterations", "train_residual",
-                       "mean_return", "stderr_return", "status", "error"])
-        for r in report.rows:
-            rows.writerow([r.kappa, r.table_size, r.train_iterations,
-                           repr(r.train_residual), repr(r.mean_return),
-                           repr(r.stderr_return), r.status, r.error])
+    _write_csv(path, cfg, ["kappa", "table_size", "train_iterations", "train_residual",
+                           "mean_return", "stderr_return", "status", "error"],
+               ((r.kappa, r.table_size, r.train_iterations, r.train_residual,
+                 r.mean_return, r.stderr_return, r.status, r.error) for r in report.rows))
 
 
 def write_episodes_csv(path, cfg: ExperimentConfig, returns_by_kappa: dict) -> None:
     """One row per episode, the returns of each kappa listed in the order
     of ``cfg.seed_list``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_provenance_lines(cfg))
-        fh.write("kappa,seed,horizon,discounted_return\n")
-        for kappa, returns in returns_by_kappa.items():
-            for idx, value in zip(cfg.seed_list, returns):
-                fh.write(f"{kappa},{idx},{cfg.horizon},{float(value)!r}\n")
+    _write_csv(path, cfg, ["kappa", "seed", "horizon", "discounted_return"],
+               ((kappa, idx, cfg.horizon, float(value))
+                for kappa, returns in returns_by_kappa.items()
+                for idx, value in zip(cfg.seed_list, returns)))
 
 
 def run_diagnostics(cfg: ExperimentConfig, suites, out_dir: str | None = None) -> dict:
@@ -566,11 +564,6 @@ def run_diagnostics(cfg: ExperimentConfig, suites, out_dir: str | None = None) -
     results = {}
     for name in names:
         result = diagnostics.SUITES[name]()
-        csv_path = directory / f"diagnostic_{name}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(_provenance_lines(cfg))
-            fh.write(",".join(result.columns) + "\n")
-            for row in result.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(directory / f"diagnostic_{name}.csv", cfg, result.columns, result.rows)
         results[name] = result
     return results

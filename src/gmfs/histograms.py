@@ -196,44 +196,6 @@ def get_index(alphabet_size: int, kappa: int) -> HistogramIndex:
     return HistogramIndex(alphabet_size, kappa)
 
 
-def _compositions(parts: int, total: int):
-    """All weak compositions of ``total`` into ``parts``, colex ascending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for prefix in _compositions(parts - 1, total - last):
-            yield prefix + (last,)
-
-
-def enumerate_histograms(alphabet_size: int, kappa: int, joint_shape=None):
-    """Yield every histogram once, in rank (colex) order."""
-    total = num_histograms(alphabet_size, kappa)
-    if total > _INT64_MAX:
-        raise BudgetError(f"histogram count {total} exceeds 64-bit range")
-    for counts in _compositions(alphabet_size, kappa):
-        yield Histogram(counts, kappa, joint_shape=joint_shape)
-
-
-def fiber(g: Histogram, n_actions: int):
-    """All joint S x A histograms whose state marginal equals ``g``.
-
-    Per state s the g.counts[s] units are distributed freely over actions, so
-    the fiber size is the product of per-state stars-and-bars counts.
-    """
-    ns = g.alphabet_size
-    per_state = [list(_compositions(n_actions, c)) for c in g.counts]
-
-    def rec(s, acc):
-        if s == ns:
-            yield Histogram(tuple(acc), g.kappa, joint_shape=(ns, n_actions))
-            return
-        for comp in per_state[s]:
-            yield from rec(s + 1, acc + list(comp))
-
-    yield from rec(0, [])
-
-
 def nearest_histograms(pmfs: np.ndarray, kappa: int) -> np.ndarray:
     """Round each pmf along the last axis to the closest kappa-denominator
     count vector.

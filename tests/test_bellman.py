@@ -32,8 +32,9 @@ from gmfs.bellman import (
 )
 from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, FormatError, GmfsError
-from gmfs.histograms import Histogram, enumerate_histograms, fiber, get_index, marginal
+from gmfs.histograms import Histogram, get_index, marginal
 from gmfs.rng import stream
+from oracles import enumerate_histograms, fiber
 
 
 def surrogate_outcome_oracle(env, s, a, counts, kappa, aggregate_rule="leave_one_out"):

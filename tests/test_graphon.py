@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gmfs.graphon import Graphon, LatentAssignment, build_weights, evaluate
+from gmfs.graphon import Graphon, LatentAssignment, build_weights
+from oracles import evaluate, normalized_weight
 
 
 class TestEvaluate:
@@ -87,13 +88,12 @@ class TestBuildWeights:
         off_diag = w.normalized[~np.eye(4, dtype=bool)]
         assert np.allclose(off_diag, 1.0 / 3.0)
         assert np.all(np.diag(w.normalized) == 0.0)
-        assert np.all(np.diag(w.raw) == 0.0)
 
     def test_grid_corner_sparser_than_center(self):
         # 5x5 grid spaced 0.25 apart: within radius 0.3 only axis neighbors
         w = build_weights(Graphon.radial_graphon(0.3, latent_dim=2), LatentAssignment.grid(25))
-        corner = int((w.raw[0] > 0).sum())
-        center = int((w.raw[12] > 0).sum())
+        corner = int((w.normalized[0] > 0).sum())
+        center = int((w.normalized[12] > 0).sum())
         assert corner == 2
         assert center == 4
         assert corner < center
@@ -119,7 +119,7 @@ class TestBuildWeights:
             assert np.all(w.normalized >= 0.0)
             assert np.all(np.diag(w.normalized) == 0.0)
 
-    def test_raw_matches_pointwise_evaluate(self, rng):
+    def test_normalized_matches_pointwise_evaluate(self, rng):
         # the vectorized build against W read one pair at a time
         for g, coords in [
             (Graphon.radial_graphon(0.4, latent_dim=2), rng.random((12, 2))),
@@ -129,19 +129,26 @@ class TestBuildWeights:
         ]:
             w = build_weights(g, LatentAssignment.explicit(coords))
             for i, j in np.ndindex(12, 12):
-                want = 0.0 if i == j else evaluate(g, coords[i], coords[j])
-                assert w.raw[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+                want = normalized_weight(g, coords, i, j)
+                assert w.normalized[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_raw_symmetry_exact(self, rng):
-        w = build_weights(Graphon.expdecay_graphon(2.0),
-                          LatentAssignment.explicit(rng.random(20)))
-        assert np.array_equal(w.raw, w.raw.T)
+    def test_normalized_rows_of_a_symmetric_kernel_are_reversible(self, rng):
+        # row-normalizing a symmetric W gives a reversible chain: the support
+        # is symmetric and, by Kolmogorov's criterion, every 3-cycle has the
+        # same weight product in both directions
+        for g, coords in [
+            (Graphon.expdecay_graphon(2.0), rng.random(20)),
+            (Graphon.radial_graphon(0.5, latent_dim=2), rng.random((20, 2))),
+        ]:
+            p = build_weights(g, LatentAssignment.explicit(coords)).normalized
+            assert np.array_equal(p > 0, (p > 0).T)
+            fwd = np.einsum("ij,jk,ki->ijk", p, p, p)
+            assert np.allclose(fwd, fwd.transpose(0, 2, 1), rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         g = Graphon.radial_graphon(0.3, latent_dim=2)
         a = LatentAssignment.grid(25)
         w1, w2 = build_weights(g, a), build_weights(g, a)
-        assert np.array_equal(w1.raw, w2.raw)
         assert np.array_equal(w1.normalized, w2.normalized)
 
     def test_needs_two_agents(self):

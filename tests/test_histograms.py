@@ -13,14 +13,13 @@ from gmfs.errors import BudgetError
 from gmfs.histograms import (
     Histogram,
     HistogramIndex,
-    enumerate_histograms,
-    fiber,
     get_index,
     marginal,
     nearest_histograms,
     num_histograms,
     tv_distance,
 )
+from oracles import enumerate_histograms, fiber
 
 
 def brute_force_histograms(d, kappa):
