@@ -3,14 +3,7 @@
 __version__ = "0.4.0"
 
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
-from .histograms import (
-    Histogram,
-    HistogramIndex,
-    marginal,
-    nearest_histograms,
-    num_histograms,
-    tv_distance,
-)
+from .histograms import HistogramIndex, nearest_histograms, num_histograms, tv_distance
 from .env import (
     Environment,
     linear_env,

@@ -50,13 +50,7 @@ import numpy as np
 from .env import (Environment, invalid_pmfs, local_reward, rewards as env_rewards,
                   step_distribution, transitions)
 from .errors import BudgetError, FormatError, GmfsError
-from .histograms import (
-    Histogram,
-    HistogramIndex,
-    get_index,
-    marginal as hist_marginal,
-    num_histograms,
-)
+from .histograms import HistogramIndex, get_index, num_histograms
 from .rng import stream
 from .sampler import inverse_cdf
 
@@ -130,7 +124,7 @@ class QTable:
 
 
 def histogram_alphabet(mode: str, n_states: int, n_actions: int) -> int:
-    """Histogram cells: (state, action) pairs in joint mode, states in marginal mode."""
+    """Cells of a histogram: (state, action) pairs in joint mode, states in marginal mode."""
     return n_states * n_actions if mode == "joint" else n_states
 
 
@@ -194,8 +188,9 @@ def fiber_max(values: np.ndarray, mode: str, kappa: int) -> np.ndarray:
     return values[:, :, joint_layout(n_states, n_actions, kappa).fibers].max(axis=3)
 
 
-def fiber_backup(q: QTable, s_next: int, g_next: Histogram) -> float:
-    """max over a' (and, in joint mode, all completions z' of g') of Q."""
+def fiber_backup(q: QTable, s_next: int, g_next) -> float:
+    """max over a' (and, in joint mode, all completions z' of g') of Q, at
+    the state count row g_next."""
     g_rank = get_index(q.n_states, q.kappa).rank(g_next)
     if q.mode == "marginal":
         return float(q.values[s_next, :, g_rank].max())
@@ -222,15 +217,28 @@ def fiber_argmax(q: QTable, s: int, g_rank: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def expand_surrogate(hist: Histogram):
-    """Deterministic cell-major expansion of a histogram into its kappa
-    agents: (states, actions) arrays whose pair tally reproduces the
-    histogram. Marginal histograms carry states only (actions None)."""
-    cells = np.repeat(np.arange(hist.alphabet_size), hist.counts_array())
-    if hist.joint_shape is None:
+def expand_surrogate(counts, n_actions: int | None = None):
+    """Deterministic cell-major expansion of a count row into its kappa
+    agents: (states, actions) arrays whose pair tally reproduces the row.
+    A joint row (cells s * n_actions + a) needs ``n_actions``; a state row
+    carries states only (actions None)."""
+    cells = np.repeat(np.arange(len(counts)), counts)
+    if n_actions is None:
         return cells, None
-    n_actions = hist.joint_shape[1]
     return cells // n_actions, cells % n_actions
+
+
+def _state_counts(env: Environment, counts: np.ndarray) -> np.ndarray:
+    """The state counts of a count row: a row of |S| cells is a state
+    marginal, one of |S| |A| cells a joint histogram, state-major, which
+    collapses over actions. With one action the two readings coincide."""
+    S, A = env.n_states, env.n_actions
+    if counts.shape == (S,):
+        return counts
+    if counts.shape != (S * A,):
+        raise ValueError(f"count row of shape {counts.shape} fits neither {S} states "
+                         f"nor {S * A} (state, action) cells")
+    return counts.reshape(S, A).sum(axis=1)
 
 
 def _neighbor_marginal(counts: np.ndarray, focal_state: int, x: int,
@@ -248,15 +256,16 @@ def _greedy_action(q: QTable, x: int, gm_counts: np.ndarray) -> int:
     return fiber_argmax(q, x, get_index(q.n_states, q.kappa).rank(gm_counts))
 
 
-def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
+def surrogate_step(env: Environment, s: int, a: int, counts,
                    rng: np.random.Generator, *, q: QTable | None = None,
                    neighbor_action_rule: str = "uniform",
                    aggregate_rule: str = "leave_one_out"):
-    """One draw of the (kappa+1)-agent surrogate transition.
+    """One draw of the (kappa+1)-agent surrogate transition from the count
+    row of the kappa neighbors: |S| state counts, or |S| |A| joint counts
+    that fix the neighbors' current actions; kappa is the row's sum.
 
-    Returns (s_next, g_next): the focal agent's next state and the histogram
-    of the neighbors' next states, for marginal and for joint input alike
-    (joint input fixes the neighbors' current actions).
+    Returns (s_next, g_next): the focal agent's next state and the state
+    count row of the neighbors' next states, for either input.
 
     Draw order is fixed: one uniform for the focal transition, then one per
     neighbor in state-major histogram order (the uniform action rule draws
@@ -267,9 +276,11 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
         raise ValueError(f"aggregate_rule must be one of {AGGREGATE_RULES}")
     if neighbor_action_rule not in ACTION_RULES:
         raise ValueError(f"neighbor_action_rule must be one of {ACTION_RULES}")
-    kappa = hist.kappa
-    nb_states, nb_actions = expand_surrogate(hist)
-    g_counts = (hist_marginal(hist) if hist.joint_shape else hist).counts_array()
+    counts = np.asarray(counts, dtype=np.int64)
+    g_counts = _state_counts(env, counts)
+    kappa = int(g_counts.sum())
+    joint = counts.shape != (env.n_states,)
+    nb_states, nb_actions = expand_surrogate(counts, env.n_actions if joint else None)
     g_probs = g_counts / kappa
 
     if nb_actions is None and neighbor_action_rule == "greedy" and q is None:
@@ -289,11 +300,10 @@ def surrogate_step(env: Environment, s: int, a: int, hist: Histogram,
         nxt = int(np.searchsorted(np.cumsum(pmf), uniforms[1 + m], side="right"))
         next_states[m] = min(nxt, env.n_states - 1)
 
-    counts = np.bincount(next_states, minlength=env.n_states)
-    return s_next, Histogram(tuple(int(c) for c in counts), kappa)
+    return s_next, np.bincount(next_states, minlength=env.n_states)
 
 
-def empirical_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
+def empirical_operator(env: Environment, q: QTable, s: int, a: int, counts,
                        m: int, rng: np.random.Generator, *,
                        neighbor_action_rule: str = "uniform",
                        aggregate_rule: str = "leave_one_out") -> float:
@@ -301,14 +311,14 @@ def empirical_operator(env: Environment, q: QTable, s: int, a: int, hist: Histog
     surrogate outcomes."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    g_probs = (hist_marginal(hist) if hist.joint_shape else hist).probs
-    r = local_reward(env, s, a, g_probs)
+    g_counts = _state_counts(env, np.asarray(counts, dtype=np.int64))
+    r = local_reward(env, s, a, g_counts / g_counts.sum())
     if q.gamma == 0.0:
         return r
     backups = np.empty(m)
     for ell in range(m):
         s_next, g_next = surrogate_step(
-            env, s, a, hist, rng, q=q,
+            env, s, a, counts, rng, q=q,
             neighbor_action_rule=neighbor_action_rule, aggregate_rule=aggregate_rule,
         )
         backups[ell] = fiber_backup(q, s_next, g_next)
@@ -330,11 +340,12 @@ def _neighbor_pmf(env: Environment, q: QTable, x: int, gm_counts: np.ndarray,
     return step_distribution(env, x, _greedy_action(q, x, gm_counts), gm_probs)
 
 
-def exact_operator(env: Environment, q: QTable, s: int, a: int, hist: Histogram,
+def exact_operator(env: Environment, q: QTable, s: int, a: int, counts,
                    **rules) -> float:
-    """Exact expectation of the sampled backup at one entry: a read of
-    ``exact_sweep``, which computes the whole table."""
-    return float(exact_sweep(env, q, **rules)[s, a, q.index().rank(hist)])
+    """Exact expectation of the sampled backup at the entry of the count row
+    ``counts`` in q's mode: a read of ``exact_sweep``, which computes the
+    whole table."""
+    return float(exact_sweep(env, q, **rules)[s, a, q.index().rank(counts)])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +361,7 @@ class SurrogateModel(NamedTuple):
     local reward; ``gm_rank[g, s, x]`` ranks the aggregate a neighbor in
     state x sees next to a focal agent in state s (0 where g has no agent in
     x); ``slot_states[g]`` lists the kappa neighbor states in state-major
-    order. Histogram g counts ``index.counts_by_rank[g]``.
+    order. The histogram of rank g counts ``index.counts_by_rank[g]``.
     """
 
     index: HistogramIndex

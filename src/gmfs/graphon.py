@@ -161,9 +161,16 @@ def build_weights(graphon: Graphon, assign: LatentAssignment) -> WeightMatrix:
     if graphon.kind == "uniform":
         w = np.ones((n, n))
     elif graphon.kind == "radial":
+        # the squared distances summed an axis at a time into one (n, n)
+        # array: the bits of a sum over an (n, n, d) array, without its memory
         pts = coords if coords.ndim == 2 else coords[:, None]
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist, diff = np.zeros((n, n)), np.empty((n, n))
+        for axis in pts.T:
+            np.subtract(axis[:, None], axis[None, :], out=diff)
+            diff *= diff
+            dist += diff
+        del diff
+        np.sqrt(dist, out=dist)
         w = (dist <= graphon.radius).astype(np.float64)
     elif graphon.kind == "expdecay":
         w = np.exp(-graphon.beta * np.abs(coords[:, None] - coords[None, :]))

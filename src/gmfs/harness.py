@@ -30,10 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bellman import (ACTION_RULES, AGGREGATE_RULES, MODES, QTable, save_qtable,
-                      table_size, value_iteration)
+from .bellman import (ACTION_RULES, AGGREGATE_RULES, MAX_TABLE_ENTRIES, MODES, QTable,
+                      save_qtable, table_size, value_iteration)
 from .env import Environment, load_tabular_env, make_env, WAREHOUSE_DEFAULTS
-from .errors import ConfigError, GmfsError
+from .errors import BudgetError, ConfigError, GmfsError
 from .execution import (BASELINE_POLICY_INPUTS, REWARD_AGGREGATES, Policy, PolicyEvaluation,
                         evaluate_policies, evaluate_policy, read_init)
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
@@ -364,7 +364,14 @@ def build_assignment(cfg: ExperimentConfig) -> LatentAssignment:
 
 def build_system_weights(cfg: ExperimentConfig) -> WeightMatrix:
     """The interaction weights of the configured graphon and ``cfg.n``
-    agents; ``[graphon]`` values that give none are a ConfigError."""
+    agents; ``[graphon]`` values that give none are a ConfigError. The
+    weights are a dense n x n matrix, so an n whose n * n entries pass the
+    table budget is a BudgetError before anything is built."""
+    if cfg.n * cfg.n > MAX_TABLE_ENTRIES:
+        raise BudgetError(
+            f"[system] n = {cfg.n} needs {cfg.n * cfg.n} interaction weights, "
+            f"past the table budget ({MAX_TABLE_ENTRIES})"
+        )
     try:
         assignment = build_assignment(cfg)
         if assignment.n != cfg.n:

@@ -15,7 +15,6 @@ exact; probabilities are derived views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -33,74 +32,19 @@ def num_histograms(alphabet_size: int, kappa: int) -> int:
     return math.comb(kappa + alphabet_size - 1, alphabet_size - 1)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Integer count vector summing to ``kappa``.
-
-    ``joint_shape`` declares a product alphabet |S| x |A| (cells flattened
-    state-major, cell = s * n_actions + a); it is required for ``marginal``.
-    """
-
-    counts: tuple
-    kappa: int
-    joint_shape: tuple | None = None
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        if sum(counts) != self.kappa:
-            raise ValueError(f"counts sum {sum(counts)} != kappa {self.kappa}")
-        if self.joint_shape is not None:
-            ns, na = self.joint_shape
-            if ns * na != len(counts):
-                raise ValueError("joint_shape does not match counts length")
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.counts)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.float64) / self.kappa
-
-    def counts_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
-
-
-def marginal(z: Histogram) -> Histogram:
-    """Collapse a joint S x A histogram onto states, keeping the same
-    denominator."""
-    if z.joint_shape is None:
-        raise ValueError("histogram does not declare a product alphabet")
-    ns, na = z.joint_shape
-    grid = np.asarray(z.counts, dtype=np.int64).reshape(ns, na)
-    return Histogram(tuple(int(c) for c in grid.sum(axis=1)), z.kappa)
-
-
-def _as_prob_vector(p) -> np.ndarray:
-    if isinstance(p, Histogram):
-        return p.probs
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d probability vector")
-    return arr
-
-
 def tv_distance(p, q) -> float:
-    """Total variation distance 0.5 * sum |p - q| between two pmfs or
-    histograms on the same alphabet."""
-    pv, qv = _as_prob_vector(p), _as_prob_vector(q)
+    """Total variation distance 0.5 * sum |p - q| between two pmfs on the
+    same alphabet."""
+    pv, qv = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if pv.ndim != 1:
+        raise ValueError("expected a 1-d probability vector")
     if pv.shape != qv.shape:
         raise ValueError(f"alphabet mismatch: {pv.shape} vs {qv.shape}")
     return 0.5 * float(np.abs(pv - qv).sum())
 
 
 class HistogramIndex:
-    """Bijective rank/unrank between histograms and [0, total).
+    """Bijective rank between histograms, as count rows, and [0, total).
 
     Rank order is colexicographic on count vectors: vectors compare by their
     last differing coordinate. ``counts_by_rank`` lists the count rows in
@@ -120,11 +64,14 @@ class HistogramIndex:
             )
         self.total = total
 
-    def rank(self, h) -> int:
-        """Position of ``h`` in the colex enumeration."""
-        counts = h.counts_array() if isinstance(h, Histogram) else np.asarray(h, dtype=np.int64)
+    def rank(self, counts) -> int:
+        """Position of one count row in the colex enumeration; a row that is
+        no histogram of this index is a ValueError."""
+        counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self.alphabet_size,):
             raise ValueError("histogram does not match this index's alphabet")
+        if (counts < 0).any():
+            raise ValueError("histogram counts must be non-negative")
         if counts.sum() != self.kappa:
             raise ValueError("histogram does not match this index's kappa")
         return int(self.rank_rows(counts[None, :])[0])
@@ -182,12 +129,6 @@ class HistogramIndex:
         table = np.zeros(size, dtype=np.int64)
         table[codes_by_rank] = np.arange(self.total)
         return table.take
-
-    def unrank(self, idx: int) -> Histogram:
-        """Histogram at position ``idx`` of the colex enumeration."""
-        if not 0 <= idx < self.total:
-            raise ValueError(f"rank {idx} out of range [0, {self.total})")
-        return Histogram(self.counts_by_rank[idx], self.kappa)
 
 
 @lru_cache(maxsize=None)

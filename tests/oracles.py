@@ -12,42 +12,36 @@ from __future__ import annotations
 import numpy as np
 
 from gmfs.graphon import Graphon
-from gmfs.histograms import Histogram
 
 
-def _compositions(parts: int, total: int):
-    """All weak compositions of ``total`` into ``parts``, colex ascending."""
-    if parts == 1:
-        yield (total,)
+def enumerate_histograms(alphabet_size: int, kappa: int):
+    """Yield the count tuple of every histogram once, in rank (colex) order:
+    the weak compositions of ``kappa`` into ``alphabet_size`` parts."""
+    if alphabet_size == 1:
+        yield (kappa,)
         return
-    for last in range(total + 1):
-        for prefix in _compositions(parts - 1, total - last):
+    for last in range(kappa + 1):
+        for prefix in enumerate_histograms(alphabet_size - 1, kappa - last):
             yield prefix + (last,)
 
 
-def enumerate_histograms(alphabet_size: int, kappa: int, joint_shape=None):
-    """Yield every histogram once, in rank (colex) order."""
-    for counts in _compositions(alphabet_size, kappa):
-        yield Histogram(counts, kappa, joint_shape=joint_shape)
+def fiber(g, n_actions: int):
+    """The count tuples, state-major, of all joint S x A histograms whose
+    state marginal is the count row ``g``.
 
-
-def fiber(g: Histogram, n_actions: int):
-    """All joint S x A histograms whose state marginal equals ``g``.
-
-    Per state s the g.counts[s] units are distributed freely over actions, so
-    the fiber size is the product of per-state stars-and-bars counts.
+    Per state s the g[s] units are distributed freely over actions, so the
+    fiber size is the product of per-state stars-and-bars counts.
     """
-    ns = g.alphabet_size
-    per_state = [list(_compositions(n_actions, c)) for c in g.counts]
+    per_state = [list(enumerate_histograms(n_actions, int(c))) for c in g]
 
     def rec(s, acc):
-        if s == ns:
-            yield Histogram(tuple(acc), g.kappa, joint_shape=(ns, n_actions))
+        if s == len(per_state):
+            yield acc
             return
         for comp in per_state[s]:
-            yield from rec(s + 1, acc + list(comp))
+            yield from rec(s + 1, acc + comp)
 
-    yield from rec(0, [])
+    yield from rec(0, ())
 
 
 def _check_point(graphon: Graphon, x) -> np.ndarray:

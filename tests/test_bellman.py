@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gmfs.bellman import (
     _OFF_POLICY_BLOCK,
+    MODES,
     OffPolicyConfig,
     QTable,
     _FrozenEngine,
@@ -32,7 +33,7 @@ from gmfs.bellman import (
 )
 from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, FormatError, GmfsError
-from gmfs.histograms import Histogram, get_index, marginal
+from gmfs.histograms import get_index
 from gmfs.rng import stream
 from oracles import enumerate_histograms, fiber
 
@@ -77,11 +78,10 @@ def surrogate_outcome_oracle(env, s, a, counts, kappa, aggregate_rule="leave_one
 def completion_ranks(mode, n_actions, g_counts, kappa):
     """Table ranks of every completion of the marginal g: its joint
     histograms, enumerated by brute force, or g itself."""
-    g = Histogram(g_counts, kappa)
     if mode == "marginal":
-        return [get_index(len(g_counts), kappa).rank(g)]
+        return [get_index(len(g_counts), kappa).rank(g_counts)]
     idx = get_index(len(g_counts) * n_actions, kappa)
-    return [idx.rank(z) for z in fiber(g, n_actions)]
+    return [idx.rank(z) for z in fiber(g_counts, n_actions)]
 
 
 def exact_backup_oracle(env, q, s, a, counts, kappa, aggregate_rule="leave_one_out"):
@@ -146,8 +146,7 @@ def engine_sweep(eng, q):
 def reference_sweep(env, q, m, seed, rule, agg):
     """The per-entry empirical operator at every entry of q, entry e on the
     frozen stream advanced to its first draw."""
-    joint_shape = (q.n_states, q.n_actions) if q.mode == "joint" else None
-    hists = list(enumerate_histograms(q.alphabet_size(), q.kappa, joint_shape=joint_shape))
+    hists = list(enumerate_histograms(q.alphabet_size(), q.kappa))
     ref = np.empty_like(q.values)
     e = 0
     for s in range(q.n_states):
@@ -307,15 +306,14 @@ class TestSurrogateStep:
         kernel[:, 0, :, 0] = 1.0  # action 0 always lands in state 0
         kernel[:, 1, :, 1] = 1.0  # action 1 always lands in state 1
         env = linear_env("det", kernel, np.zeros((2, 2, 2)), discount=0.9)
-        z = Histogram((0, 1, 1, 0), 2, joint_shape=(2, 2))  # neighbors (0,1), (1,0)
+        z = (0, 1, 1, 0)  # joint counts: neighbors (0,1), (1,0)
         for trial in range(5):
             s_next, g_next = surrogate_step(env, 0, 1, z, stream(trial, "sur"),
                                             neighbor_action_rule="uniform")
             assert s_next == 1
             # joint input gives the next state marginal: neighbor with
             # action 1 -> state 1, neighbor with action 0 -> state 0
-            assert g_next.joint_shape is None
-            assert g_next.counts == (1, 1)
+            assert g_next.tolist() == [1, 1]
 
     def test_warehouse_congested_work_crowd(self, warehouse):
         # kappa=2 neighbors all at (working, work-action), g(2)=1: each stays
@@ -329,7 +327,7 @@ class TestSurrogateStep:
         eng = _FrozenEngine(warehouse, kappa, -(-samples // pairs), 17, mode="joint",
                             neighbor_action_rule="uniform", aggregate_rule="shared")
         z_index, g_index = get_index(9, kappa), get_index(3, kappa)
-        z = z_index.rank(Histogram((0,) * 8 + (2,), kappa, joint_shape=(3, 3)))
+        z = z_index.rank((0,) * 8 + (2,))
         # eng.flat is sample-major (m, E): entry e's samples are column e
         flat = eng.flat[:, np.arange(pairs) * z_index.total + z].T.ravel()[:samples]
         working = g_index.counts_by_rank[:, 2]
@@ -341,26 +339,25 @@ class TestSurrogateStep:
         q = QTable.zeros("marginal", 3, 2, 2, 0.9)
         for trial in range(20):
             counts = rng.multinomial(3, [0.5, 0.5])
-            g = Histogram(tuple(counts), 3)
-            _, agg = surrogate_step(small, 0, 1, g, stream(trial, "sur"), q=q,
+            _, agg = surrogate_step(small, 0, 1, counts, stream(trial, "sur"), q=q,
                                     neighbor_action_rule="greedy")
-            assert sum(agg.counts) == 3 and agg.joint_shape is None
+            assert agg.shape == (2,) and agg.sum() == 3
 
     def test_surrogate_expansion_tally(self, rng):
         from gmfs.bellman import expand_surrogate
 
         for trial in range(20):
-            counts = rng.multinomial(5, np.ones(6) / 6)
-            z = Histogram(tuple(counts), 5, joint_shape=(2, 3))
-            states, actions = expand_surrogate(z)
+            z = rng.multinomial(5, np.ones(6) / 6)
+            states, actions = expand_surrogate(z, 3)
             assert states.shape == actions.shape == (5,)
             tally = np.zeros(6, dtype=int)
             for x, u in zip(states, actions):
                 tally[x * 3 + u] += 1
-            assert tuple(tally) == z.counts
-            states, actions = expand_surrogate(marginal(z))
+            assert np.array_equal(tally, z)
+            g = z.reshape(2, 3).sum(axis=1)
+            states, actions = expand_surrogate(g)
             assert actions is None
-            assert tuple(np.bincount(states, minlength=2)) == marginal(z).counts
+            assert np.array_equal(np.bincount(states, minlength=2), g)
 
     def test_monte_carlo_matches_brute_force_oracle(self, small):
         # the engine's frozen outcomes of one entry; engine and per-entry
@@ -373,15 +370,21 @@ class TestSurrogateStep:
         index = get_index(2, kappa)
         e = (s * small.n_actions + a) * index.total + index.rank(g_counts)
         outcomes, tally = np.unique(eng.flat[:, e], return_counts=True)
-        freq = {(int(f) // index.total, tuple(index.unrank(int(f) % index.total).counts)): int(c)
-                for f, c in zip(outcomes, tally)}
+        rows = index.counts_by_rank[outcomes % index.total].tolist()
+        freq = {(int(f) // index.total, tuple(row)): int(c)
+                for f, row, c in zip(outcomes, rows, tally)}
         tv = 0.5 * sum(abs(oracle.get(k, 0.0) - freq.get(k, 0) / trials)
                        for k in set(oracle) | set(freq))
         assert tv <= 0.01
 
+    def test_row_of_neither_length_rejected(self, small):
+        # small has 2 states and 4 (state, action) cells
+        with pytest.raises(ValueError, match="fits neither"):
+            surrogate_step(small, 0, 0, (1, 1, 0), stream(0, "sur"))
+
     def test_greedy_needs_table(self, small):
         with pytest.raises(ValueError):
-            surrogate_step(small, 0, 0, Histogram((2, 0), 2), stream(0, "sur"),
+            surrogate_step(small, 0, 0, (2, 0), stream(0, "sur"),
                            neighbor_action_rule="greedy")
 
 
@@ -389,8 +392,8 @@ class TestFiberBackup:
     def test_single_action_singleton_fiber(self):
         q = QTable.zeros("joint", 2, 2, 1, 0.9)
         q.values[1, 0, :] = np.arange(q.values.shape[2])
-        g = Histogram((2, 0), 2)
-        z_rank = get_index(2, 2).rank(Histogram((2, 0), 2))  # only completion
+        g = (2, 0)
+        z_rank = get_index(2, 2).rank(g)  # only completion
         assert fiber_backup(q, 1, g) == q.values[1, 0, z_rank]
 
     def test_marginal_equals_joint_when_fiber_constant(self, rng):
@@ -400,7 +403,7 @@ class TestFiberBackup:
         g_idx = get_index(ns, kappa)
         z_idx = get_index(ns * na, kappa)
         for g_rank in range(g_idx.total):
-            g = g_idx.unrank(g_rank)
+            g = g_idx.counts_by_rank[g_rank]
             for a in range(na):
                 v = rng.normal(size=(ns,))
                 for s in range(ns):
@@ -408,7 +411,7 @@ class TestFiberBackup:
                     for z in fiber(g, na):
                         qj.values[s, a, z_idx.rank(z)] = v[s]
         for g_rank in range(g_idx.total):
-            g = g_idx.unrank(g_rank)
+            g = g_idx.counts_by_rank[g_rank]
             for s in range(ns):
                 assert fiber_backup(qj, s, g) == pytest.approx(fiber_backup(qm, s, g))
 
@@ -455,14 +458,20 @@ class TestFiberBackup:
 class TestOperators:
     def test_zero_table_returns_reward(self, small):
         q = QTable.zeros("marginal", 2, 2, 2, 0.9)
-        h = Histogram((1, 1), 2)
+        h = (1, 1)
         got = empirical_operator(small, q, 0, 1, h, 20, stream(0, "op"))
         assert got == pytest.approx(local_reward(small, 0, 1, np.array([0.5, 0.5])))
+
+    def test_joint_row_reads_its_state_marginal(self, small):
+        # cells state-major: (0,0)=2, (0,1)=1, (1,0)=1, (1,1)=0, so states (3, 1)
+        q = QTable.zeros("joint", 4, 2, 2, 0.0)
+        got = empirical_operator(small, q, 1, 0, (2, 1, 1, 0), 1, stream(0, "op"))
+        assert got == local_reward(small, 1, 0, np.array([0.75, 0.25]))
 
     def test_gamma_zero_ignores_table(self, small, rng):
         q = QTable.zeros("marginal", 2, 2, 2, 0.0)
         q.values = rng.normal(size=q.values.shape)
-        h = Histogram((2, 0), 2)
+        h = (2, 0)
         got = empirical_operator(small, q, 1, 0, h, 5, stream(1, "op"))
         assert got == pytest.approx(local_reward(small, 1, 0, np.array([1.0, 0.0])))
 
@@ -478,7 +487,7 @@ class TestOperators:
                 got = exact_sweep(env, q, aggregate_rule=agg)
                 idx = q.index()
                 for s, a, h in itertools.product(range(S), range(A), range(idx.total)):
-                    want = exact_backup_oracle(env, q, s, a, idx.unrank(h).counts,
+                    want = exact_backup_oracle(env, q, s, a, idx.counts_by_rank[h].tolist(),
                                                kappa, agg)
                     assert abs(got[s, a, h] - want) <= 1e-12, (env.name, mode, kappa, agg)
 
@@ -486,14 +495,14 @@ class TestOperators:
         q = QTable.zeros("joint", 2, 2, 2, 0.9)
         q.values = rng.uniform(-3, 3, size=q.values.shape)
         table = exact_sweep(small, q, aggregate_rule="shared")
-        for h, z in enumerate(enumerate_histograms(4, 2, joint_shape=(2, 2))):
+        for h, z in enumerate(enumerate_histograms(4, 2)):
             assert exact_operator(small, q, 1, 0, z, aggregate_rule="shared") == table[1, 0, h]
 
     def test_empirical_converges_to_exact(self, small, rng):
         kappa, m = 2, 40_000
         q = QTable.zeros("marginal", kappa, 2, 2, 0.9)
         q.values = rng.uniform(-2, 2, size=q.values.shape)
-        h = Histogram((1, 1), kappa)
+        h = (1, 1)
         exact = exact_operator(small, q, 0, 0, h, neighbor_action_rule="uniform")
         eng = _FrozenEngine(small, kappa, m, 3, mode="marginal",
                             neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
@@ -592,6 +601,18 @@ class TestValueIteration:
             q.values = rng.uniform(-9, 9, q.values.shape)
             fast, ref = engine_and_reference(env, q, 5, 200 + trial, "greedy", agg)
             assert np.array_equal(fast, ref), (S, A, kappa, agg)
+
+    def test_fast_engine_matches_reference_with_one_action(self, rng):
+        # with one action a joint count row has the length of a marginal one
+        S, kappa = 3, 3
+        env = linear_env("one-action", rng.dirichlet(np.ones(S), size=(S, 1, S)),
+                         rng.uniform(-3, 3, size=(S, 1, S)), discount=0.9)
+        for trial, (mode, rule, agg) in enumerate(itertools.product(
+                MODES, ("uniform", "greedy"), ("leave_one_out", "shared"))):
+            q = QTable.zeros(mode, kappa, S, 1, 0.9)
+            q.values = rng.uniform(-9, 9, q.values.shape)
+            fast, ref = engine_and_reference(env, q, 5, 300 + trial, rule, agg)
+            assert np.array_equal(fast, ref), (mode, rule, agg)
 
     def test_one_build_draws_its_frozen_uniforms_in_one_call(self, warehouse, monkeypatch):
         from gmfs import bellman
@@ -765,13 +786,13 @@ class TestValueIteration:
         def lookup(cdf_row, u):
             return min(int(np.searchsorted(cdf_row, u, side="right")), S - 1)
 
-        joint_shape = (S, A) if mode == "joint" else None
-        hists = list(enumerate_histograms(S * A if joint_shape else S, kappa, joint_shape))
+        joint = mode == "joint"
+        hists = list(enumerate_histograms(S * A if joint else S, kappa))
         flat = np.empty((eng.n_entries, m), dtype=np.int64)
         next_codes = np.empty((eng.n_entries, kappa, A, m), dtype=np.int64)
         for e, (s, a, hist) in enumerate(itertools.product(range(S), range(A), hists)):
-            g = index.rank(marginal(hist) if joint_shape else hist)
-            slot_states, slot_actions = expand_surrogate(hist)
+            g = index.rank(np.reshape(hist, (S, -1)).sum(axis=1))
+            slot_states, slot_actions = expand_surrogate(hist, A if joint else None)
             for j in range(m):
                 s_next = lookup(cdf[s, a, g], uni[e, j, 0])
                 drawn = []
@@ -781,7 +802,7 @@ class TestValueIteration:
                     if rule == "greedy":
                         for b in range(A):
                             next_codes[e, k, b, j] = codes[lookup(cdf[x, b, gm], u)]
-                    elif joint_shape:
+                    elif joint:
                         drawn.append(lookup(cdf[x, slot_actions[k], gm], u))
                     else:
                         drawn.append(lookup(uniform_cdf[x, gm], u))
@@ -796,7 +817,7 @@ class TestValueIteration:
             # engine keeps the sum of their codes per (entry, state, action)
             by_state = np.zeros((eng.n_entries, S, A, m), dtype=np.int64)
             for e, (_, _, hist) in enumerate(itertools.product(range(S), range(A), hists)):
-                for k, x in enumerate(expand_surrogate(hist)[0]):
+                for k, x in enumerate(expand_surrogate(hist, A if joint else None)[0]):
                     by_state[e, x] += next_codes[e, k]
             assert np.array_equal(eng.next_codes, by_state.reshape(-1, m))
         else:
@@ -933,7 +954,7 @@ class TestValueIteration:
         z_idx = get_index(4, kappa)
         g_idx = get_index(2, kappa)
         for g_rank in range(g_idx.total):
-            g = g_idx.unrank(g_rank)
+            g = g_idx.counts_by_rank[g_rank]
             for z in fiber(g, 2):
                 spread = qj.values[:, :, z_idx.rank(z)] - qm.values[:, :, g_rank]
                 assert np.abs(spread).max() <= 1e-6
@@ -1051,7 +1072,7 @@ class TestOffPolicy:
         q = off_policy_learn(env, 2, 1, seed=0, gamma=0.9,
                              config=OffPolicyConfig(learning_rate=learning_rate))
         (s,), (a,), (g,) = np.nonzero(q.values)
-        reward = local_reward(env, int(s), int(a), get_index(2, 2).unrank(int(g)).probs)
+        reward = local_reward(env, int(s), int(a), get_index(2, 2).counts_by_rank[g] / 2)
         return q, q.values[s, a, g], reward
 
     def test_update_arithmetic(self, small):

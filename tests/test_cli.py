@@ -190,6 +190,23 @@ class TestExecuteAndInspect:
         assert "budget error: histogram codes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dense_weights_past_the_budget_exit_code(self, tmp_path, capsys):
+        # 90000 is a square, so the default grid takes it; the dense weights
+        # would hold n * n = 8.1e9 entries (121 GiB)
+        from gmfs.bellman import QTable, save_qtable
+
+        cfg = write_config(tmp_path, "[system]\nn = 90000\n")
+        qpath = tmp_path / "q.bin"
+        save_qtable(QTable.zeros("marginal", 2, 3, 3, 0.95, env_name="warehouse"), qpath)
+        for argv in (["sweep", "--config", cfg, "--out-dir", str(tmp_path / "sweep")],
+                     ["execute", "--config", cfg, "--qtable", str(qpath),
+                      "--out", str(tmp_path / "e.csv")]):
+            assert main(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("budget error: [system] n = 90000 needs 8100000000 "
+                                  "interaction weights, past the table budget (50000000)")
+            assert "Traceback" not in err
+
 
 class TestSweep:
     def test_refused_kappa_exit_code(self, tmp_path, capsys, monkeypatch):

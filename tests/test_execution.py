@@ -10,7 +10,7 @@ from gmfs import execution
 from gmfs.execution import (Policy, _initial_states, evaluate_policies, evaluate_policy,
                             run_episode)
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
-from gmfs.histograms import Histogram, get_index, nearest_histograms
+from gmfs.histograms import get_index, nearest_histograms
 from gmfs.rng import stream
 from gmfs.sampler import exact_state_aggregates, row_alias, stacked_alias
 
@@ -40,14 +40,14 @@ def recording(env):
 
 
 def act(policy, s, g):
-    """The greedy action at local state s and neighbor histogram g."""
+    """The greedy action at local state s and neighbor count row g."""
     return int(policy.greedy_table()[s, get_index(policy.n_states, policy.kappa).rank(g)])
 
 
 class TestAct:
     def test_single_action(self):
         q = QTable.zeros("marginal", 2, 3, 1, 0.9)
-        assert act(Policy(q), 1, Histogram((1, 1, 0), 2)) == 0
+        assert act(Policy(q), 1, (1, 1, 0)) == 0
 
     def test_dominant_action(self):
         q = QTable.zeros("marginal", 2, 2, 3, 0.9)
@@ -57,7 +57,7 @@ class TestAct:
     def test_congested_warehouse_avoids_working(self, trained_k6):
         # at full perceived congestion the work action is dominated: success
         # probability 0.1 and the utility floor cap the upside
-        full_congestion = Histogram((0, 0, 6), 6)
+        full_congestion = (0, 0, 6)
         a = act(Policy(trained_k6), 0, full_congestion)
         assert a != 2
         # one-step lookahead agreement: the chosen action's entry dominates

@@ -151,6 +151,35 @@ class TestBuildWeights:
         w1, w2 = build_weights(g, a), build_weights(g, a)
         assert np.array_equal(w1.normalized, w2.normalized)
 
+    def test_radial_distances_are_those_of_the_stacked_sum(self, rng):
+        # distances summed an axis at a time give the bits of one (n, n, d)
+        # sum of squared differences
+        for coords, radius in ((LatentAssignment.grid(900).coords, 0.3),
+                               (rng.random((300, 2)), 0.2), (rng.random(400), 0.05)):
+            pts = coords if coords.ndim == 2 else coords[:, None]
+            diff = pts[:, None, :] - pts[None, :, :]
+            w = (np.sqrt((diff * diff).sum(axis=2)) <= radius).astype(np.float64)
+            np.fill_diagonal(w, 0.0)
+            w /= np.where(w.sum(axis=1) == 0.0, 1.0, w.sum(axis=1))[:, None]
+            graphon = Graphon.radial_graphon(radius, latent_dim=pts.shape[1])
+            got = build_weights(graphon, LatentAssignment.explicit(coords)).normalized
+            assert np.array_equal(got, w)
+
+    def test_radial_build_peak_memory(self):
+        # the build holds its kept matrix and a few (n, n) temporaries, never
+        # an (n, n, 2) array of coordinate differences
+        import tracemalloc
+
+        n = 900
+        assignment = LatentAssignment.grid(n)
+        tracemalloc.start()
+        try:
+            build_weights(Graphon.radial_graphon(0.3, latent_dim=2), assignment)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
+
     def test_needs_two_agents(self):
         with pytest.raises(ValueError):
             build_weights(Graphon.uniform_graphon(), LatentAssignment.sequential(1))

@@ -11,10 +11,8 @@ from gmfs import histograms
 from gmfs.bellman import fiber_ranks
 from gmfs.errors import BudgetError
 from gmfs.histograms import (
-    Histogram,
     HistogramIndex,
     get_index,
-    marginal,
     nearest_histograms,
     num_histograms,
     tv_distance,
@@ -29,61 +27,23 @@ def brute_force_histograms(d, kappa):
 
 class TestHistogram:
     def test_counts_must_sum_to_kappa(self):
-        with pytest.raises(ValueError):
-            Histogram((1, 1), 3)
+        with pytest.raises(ValueError, match="kappa"):
+            get_index(2, 3).rank((1, 1))
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram((4, -1), 3)
-
-    def test_probs(self):
-        h = Histogram((3, 1), 4)
-        assert np.allclose(h.probs, [0.75, 0.25])
-
-
-class TestMarginal:
-    def test_two_by_two(self):
-        # cells state-major: (0,0)=2, (0,1)=1, (1,0)=1, (1,1)=0
-        z = Histogram((2, 1, 1, 0), 4, joint_shape=(2, 2))
-        assert marginal(z).counts == (3, 1)
-
-    def test_point_mass(self):
-        z = Histogram((0, 0, 0, 0, 5, 0), 5, joint_shape=(2, 3))
-        g = marginal(z)
-        assert g.counts == (0, 5)
-
-    def test_requires_joint_shape(self):
-        with pytest.raises(ValueError):
-            marginal(Histogram((2, 2), 4))
-
-    def test_denominator_preserved(self):
-        z = Histogram((1, 0, 2, 1), 4, joint_shape=(2, 2))
-        assert marginal(z).kappa == 4
-
-    def test_marginal_alphabet_count_for_benchmark(self):
-        # kappa=24 over 3 states: C(26, 2) = 325 marginal histograms
-        assert num_histograms(3, 24) == math.comb(26, 2) == 325
-
-    def test_marginal_commutes_with_count_mixing(self, rng):
-        for _ in range(50):
-            ka, kb = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            ca = rng.multinomial(ka, np.ones(6) / 6)
-            cb = rng.multinomial(kb, np.ones(6) / 6)
-            za = Histogram(tuple(ca), ka, joint_shape=(2, 3))
-            zb = Histogram(tuple(cb), kb, joint_shape=(2, 3))
-            mixed = Histogram(tuple(ca + cb), ka + kb, joint_shape=(2, 3))
-            lhs = marginal(mixed).counts
-            rhs = tuple(x + y for x, y in zip(marginal(za).counts, marginal(zb).counts))
-            assert lhs == rhs
+        # the code of each row lands on no histogram's code
+        for d, counts in ((2, (4, -1)), (3, (-1, 2, 2)), (3, (1, -1, 3))):
+            with pytest.raises(ValueError, match="non-negative"):
+                get_index(d, 3).rank(counts)
 
 
 class TestTVDistance:
     def test_identity(self):
-        h = Histogram((2, 3), 5)
-        assert tv_distance(h, h) == 0.0
+        p = np.array([2, 3]) / 5
+        assert tv_distance(p, p) == 0.0
 
     def test_disjoint_point_masses(self):
-        assert tv_distance(Histogram((3, 0), 3), Histogram((0, 3), 3)) == 1.0
+        assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_half_quarter(self):
         assert tv_distance(np.array([0.5, 0.5]), np.array([0.75, 0.25])) == pytest.approx(0.25)
@@ -107,25 +67,29 @@ class TestTVDistance:
 
 class TestEnumeration:
     def test_binary_alphabet(self):
-        got = [h.counts for h in enumerate_histograms(2, 2)]
+        got = list(enumerate_histograms(2, 2))
         assert got == [(2, 0), (1, 1), (0, 2)]
 
     def test_single_cell(self):
         got = list(enumerate_histograms(1, 7))
-        assert len(got) == 1 and got[0].counts == (7,)
+        assert got == [(7,)]
 
     def test_benchmark_count(self):
         assert sum(1 for _ in enumerate_histograms(3, 24)) == 325
 
+    def test_benchmark_count_formula(self):
+        # kappa=24 over 3 states: C(26, 2) = 325 marginal histograms
+        assert num_histograms(3, 24) == math.comb(26, 2) == 325
+
     @pytest.mark.parametrize("d,kappa", [(2, 5), (3, 4), (4, 3), (6, 2), (5, 12)])
     def test_matches_brute_force_and_unique(self, d, kappa):
-        got = [h.counts for h in enumerate_histograms(d, kappa)]
+        got = list(enumerate_histograms(d, kappa))
         assert len(set(got)) == len(got)
         assert set(got) == set(brute_force_histograms(d, kappa))
         assert len(got) == num_histograms(d, kappa)
 
     def test_colex_order(self):
-        got = [h.counts for h in enumerate_histograms(3, 2)]
+        got = list(enumerate_histograms(3, 2))
         assert got == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
 
@@ -137,27 +101,27 @@ class TestRankUnrank:
 
     def test_listing_position(self):
         idx = get_index(2, 2)
-        assert idx.rank(Histogram((0, 2), 2)) == 2
+        assert idx.rank((0, 2)) == 2
 
     def test_rank_matches_enumeration_order(self):
         for d, kappa in [(2, 6), (3, 5), (4, 4)]:
             idx = get_index(d, kappa)
             for pos, h in enumerate(enumerate_histograms(d, kappa)):
                 assert idx.rank(h) == pos
-                assert idx.unrank(pos).counts == h.counts
+                assert tuple(idx.counts_by_rank[pos]) == h
 
     def test_round_trip_benchmark_size(self):
         idx = get_index(3, 24)
         assert idx.total == 325
         for r in range(idx.total):
-            assert idx.rank(idx.unrank(r)) == r
+            assert idx.rank(idx.counts_by_rank[r]) == r
 
     @given(st.integers(2, 6), st.integers(1, 12), st.data())
     @settings(max_examples=100, deadline=None)
     def test_round_trip_random(self, d, kappa, data):
         idx = get_index(d, kappa)
         r = data.draw(st.integers(0, idx.total - 1))
-        assert idx.rank(idx.unrank(r)) == r
+        assert idx.rank(idx.counts_by_rank[r]) == r
 
     def test_rank_rows_vectorized(self, rng):
         idx = get_index(4, 9)
@@ -165,10 +129,9 @@ class TestRankUnrank:
         counts = idx.counts_by_rank[ranks]
         assert np.array_equal(idx.rank_rows(counts), ranks)
 
-    def test_out_of_range(self):
-        idx = get_index(3, 3)
-        with pytest.raises(ValueError):
-            idx.unrank(idx.total)
+    def test_other_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            get_index(3, 3).rank((1, 2))
 
     def test_overflow_reported(self):
         with pytest.raises(BudgetError):
@@ -178,7 +141,7 @@ class TestRankUnrank:
     @settings(max_examples=40, deadline=None)
     def test_cell_code_order_is_rank_order(self, d, kappa):
         idx = get_index(d, kappa)
-        counts = np.array([h.counts for h in enumerate_histograms(d, kappa)])
+        counts = np.array(list(enumerate_histograms(d, kappa)))
         assert np.array_equal(idx.rank_rows(counts), np.arange(idx.total))
         assert np.array_equal(idx.counts_by_rank, counts)
         codes = counts @ idx.cell_codes()
@@ -193,7 +156,7 @@ class TestRankUnrank:
         counts = np.diff(np.column_stack([np.zeros(len(cuts), dtype=np.int64),
                                           np.sort(cuts, axis=1),
                                           np.full(len(cuts), kappa)]), axis=1)
-        position = {h.counts: pos for pos, h in enumerate(enumerate_histograms(d, kappa))}
+        position = {h: pos for pos, h in enumerate(enumerate_histograms(d, kappa))}
         ranks = np.array([position[tuple(row)] for row in counts.tolist()])
         idx = get_index(d, kappa)
         codes = counts @ idx.cell_codes()
@@ -215,33 +178,29 @@ class TestRankUnrank:
 
 class TestFiber:
     def test_single_action_fiber_is_singleton(self):
-        g = Histogram((2, 1), 3)
-        members = list(fiber(g, 1))
-        assert len(members) == 1
-        assert marginal(members[0]).counts == g.counts
+        assert list(fiber((2, 1), 1)) == [(2, 1)]
 
     def test_two_state_two_action(self):
-        g = Histogram((2, 0), 2)
-        members = [z.counts for z in fiber(g, 2)]
+        members = list(fiber((2, 0), 2))
         assert len(members) == 3  # action split of 2 units in state 0
         assert set(members) == {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)}
 
     def test_fiber_size_formula(self):
-        g = Histogram((2, 1, 3), 6)
-        size = math.prod(c + 1 for c in g.counts)  # c + 1 splits over two actions
+        g = (2, 1, 3)
+        size = math.prod(c + 1 for c in g)  # c + 1 splits over two actions
         assert size == len(list(fiber(g, 2)))
         assert fiber_ranks(3, 2, 6, get_index(3, 6).rank(g)).size == size
 
     def test_fibers_partition_joint_space(self):
         ns, na, kappa = 2, 3, 3
-        joint = {h.counts for h in enumerate_histograms(ns * na, kappa)}
+        joint = set(enumerate_histograms(ns * na, kappa))
         seen = set()
         total = 0
         for g in enumerate_histograms(ns, kappa):
             for z in fiber(g, na):
-                assert marginal(z).counts == g.counts
-                assert z.counts not in seen
-                seen.add(z.counts)
+                assert tuple(np.reshape(z, (ns, na)).sum(axis=1)) == g
+                assert z not in seen
+                seen.add(z)
                 total += 1
         assert seen == joint
         assert total == num_histograms(ns * na, kappa)
@@ -279,6 +238,6 @@ class TestNearestHistogram:
         pmf = np.array(weights) / sum(weights)
         got = nearest_histograms(pmf, kappa)
         got_err = np.abs(got / kappa - pmf).sum()
-        best = min(np.abs(np.array(h.counts) / kappa - pmf).sum()
+        best = min(np.abs(np.array(h) / kappa - pmf).sum()
                    for h in enumerate_histograms(d, kappa))
         assert got_err <= best + 1e-12
