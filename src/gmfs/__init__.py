@@ -1,6 +1,6 @@
 """Graphon mean-field subsampling for cooperative multi-agent RL."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 from .histograms import HistogramIndex, nearest_histograms, num_histograms, tv_distance
@@ -21,7 +21,6 @@ from .sampler import (
     exact_aggregate,
     exact_state_aggregates,
     ht_estimate,
-    stacked_alias,
     tv_concentration_bound,
 )
 from .bellman import (

@@ -231,14 +231,17 @@ def expand_surrogate(counts, n_actions: int | None = None):
 def _state_counts(env: Environment, counts: np.ndarray) -> np.ndarray:
     """The state counts of a count row: a row of |S| cells is a state
     marginal, one of |S| |A| cells a joint histogram, state-major, which
-    collapses over actions. With one action the two readings coincide."""
+    collapses over actions. With one action the two readings coincide. A row
+    with a negative count or no agent is no histogram: a ValueError."""
     S, A = env.n_states, env.n_actions
-    if counts.shape == (S,):
-        return counts
-    if counts.shape != (S * A,):
+    if counts.shape not in ((S,), (S * A,)):
         raise ValueError(f"count row of shape {counts.shape} fits neither {S} states "
                          f"nor {S * A} (state, action) cells")
-    return counts.reshape(S, A).sum(axis=1)
+    if (counts < 0).any():
+        raise ValueError(f"count row {counts.tolist()} has a negative count")
+    if counts.sum() == 0:
+        raise ValueError(f"count row {counts.tolist()} has no agent: kappa must be >= 1")
+    return counts if counts.shape == (S,) else counts.reshape(S, A).sum(axis=1)
 
 
 def _neighbor_marginal(counts: np.ndarray, focal_state: int, x: int,

@@ -10,35 +10,39 @@ grid (the no-sampling baseline).
 The simulator steps a batch of policies, each on the same seeds, as one
 population of shape (policies * episodes, n, ...); a single policy, or a
 single episode, is a batch of one. Once per step, for the whole batch: the
-exact aggregates ``W_bar @ onehot(states)``, the stage reward and the
-inverse-cdf transition at the exact aggregates, one call of each kernel,
-whose values are checked there (a pmf row that is no pmf or a non-finite
-reward is a ValueError). Per policy, since these depend on kappa: the kappa
-neighbor ids of every agent from the stacked alias tables; the rank of each
-agent's neighbor histogram, read as the sum of its neighbors' additive cell
-codes (``cell_codes.take(states)`` gathered at the ids) through the index's
-one code -> rank map, so no count vector is built; the greedy actions
-``greedy[states, ranks]``. The sampled-reward ablation reads its histograms
-back by rank (``counts_by_rank``), and the exact-input baseline ranks the
-rounded aggregates by their codes too. A policy whose (|S|, kappa) codes
-pass 64 bits is a BudgetError before any episode (``check_policy``).
+exact aggregates ``W_bar @ onehot(states)``, every agent's kappa neighbor
+states, the stage reward and the inverse-cdf transition at the exact
+aggregates, one call of each kernel, whose values are checked there (a pmf
+row that is no pmf or a non-finite reward is a ValueError). A neighbor
+drawn with probability w_bar[i, j] (w_bar[i, i] = 0) is in state x with
+probability g_i(x), the agent's exact aggregate, so each neighbor state is
+drawn by ``inverse_cdf``'s rule on the agent's row of the exact aggregates,
+every policy's slots in one pass (``_sampled_codes``); no neighbor id and
+no alias table is formed. A draw past threshold x adds the difference of
+the additive cell codes of states x + 1 and x, so an agent's kappa draws
+sum to its histogram's code. Per policy, since these depend on kappa: the
+index's one code -> rank map ranks the codes, so no count vector is built,
+and the greedy actions are ``greedy[states, ranks]``. The sampled-reward
+ablation reads its histograms back by rank (``counts_by_rank``), and the
+exact-input baseline ranks the rounded aggregates by their codes too. A
+policy whose (|S|, kappa) codes pass 64 bits is a BudgetError before any
+episode (``check_policy``).
 
-Determinism: one stream per episode, (n, 2 kappa + 1) uniforms per step.
+Determinism: one stream per episode, (n, kappa + 1) uniforms per step.
 Each episode draws from its own generator ``stream(seed, "exec")``, created
-once, and reads one (n, 2 kappa + 1) block of uniforms per step: row i holds
-agent i's kappa bucket uniforms, then its kappa accept uniforms for the alias
-draws, then its transition uniform. The block is drawn whether or not the
-policy samples neighbors. An episode draws the blocks of several steps in
-one call, and consecutive draws from one generator are the draws of one call,
-so the number of steps per call changes no output. The policies draw one
-after another into one buffer, each reducing its draws to neighbor ids and
-transition uniforms before the next draws; a call covers as many steps as
-keep that buffer and every policy's ids and transition uniforms within
-``_EXEC_BLOCK`` values, or one step where that needs more. Initial states
-come from ``stream(seed, "exec-init")``, drawn once per seed and shared by
-every policy. So an episode's values depend only on its policy and seed,
-never on which other episodes or policies share its batch or on any
-parallel schedule.
+once, and reads one (n, kappa + 1) block of uniforms per step: row i holds
+agent i's kappa neighbor-state uniforms in slot order, then its transition
+uniform. The block is drawn whether or not the policy samples neighbors.
+An episode draws the blocks of several steps in one call, and consecutive
+draws from one generator are the draws of one call, so the number of steps
+per call changes no output. The policies draw one after another into one
+buffer, each keeping its slot and transition uniforms before the next
+draws; a call covers as many steps as keep that buffer and every policy's
+kept uniforms within ``_EXEC_BLOCK`` values, or one step where that needs
+more. Initial states come from ``stream(seed, "exec-init")``, drawn once per
+seed and shared by every policy. So an episode's values depend only on its
+policy and seed, never on which other episodes or policies share its batch
+or on any parallel schedule.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .errors import GmfsError
 from .graphon import WeightMatrix
 from .histograms import get_index, nearest_histograms
 from .rng import stream
-from .sampler import exact_state_aggregates, inverse_cdf, stacked_alias
+from .sampler import exact_state_aggregates, inverse_cdf
 
 REWARD_AGGREGATES = ("exact", "sampled")
 # what the policy reads under each baseline: kappa sampled neighbors (none),
@@ -153,27 +157,43 @@ class _Batch:
 
 class _PolicyStep:
     """One policy of a batch: its lookups, the rows ``rows`` of its episodes
-    in the batch, their generators and the neighbor ids of the current block."""
+    in the batch and their generators."""
 
     def __init__(self, policy: Policy, n_states: int, rows: slice, seeds):
         kappa = policy.kappa
         index = get_index(n_states, kappa)
-        self.kappa, self.width, self.rows = kappa, 2 * kappa + 1, rows
+        self.kappa, self.width, self.rows = kappa, kappa + 1, rows
         self.cell_codes = index.cell_codes()
         self.code_rank = index.code_ranker
         self.greedy = policy.greedy_table()
         self.rank_g = index.counts_by_rank / kappa  # the sampled histogram of each rank
         self.generators = [stream(sd, "exec") for sd in seeds]
-        self.ids = None
 
     def draw(self, scratch: np.ndarray, steps: int, n: int) -> np.ndarray:
         """The next ``steps`` steps' uniforms of every episode, (E, steps, n,
-        2 kappa + 1), drawn into the front of the flat ``scratch``."""
+        kappa + 1), drawn into the front of the flat ``scratch``."""
         shape = (len(self.generators), steps, n, self.width)
         out = scratch[:math.prod(shape)].reshape(shape)
         for e, gen in enumerate(self.generators):
             gen.random(out=out[e])
         return out
+
+
+def _sampled_codes(pmf: np.ndarray, slots: np.ndarray, sizes: np.ndarray,
+                   starts: np.ndarray, code_steps: np.ndarray) -> np.ndarray:
+    """(R,) histogram codes of inverse-cdf draws: row r of ``pmf`` ((R, S))
+    draws a state for each of its ``sizes[r]`` uniforms, the run of
+    ``slots`` from ``starts[r]``, by ``inverse_cdf``'s rule, and each draw
+    past threshold x adds ``code_steps[x, r]``. Rows may draw different
+    numbers of uniforms, so every policy's kappa takes the same pass, where
+    ``inverse_cdf`` would need one call per kappa."""
+    cdf = np.zeros(len(pmf))
+    codes = np.zeros(len(pmf), dtype=np.int64)
+    for x in range(pmf.shape[1] - 1):
+        cdf += pmf[:, x]
+        passed = np.add.reduceat(slots >= cdf.repeat(sizes), starts, dtype=np.int64)
+        codes += passed * code_steps[x]
+    return codes
 
 
 def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon: int,
@@ -190,43 +210,50 @@ def _simulate(env: Environment, weights: WeightMatrix, policies, n: int, horizon
     S = env.n_states
     K, E = len(policies), len(seeds)
     # per step a block holds the uniforms of the widest policy, which draw one
-    # policy at a time, and every policy's neighbor ids and transition uniforms
-    widest = max(2 * p.kappa + 1 for p in policies)
+    # policy at a time, and every policy's slot and transition uniforms
+    widest = max(p.kappa + 1 for p in policies)
     per_step = E * n * (widest + sum(p.kappa + 1 for p in policies))
     block = max(1, min(horizon, _EXEC_BLOCK // per_step))
     steppers = [_PolicyStep(p, S, slice(k * E, (k + 1) * E), seeds)
                 for k, p in enumerate(policies)]
-    alias = stacked_alias(weights)
     initial = np.stack([_initial_states(init, n, S, stream(sd, "exec-init")) for sd in seeds])
     states = np.tile(initial, (K, 1))
-    # offsets that take every episode's alias ids into the flat (E * n) agents
-    agent_offset = np.arange(0, E * n, n)[:, None, None, None]
     actions = np.empty((K * E, n), dtype=np.int64)
     reward_g = np.empty((K * E, n, S)) if reward_aggregates == "sampled" else None
     scratch = np.empty(E * block * n * widest)
     u_next = np.empty((block, K * E, n))
+    # every agent's slot uniforms, policy after policy, in batch-row order
+    sizes = np.repeat([ps.kappa for ps in steppers], E * n)
+    starts = np.cumsum(sizes) - sizes
+    code_steps = np.repeat([np.diff(ps.cell_codes) for ps in steppers], E * n, axis=0).T
+    slot_ends = np.cumsum([E * n * ps.kappa for ps in steppers])
+    slots = np.empty((block, slot_ends[-1])) if policy_inputs == "sampled" else None
     discounted = np.zeros(K * E)
     coeff = 1.0
     stage_rewards = np.empty((K * E, horizon))
 
     for t0 in range(0, horizon, block):
         steps = min(block, horizon - t0)
-        for ps in steppers:
+        for ps, end in zip(steppers, slot_ends):
             kappa = ps.kappa
             uni = ps.draw(scratch, steps, n)
-            u_next[:steps, ps.rows] = uni[..., 2 * kappa].transpose(1, 0, 2)
-            if policy_inputs == "sampled":
-                ps.ids = alias.sample_from_uniforms(uni[..., :kappa], uni[..., kappa:2 * kappa])
-                ps.ids += agent_offset
+            u_next[:steps, ps.rows] = uni[..., kappa].transpose(1, 0, 2)
+            if slots is not None:
+                slots[:steps, end - E * n * kappa:end] = (
+                    uni[..., :kappa].transpose(1, 0, 2, 3).reshape(steps, -1))
         for t in range(steps):
             exact_g = exact_state_aggregates(weights, states, S)  # (K * E, n, S)
+            if slots is not None:
+                # each slot draws a neighbor state from its agent's exact aggregate
+                codes = _sampled_codes(exact_g.reshape(-1, S), slots[t], sizes, starts,
+                                       code_steps).reshape(K * E, n)
             for ps in steppers:
                 own = states[ps.rows]
-                if policy_inputs == "exact":
-                    codes = nearest_histograms(exact_g[ps.rows], ps.kappa) @ ps.cell_codes
+                if slots is None:
+                    ranks = ps.code_rank(
+                        nearest_histograms(exact_g[ps.rows], ps.kappa) @ ps.cell_codes)
                 else:
-                    codes = ps.cell_codes.take(own).ravel().take(ps.ids[:, t]).sum(axis=-1)
-                ranks = ps.code_rank(codes)
+                    ranks = ps.code_rank(codes[ps.rows])
                 actions[ps.rows] = ps.greedy[own, ranks]
                 if reward_g is not None:
                     reward_g[ps.rows] = ps.rank_g[ranks]

@@ -1,19 +1,21 @@
 """Graphon-weighted neighbor subsampling and neighborhood aggregates.
 
-Each agent i draws kappa neighbor ids i.i.d. from the normalized weight row
-w_bar[i, .] on [n] \\ {i} by the alias method: a row's table takes O(n) to
-build and a draw takes O(1), so online execution can afford fresh samples
-for every agent at every time step. One table type holds one or many rows
-and one rule draws from it: ``row_alias`` gives agent i's one-row table and
-``stacked_alias`` all n rows as (n, n-1) arrays, which execution builds
-once per simulation and draws from for the whole population at once. Callers
-draw the uniforms, two per draw, from keyed streams, so results are
-schedule-independent; the Horvitz-Thompson estimator likewise takes one
-block of uniforms for all its replications.
+Agent i's neighbors are drawn i.i.d. from the normalized weight row
+w_bar[i, .] on [n] \\ {i}. A neighbor so drawn is in state x with
+probability g_i(x), the agent's exact aggregate (``exact_state_aggregates``),
+so execution draws the kappa neighbor states of every agent straight from
+its aggregate by ``inverse_cdf``'s rule and never forms a neighbor id. Where
+the ids themselves are needed (the concentration diagnostic, the
+Horvitz-Thompson estimator's proposal) they are drawn by the alias method:
+``alias_table`` builds a pmf's table in O(k) and a draw takes O(1), and
+``row_alias`` gives agent i's table. Callers draw the uniforms, two per
+alias draw, from keyed streams, so results are schedule-independent; the
+Horvitz-Thompson estimator likewise takes one block of uniforms for all its
+replications.
 
-Next states are drawn by the other rule here, the inverse transform
-(``inverse_cdf``): the surrogate's focal and neighbor draws in offline
-learning, and each agent's transition and initial state in execution.
+Every other draw uses the inverse transform (``inverse_cdf``): the
+surrogate's focal and neighbor draws in offline learning, and each agent's
+transition and initial state in execution.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from .graphon import WeightMatrix
 
 
 class AliasTable(NamedTuple):
-    """Vose alias tables of one or more categorical rows, as (rows, k) arrays.
+    """Vose alias table of one categorical pmf, as (k,) arrays.
 
-    ``keep_ids[r, b]`` is the outcome id of bucket b in row r and
-    ``alias_ids[r, b]`` the id of its alias, so a draw needs no second
-    lookup. A draw consumes exactly two uniforms, which keeps sampling
-    replayable from frozen uniform blocks.
+    ``keep_ids[b]`` is the outcome id of bucket b and ``alias_ids[b]`` the
+    id of its alias, so a draw needs no second lookup. A draw consumes
+    exactly two uniforms, which keeps sampling replayable from frozen
+    uniform blocks.
     """
 
     prob: np.ndarray
@@ -41,13 +43,11 @@ class AliasTable(NamedTuple):
     alias_ids: np.ndarray
 
     def sample_from_uniforms(self, u_bucket: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
-        """Ids for uniforms of shape (..., rows, draws), row r of the row
-        axis drawing from table r; a one-row table broadcasts over that axis."""
-        rows, k = self.prob.shape
-        flat = np.minimum((u_bucket * k).astype(np.int64), k - 1)
-        flat += np.arange(0, rows * k, k)[:, None]  # row * k + bucket
-        return np.where(u_accept < self.prob.ravel().take(flat),
-                        self.keep_ids.ravel().take(flat), self.alias_ids.ravel().take(flat))
+        """One id per pair of bucket and accept uniforms, in their shape."""
+        k = self.prob.size
+        bucket = np.minimum((u_bucket * k).astype(np.int64), k - 1)
+        return np.where(u_accept < self.prob.take(bucket),
+                        self.keep_ids.take(bucket), self.alias_ids.take(bucket))
 
 
 def inverse_cdf(pmf: np.ndarray, u: np.ndarray, steps=None, dtype=np.int64) -> np.ndarray:
@@ -75,8 +75,8 @@ def inverse_cdf(pmf: np.ndarray, u: np.ndarray, steps=None, dtype=np.int64) -> n
 
 
 def alias_table(probs, support=None) -> AliasTable:
-    """The one-row table of a categorical pmf over the ids ``support``
-    (default 0..k-1), built by Vose's method."""
+    """The table of a categorical pmf over the ids ``support`` (default
+    0..k-1), built by Vose's method."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("probs must be a non-empty vector")
@@ -101,26 +101,13 @@ def alias_table(probs, support=None) -> AliasTable:
     for rest in (small, large):
         for i in rest:
             prob[i] = 1.0
-    return AliasTable(prob[None], support[None], support[alias][None])
+    return AliasTable(prob, support, support[alias])
 
 
 def row_alias(weights: WeightMatrix, i: int) -> AliasTable:
-    """One-row alias table for row i of the normalized weights."""
+    """Alias table for row i of the normalized weights."""
     others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
     return alias_table(weights.normalized[i, others], support=others)
-
-
-def stacked_alias(weights: WeightMatrix) -> AliasTable:
-    """The row alias tables of every agent, stacked: row i is
-    ``row_alias(weights, i)``."""
-    n = weights.n
-    stacked = AliasTable(prob=np.empty((n, n - 1)),
-                         keep_ids=np.empty((n, n - 1), dtype=np.int64),
-                         alias_ids=np.empty((n, n - 1), dtype=np.int64))
-    for i in range(n):
-        for whole, row in zip(stacked, row_alias(weights, i)):
-            whole[i] = row[0]
-    return stacked
 
 
 def exact_aggregate(weights: WeightMatrix, i: int, states, actions,
@@ -181,8 +168,7 @@ def ht_estimate(weights: WeightMatrix, i: int, proposal, states, actions,
 
     others = np.concatenate([np.arange(i), np.arange(i + 1, weights.n)])
     table = alias_table(proposal[others], support=others)
-    # the one-row table reads each block's row axis of length 1
-    draws = table.sample_from_uniforms(u[..., :1, :], u[..., 1:, :])[..., 0, :]
+    draws = table.sample_from_uniforms(u[..., 0, :], u[..., 1, :])
     batch, kappa = draws.shape[:-1], draws.shape[-1]
     count, width = math.prod(batch), n_states * n_actions
     ratios = row[draws] / proposal[draws]

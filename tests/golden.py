@@ -11,7 +11,8 @@ Every output below is recomputed and its bytes hashed with sha256:
 
 ``tests/test_golden.py`` compares them with ``tests/golden.json``. Run
 ``python tests/golden.py --write`` to rewrite that file after a change that
-is meant to change outputs.
+is meant to change outputs; it also prints each sweep group's per-kappa
+means, old -> new, for the change log.
 """
 
 from __future__ import annotations
@@ -94,6 +95,22 @@ def environment() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine()}
 
 
+def mean_changes(old: dict, new: dict) -> list[str]:
+    """One line per sweep group of ``new``: each kappa's mean return, as
+    recorded in ``old`` -> as computed now ("-" where a side has none)."""
+    lines = []
+    for group, means in new.items():
+        before = old.get(group, {})
+        pairs = ", ".join(f"kappa {k} {_mean(before.get(k))} -> {_mean(v)}"
+                          for k, v in means.items())
+        lines.append(f"{group}: {pairs}")
+    return lines
+
+
+def _mean(value) -> str:
+    return "-" if value is None else f"{float(value):.4f}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
@@ -105,8 +122,10 @@ def main(argv=None) -> int:
         if means:
             record["means"][group] = means
     if args.write:
+        old = json.loads(GOLDEN.read_text())["means"] if GOLDEN.exists() else {}
         GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {GOLDEN}")
+        print("\n".join(mean_changes(old, record["means"])))
     else:
         print(json.dumps(record, indent=2))
     return 0

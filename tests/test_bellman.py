@@ -387,6 +387,19 @@ class TestSurrogateStep:
             surrogate_step(small, 0, 0, (2, 0), stream(0, "sur"),
                            neighbor_action_rule="greedy")
 
+    @pytest.mark.parametrize("counts, message", [
+        ((3, -1), r"count row \[3, -1\] has a negative count"),
+        ((0, 0), r"count row \[0, 0\] has no agent"),
+        ((2, 1, -1, 0), r"count row \[2, 1, -1, 0\] has a negative count"),
+        ((0, 0, 0, 0), r"count row \[0, 0, 0, 0\] has no agent"),
+    ], ids=["negative", "empty", "joint-negative", "joint-empty"])
+    def test_row_that_is_no_histogram_rejected(self, small, counts, message):
+        with pytest.raises(ValueError, match=message):
+            surrogate_step(small, 0, 0, counts, stream(0, "sur"))
+        q = QTable.zeros("joint" if len(counts) == 4 else "marginal", 2, 2, 2, 0.9)
+        with pytest.raises(ValueError, match=message):
+            empirical_operator(small, q, 0, 0, counts, 3, stream(0, "sur"))
+
 
 class TestFiberBackup:
     def test_single_action_singleton_fiber(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from gmfs.execution import (Policy, _initial_states, evaluate_policies, evaluate
 from gmfs.graphon import Graphon, LatentAssignment, build_weights
 from gmfs.histograms import get_index, nearest_histograms
 from gmfs.rng import stream
-from gmfs.sampler import exact_state_aggregates, row_alias, stacked_alias
+from gmfs.sampler import exact_state_aggregates, row_alias
 
 
 @pytest.fixture(scope="module")
@@ -170,19 +171,19 @@ class TestEvaluatePolicy:
 
 def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed, *,
                       reward_aggregates, policy_inputs):
-    """The simulator's algorithm written one agent at a time: per-agent alias
-    draws, histograms, ranks, rewards and transitions, on the same
-    per-episode stream and (n, 2 kappa + 1) block per step."""
+    """The simulator's algorithm written one agent at a time: per-agent
+    neighbor-state draws from the agent's exact aggregate, histograms, ranks,
+    rewards and transitions, on the same per-episode stream and (n, kappa + 1)
+    block per step."""
     S = env.n_states
     g_index = get_index(S, kappa)
     greedy = policy.greedy_table()
-    tables = [row_alias(weights, i) for i in range(n)]
     states = _initial_states(init, n, S, stream(seed, "exec-init"))
     rng = stream(seed, "exec")
     trajectory, stage_rewards = [], []
     discounted, coeff = 0.0, 1.0
     for _ in range(horizon):
-        block = rng.random((n, 2 * kappa + 1))
+        block = rng.random((n, kappa + 1))
         exact_g = exact_state_aggregates(weights, states, S)
         actions = np.empty(n, dtype=np.int64)
         total = 0.0
@@ -191,14 +192,14 @@ def reference_episode(env, weights, policy, n, kappa, horizon, gamma, init, seed
             if policy_inputs == "exact":
                 counts = nearest_histograms(exact_g[i], kappa)
             else:
-                ids = tables[i].sample_from_uniforms(
-                    block[i, None, :kappa], block[i, None, kappa:2 * kappa])[0]
-                counts = np.bincount(states[ids], minlength=S)
+                drawn = np.minimum(np.searchsorted(np.cumsum(exact_g[i]), block[i, :kappa],
+                                                   side="right"), S - 1)
+                counts = np.bincount(drawn, minlength=S)
             actions[i] = greedy[states[i], g_index.rank(counts)]
             g_reward = exact_g[i] if reward_aggregates == "exact" else counts / kappa
             total += local_reward(env, int(states[i]), int(actions[i]), g_reward)
             pmf = step_distribution(env, int(states[i]), int(actions[i]), exact_g[i])
-            nxt = int(np.searchsorted(np.cumsum(pmf), block[i, 2 * kappa], side="right"))
+            nxt = int(np.searchsorted(np.cumsum(pmf), block[i, kappa], side="right"))
             next_states[i] = min(nxt, S - 1)
         trajectory.append((states, actions))
         stage_rewards.append(total / n)
@@ -260,18 +261,6 @@ class TestSimulatorOracle:
             assert ev.returns[k] == single.discounted_return
         assert len(set(ev.returns.tolist())) == 4
 
-    def test_stacked_alias_matches_row_tables(self, hetero_weights, rng):
-        n, kappa = hetero_weights.n, 7
-        stacked = stacked_alias(hetero_weights)
-        assert stacked.prob.shape == (n, n - 1)
-        u_bucket, u_accept = rng.random((2, 3, n, kappa))
-        ids = stacked.sample_from_uniforms(u_bucket, u_accept)
-        for e in range(3):
-            for i in range(n):
-                expected = row_alias(hetero_weights, i).sample_from_uniforms(
-                    u_bucket[e, i, None], u_accept[e, i, None])
-                assert np.array_equal(ids[e, i], expected[0])
-
     @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
     @pytest.mark.parametrize("reward_aggregates", ["exact", "sampled"])
     def test_simulator_never_ranks_rows(self, warehouse, warehouse_weights, monkeypatch,
@@ -312,6 +301,94 @@ class TestSimulatorOracle:
                             policy_inputs=policy_inputs)
 
 
+def rank_revealing_run(weights, states, kappa, seeds):
+    """(len(seeds), n) ranks of the neighbor histograms that the simulator
+    draws in one step from the per-agent ``states``: on a 3-state env with
+    one action per rank whose greedy action is the rank itself, the actions
+    of the first step are the ranks."""
+    G = get_index(3, kappa).total
+    env = linear_env("ranks", np.broadcast_to(np.eye(3), (3, G, 3, 3)).copy(),
+                     np.zeros((3, G, 3)))
+    values = np.zeros((3, G, G))
+    values[:, np.arange(G), np.arange(G)] = 1.0
+    policy = Policy(QTable("marginal", kappa, 3, G, values, 0.9))
+    recorder, recorded = recording(env)
+    evaluate_policy(recorder, weights, policy, weights.n, 1, 0.9, seeds, init=states)
+    (_, ranks), = recorded
+    return ranks
+
+
+def alias_ranks(weights, states, kappa, trials, seed):
+    """(trials, n) ranks of neighbor histograms drawn by the rule the
+    simulator replaced: kappa ids from each agent's alias row, then
+    ``bincount(states[ids])``."""
+    index = get_index(3, kappa)
+    ranks = np.empty((trials, weights.n), dtype=np.int64)
+    for i in range(weights.n):
+        u = stream(seed, "alias-law", kappa, i).random((2, trials, kappa))
+        ids = row_alias(weights, i).sample_from_uniforms(u[0], u[1])
+        counts = np.stack([np.bincount(states[row], minlength=3) for row in ids])
+        ranks[:, i] = index.rank_rows(counts)
+    return ranks
+
+
+def homogeneity_chi2(a, b, pool_below=10):
+    """(statistic, df) of the chi-square test that two equally sized samples
+    of ranks, one column per agent, share each agent's law; per agent the
+    cells with fewer than ``pool_below`` draws in both samples together
+    pool into one."""
+    statistic, df = 0.0, 0
+    for col_a, col_b in zip(a.T, b.T, strict=True):
+        size = max(col_a.max(), col_b.max()) + 1
+        ca, cb = np.bincount(col_a, minlength=size), np.bincount(col_b, minlength=size)
+        rare = ca + cb < pool_below
+        ca = np.append(ca[~rare], ca[rare].sum())
+        cb = np.append(cb[~rare], cb[rare].sum())
+        seen = ca + cb > 0
+        statistic += float(((ca - cb)[seen] ** 2 / (ca + cb)[seen]).sum())
+        df += int(seen.sum()) - 1
+    return statistic, df
+
+
+def chi2_upper(df, z=3.29):
+    """Wilson-Hilferty approximation of the chi-square quantile at standard
+    normal z (3.29: one-sided level 0.0005)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+class TestNeighborLaw:
+    @pytest.mark.parametrize("kappa", [1, 6])
+    def test_neighbor_histograms_follow_the_alias_row_law(self, kappa):
+        # a neighbor drawn from w_bar[i, .] is in state x with probability
+        # g_i(x): the simulator's draws from the exact aggregate and draws of
+        # neighbor ids from the agent's alias row share one law per agent
+        weights = build_weights(Graphon.expdecay_graphon(2.0), LatentAssignment.sequential(10))
+        states = np.array([0, 0, 2, 1, 1, 2, 1, 0, 2, 2])
+        trials = 3000
+        drawn = rank_revealing_run(weights, states, kappa, range(trials))
+        statistic, df = homogeneity_chi2(drawn, alias_ranks(weights, states, kappa, trials, 0))
+        assert df >= 10 * (2 if kappa == 1 else 10)
+        assert statistic <= chi2_upper(df), (statistic, df)
+
+
+class TestScale:
+    def test_simulation_holds_less_than_the_weight_matrix(self, warehouse):
+        # no per-agent table over the other agents: an (n, n-1) array would
+        # alone pass the (n, n) weights
+        n = 900
+        weights = build_weights(Graphon.radial_graphon(0.3, latent_dim=2),
+                                LatentAssignment.grid(n))
+        policy = Policy(QTable.zeros("marginal", 6, 3, 3, 0.95))
+        tracemalloc.start()
+        try:
+            evaluate_policies(warehouse, weights, [policy], n, 2, 0.95, seeds=[0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weights.normalized.nbytes, peak
+
+
 class TestPolicyBatch:
     @pytest.mark.parametrize("mode", ["marginal", "joint"])
     @pytest.mark.parametrize("policy_inputs", ["sampled", "exact"])
@@ -341,9 +418,9 @@ class TestPolicyBatch:
             return out, blocks
 
         monkeypatch.setattr(execution._PolicyStep, "draw", draw)
-        # a step holds the widest policy's uniforms and every policy's ids and
+        # a step holds the widest policy's uniforms and every policy's slot and
         # transition uniforms
-        per_step = len(seeds) * n * (2 * max(kappas) + 1 + sum(k + 1 for k in kappas))
+        per_step = len(seeds) * n * (max(kappas) + 1 + sum(k + 1 for k in kappas))
         default = execution._EXEC_BLOCK
         for horizon in (0, 10):
             alone = [evaluate_policy(warehouse, hetero_weights, p, n, horizon, 0.9,

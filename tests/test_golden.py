@@ -24,3 +24,9 @@ def test_outputs_keep_their_digests(group):
         "bump gmfs.__version__, rewrite the digests with `python tests/golden.py --write` "
         "and list the old and new per-kappa means in CHANGES.md "
         f"(old {RECORD['means'].get(group, {})}, new {means}).{platform}")
+
+
+def test_write_reports_each_kappas_old_and_new_mean():
+    lines = golden.mean_changes({"sweep-a": {"1": "1.5"}, "gone": {"2": "3"}},
+                                {"sweep-a": {"1": "2.25", "3": "4"}})
+    assert lines == ["sweep-a: kappa 1 1.5000 -> 2.2500, kappa 3 - -> 4.0000"]

@@ -13,16 +13,16 @@ from gmfs.sampler import (
     ht_estimate,
     inverse_cdf,
     row_alias,
-    stacked_alias,
     tv_concentration_bound,
 )
 
 
 def draw_neighbors(weights, kappa, rng):
-    """(n, kappa): every agent's neighbor ids, drawn from the stacked row
-    tables as execution draws them."""
+    """(n, kappa): every agent's neighbor ids, row i drawn from agent i's
+    own alias table."""
     u = rng.random((2, weights.n, kappa))
-    return stacked_alias(weights).sample_from_uniforms(u[0], u[1])
+    return np.stack([row_alias(weights, i).sample_from_uniforms(u[0, i], u[1, i])
+                     for i in range(weights.n)])
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +31,9 @@ def hetero_weights():
 
 
 def draw(table, rng, size):
-    """``size`` ids from a one-row table, on uniforms drawn as (2, 1, size)."""
-    u = rng.random((2, 1, size))
-    return table.sample_from_uniforms(u[0], u[1])[0]
+    """``size`` ids from a table, on uniforms drawn as (2, size)."""
+    u = rng.random((2, size))
+    return table.sample_from_uniforms(u[0], u[1])
 
 
 class TestAliasTable:
