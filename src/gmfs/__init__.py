@@ -1,6 +1,6 @@
 """Graphon mean-field subsampling for cooperative multi-agent RL."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .graphon import Graphon, LatentAssignment, WeightMatrix, build_weights
 from .histograms import HistogramIndex, nearest_histograms, num_histograms, tv_distance

@@ -19,8 +19,10 @@ Every backup reads only the neighbors' next state marginal g'.
 One tabulated surrogate model (``tabulate``: kernel and reward at the
 histogram points, leave-one-out ranks, neighbor slots) feeds every learner,
 and one engine runs value iteration with either Bellman operator in both
-modes. The empirical operator freezes per-entry sample sets across sweeps
-(consecutive blocks of one stream keyed by seed and kappa, in entry order).
+modes. The empirical operator freezes per-entry sample sets across sweeps,
+drawn from one stream keyed by seed and kappa: the m neighbor samples of
+each (state, histogram) key once, shared by its entries of every focal
+action, then each entry's own m focal transitions.
 The exact operator takes the expectation instead: per entry, the focal
 next-state pmf and the law of g', the kappa neighbor laws convolved over
 histogram ranks. Under the uniform rule, in joint mode and with the exact
@@ -260,8 +262,8 @@ def _greedy_action(q: QTable, x: int, gm_counts: np.ndarray) -> int:
 
 
 def surrogate_step(env: Environment, s: int, a: int, counts,
-                   rng: np.random.Generator, *, q: QTable | None = None,
-                   neighbor_action_rule: str = "uniform",
+                   rng: np.random.Generator, *, neighbor_rng: np.random.Generator | None = None,
+                   q: QTable | None = None, neighbor_action_rule: str = "uniform",
                    aggregate_rule: str = "leave_one_out"):
     """One draw of the (kappa+1)-agent surrogate transition from the count
     row of the kappa neighbors: |S| state counts, or |S| |A| joint counts
@@ -270,10 +272,11 @@ def surrogate_step(env: Environment, s: int, a: int, counts,
     Returns (s_next, g_next): the focal agent's next state and the state
     count row of the neighbors' next states, for either input.
 
-    Draw order is fixed: one uniform for the focal transition, then one per
-    neighbor in state-major histogram order (the uniform action rule draws
-    from the action-mixture law, so it also consumes one uniform per
-    neighbor); this makes outcomes replayable from a frozen uniform block.
+    Draw order is fixed: one uniform from ``rng`` for the focal transition,
+    then one per neighbor in state-major histogram order from
+    ``neighbor_rng`` (``rng`` where None; the uniform action rule draws from
+    the action-mixture law, so it also consumes one uniform per neighbor);
+    this makes outcomes replayable from frozen uniform blocks.
     """
     if aggregate_rule not in AGGREGATE_RULES:
         raise ValueError(f"aggregate_rule must be one of {AGGREGATE_RULES}")
@@ -289,9 +292,10 @@ def surrogate_step(env: Environment, s: int, a: int, counts,
     if nb_actions is None and neighbor_action_rule == "greedy" and q is None:
         raise ValueError("greedy neighbor actions need the current Q-table")
 
-    uniforms = rng.random(kappa + 1)
+    u_focal = rng.random()
+    uniforms = (rng if neighbor_rng is None else neighbor_rng).random(kappa)
     focal_pmf = step_distribution(env, s, a, g_probs)
-    s_next = int(np.searchsorted(np.cumsum(focal_pmf), uniforms[0], side="right"))
+    s_next = int(np.searchsorted(np.cumsum(focal_pmf), u_focal, side="right"))
     s_next = min(s_next, env.n_states - 1)
 
     next_states = np.empty(kappa, dtype=np.int64)
@@ -300,7 +304,7 @@ def surrogate_step(env: Environment, s: int, a: int, counts,
         gm = _neighbor_marginal(g_counts, s, x, aggregate_rule)
         known = None if nb_actions is None else int(nb_actions[m])
         pmf = _neighbor_pmf(env, q, x, gm, kappa, neighbor_action_rule, known_action=known)
-        nxt = int(np.searchsorted(np.cumsum(pmf), uniforms[1 + m], side="right"))
+        nxt = int(np.searchsorted(np.cumsum(pmf), uniforms[m], side="right"))
         next_states[m] = min(nxt, env.n_states - 1)
 
     return s_next, np.bincount(next_states, minlength=env.n_states)
@@ -308,10 +312,12 @@ def surrogate_step(env: Environment, s: int, a: int, counts,
 
 def empirical_operator(env: Environment, q: QTable, s: int, a: int, counts,
                        m: int, rng: np.random.Generator, *,
+                       neighbor_rng: np.random.Generator | None = None,
                        neighbor_action_rule: str = "uniform",
                        aggregate_rule: str = "leave_one_out") -> float:
     """Reward plus gamma times the mean of m fiber backups at i.i.d.
-    surrogate outcomes."""
+    surrogate outcomes, each drawn by ``surrogate_step`` from ``rng`` and
+    ``neighbor_rng``."""
     if m < 1:
         raise ValueError("m must be >= 1")
     g_counts = _state_counts(env, np.asarray(counts, dtype=np.int64))
@@ -321,7 +327,7 @@ def empirical_operator(env: Environment, q: QTable, s: int, a: int, counts,
     backups = np.empty(m)
     for ell in range(m):
         s_next, g_next = surrogate_step(
-            env, s, a, counts, rng, q=q,
+            env, s, a, counts, rng, neighbor_rng=neighbor_rng, q=q,
             neighbor_action_rule=neighbor_action_rule, aggregate_rule=aggregate_rule,
         )
         backups[ell] = fiber_backup(q, s_next, g_next)
@@ -412,20 +418,27 @@ class _FrozenEngine:
 
     Entries e = (s * A + a) * H + h range over the table's histogram ranks h:
     state marginals, or joint histograms whose neighbor slots take state and
-    action from the histogram in cell-major order. The empirical operator
-    reads its uniforms from one ``stream(seed, "vi-frozen", kappa)``: entry
-    e reads the m (kappa + 1) draws after the first e m (kappa + 1), which
-    the reference ``empirical_operator`` reads from that stream advanced
-    past them. The build draws them in blocks of whole entries, in entry
-    order, and reduces each block to its frozen indices or codes before it
-    draws the next. Consecutive draws from one generator are the draws of
-    one call, so the block size changes no output. A block holds at most
-    ``_FROZEN_BLOCK`` uniforms, or one entry where that needs more, and
-    forms the states and laws of its entries' neighbor slots, which no
-    sweep reads; so the build needs about 256 KB of draws and their slot
+    action from the histogram in cell-major order. The neighbor slots' laws
+    depend on the key k = s * H + h and never on the focal action a, so the
+    A entries of a key share its neighbor draws (common random numbers across
+    actions) and each entry draws only its own focal transitions; every
+    entry's m samples are still i.i.d. from its surrogate law. The empirical
+    operator reads its uniforms from one ``stream(seed, "vi-frozen", kappa)``:
+    first every key's m kappa neighbor uniforms, key by key (sample-major,
+    slot order), then every entry's m focal uniforms, entry by entry. So key
+    k's neighbor draws start at k m kappa and entry e's focal draws at
+    S H m kappa + e m, where the reference ``empirical_operator`` reads them
+    from two copies of that stream advanced to those offsets. The build
+    reads the stream in two passes, in blocks of whole keys and then of
+    whole entries, and reduces each block to its frozen indices or codes
+    before it draws the next. Consecutive draws from one generator are the
+    draws of one call, so the block size changes no output. A block holds at
+    most ``_FROZEN_BLOCK`` uniforms, or one key or entry where that needs
+    more, and forms the states and laws of its keys' neighbor slots, which
+    no sweep reads; so the build needs about 256 KB of draws and their slot
     arrays above the arrays the engine keeps, whatever m. The exact
-    operator holds per entry the focal next-state pmf and the law of the
-    neighbors' next marginal, which it convolves from every slot law at
+    operator holds per entry the focal next-state pmf and per key the law of
+    the neighbors' next marginal, which it convolves from every slot law at
     once. A sweep is then a gather over the current table, bit-reproducible
     for any worker count.
 
@@ -437,20 +450,21 @@ class _FrozenEngine:
     for each cdf threshold x that a slot's uniform passes, and a step of G
     for each that the focal uniform passes. Where the slot laws are
     static, every sample's backup sits at one frozen flat index
-    ``s' * G + rank`` of the (S, G) backup table. A sweep gathers the E m
-    backups at once and takes numpy's row mean where they fit in
-    ``_FROZEN_BLOCK``; past that the indices are kept sample-major, (m, E),
-    and the sweep sums each entry's backups eight samples at a time in the
-    same pairwise order (``_sample_mean``), so it never holds all E m of
-    them. Under the greedy rule
-    every slot in state x sees the aggregate ``gm_rank[g, s, x]``, so all
-    the slots of one state take the same greedy action in every sweep. Each
-    (entry, state, action) keeps, per sample, the sum of the codes its
-    state's slots draw under that action: E S A m codes, not E kappa A m (a
-    state without slots keeps zeros). A sweep gathers the row of each
-    state's current greedy action, sums the rows over the states and ranks
-    the sums; integer sums are exact in any order, so every rank is the one
-    the per-slot codes give.
+    ``s' * G + rank`` of the (S, G) backup table: the first pass writes each
+    key's ranks into its A entries' rows, the second adds the focal offsets.
+    A sweep gathers the E m backups at once and takes numpy's row mean where
+    they fit in ``_FROZEN_BLOCK``; past that the indices are kept
+    sample-major, (m, E), and the sweep sums each entry's backups eight
+    samples at a time in the same pairwise order (``_sample_mean``), so it
+    never holds all E m of them. Under the greedy rule every slot in state x
+    sees the aggregate ``gm_rank[g, s, x]``, so all the slots of one state
+    take the same greedy action in every sweep. Each (key, state, action)
+    keeps, per sample, the sum of the codes its state's slots draw under
+    that action: S H S A m codes, not S H kappa A m (a state without slots
+    keeps zeros). A sweep gathers the row of each state's current greedy
+    action, sums the rows over the states, ranks the sums per key and adds
+    them to each of the key's entries' focal offsets; integer sums are exact
+    in any order, so every rank is the one the per-slot codes give.
     """
 
     def __init__(self, env: Environment, kappa: int, m: int, seed: int, *, mode: str,
@@ -463,12 +477,13 @@ class _FrozenEngine:
         # only marginal mode lets the current table pick neighbor actions
         self.greedy = mode == "marginal" and neighbor_action_rule == "greedy"
         self.exact = operator == "exact"
-        self.n_entries = table_size(mode, kappa, S, A)
+        self.n_entries = E = table_size(mode, kappa, S, A)
         if self.exact:
             if self.greedy:
                 raise GmfsError("the greedy neighbor rule makes the exact operator's law "
                                 "depend on Q; use the uniform rule or the empirical operator")
-            law_entries = self.n_entries * num_histograms(S, kappa)
+            # a sweep forms the (E, G) continuations of every entry's law
+            law_entries = E * num_histograms(S, kappa)
             if law_entries > MAX_TABLE_ENTRIES:
                 raise BudgetError(
                     f"exact operator law with {law_entries} entries exceeds the memory "
@@ -476,16 +491,15 @@ class _FrozenEngine:
         elif m < 1:
             raise ValueError("m must be >= 1")
         else:
-            # the kept samples: flat, and next_codes under the greedy rule
-            kept = self.n_entries * m * (1 + S * A * self.greedy)
+            # the kept samples: flat, and next_codes (S H S A m) under the greedy rule
+            kept = E * m * (1 + S * self.greedy)
             if kept > MAX_TABLE_ENTRIES:
                 raise BudgetError(
                     f"{kept} kept frozen samples exceed the memory budget "
                     f"({MAX_TABLE_ENTRIES}); lower m")
             cell_codes = get_index(S, kappa).cell_codes()
-            # the smallest dtype that holds a code sum, kappa (kappa+1)^(S-2)
-            code_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                              if kappa * cell_codes[-1] <= np.iinfo(t).max)
+            # a code sum is at most kappa (kappa+1)^(S-2)
+            code_dtype = _int_dtype(kappa * cell_codes[-1])
         model = tabulate(env, kappa, aggregate_rule)
         G = model.index.total
         if mode == "joint":
@@ -494,21 +508,25 @@ class _FrozenEngine:
         else:
             h_marginal = np.arange(G)
         H = h_marginal.size
+        K = S * H
 
-        # entry e = (s * A + a) * H + h of the (S, A, H) table
+        # entry e = (s * A + a) * H + h of the (S, A, H) table, key k = s * H + h
         self.rewards = model.rewards[:, :, h_marginal].reshape(-1)
         if mode == "marginal" and not self.greedy:
             uniform_pmf = model.pmf.mean(axis=1)  # (S, G, S): uniform neighbor actions
 
         def entry_keys(lo, hi):
-            """The state, action, histogram rank and marginal rank of the
-            entries lo..hi - 1."""
+            """The state, action and marginal rank of the entries lo..hi - 1."""
             e = np.arange(lo, hi)
-            h = e % H
-            return e // (H * A), e // H % A, h, h_marginal[h]
+            return e // (H * A), e // H % A, h_marginal[e % H]
+
+        def key_parts(lo, hi):
+            """The state, histogram rank and marginal rank of the keys lo..hi - 1."""
+            s, h = np.divmod(np.arange(lo, hi), H)
+            return s, h, h_marginal[h]
 
         def slot_laws(s, h, g):
-            """The neighbor slots of the entries keyed (s, h, g): their states
+            """The neighbor slots of the keys (s, h, g): their states
             (B, kappa) and next-state laws (B, kappa, S), or (B, kappa, A, S)
             per candidate action under the greedy rule. No sweep reads them."""
             states = model.slot_states[g]
@@ -521,63 +539,68 @@ class _FrozenEngine:
             return states, uniform_pmf[states, gm_rank]
 
         if self.greedy:
-            # state-major (S, E) lookups: a sweep's row gather comes out
-            # (S, E, m), and its sum over the states adds whole blocks
-            s, _, _, g = entry_keys(0, self.n_entries)
+            # state-major (S, K) lookups: a sweep's row gather comes out
+            # (S, K, m), and its sum over the states adds whole blocks
+            s, _, g = key_parts(0, K)
             self.slot_key = (np.arange(S) * G + model.gm_rank[g, s]).T.copy()
-            self.slot_base = (np.arange(S)[:, None] + np.arange(self.n_entries) * S) * A
+            self.slot_base = (np.arange(S)[:, None] + np.arange(K) * S) * A
             # the summed coupled inverse-CDF outcome codes of each state's
             # slots under each candidate action, one row of m samples per
-            # (entry, state, action); a state without slots sums to 0
-            next_codes = np.zeros((self.n_entries, S, A, m), dtype=code_dtype)
+            # (key, state, action); a state without slots sums to 0
+            next_codes = np.zeros((K, S, A, m), dtype=code_dtype)
         elif self.exact:
-            # the slot laws are static, and each entry's law of the next
+            # the slot laws are static, and each key's law of the next
             # marginal convolves all of its slots' laws at once
-            s, a, h, g = entry_keys(0, self.n_entries)
-            self.focal_pmf = model.pmf[s, a, g]                        # (E, S)
-            self.law = _marginal_law(slot_laws(s, h, g)[1])            # (E, G)
+            s, a, g = entry_keys(0, E)
+            self.focal_pmf = model.pmf[s, a, g]  # (E, S)
+            self.law = _marginal_law(slot_laws(*key_parts(0, K))[1]).reshape(S, 1, H, G)
             return
         code_rank = model.index.code_ranker
         steps = np.diff(cell_codes)
-        focal_steps = np.full(S - 1, G)
+        focal_steps, focal_dtype = np.full(S - 1, G), _int_dtype((S - 1) * G)
         # the next focal state's offset s' * G in the flat (S, G) backup table,
         # plus, where the slot laws are static, the rank of the next marginal;
         # sample-major where a sweep sums it slab by slab, written through its
         # transpose; self.flat is (m, E) either way
-        self.by_slab = not self.greedy and self.n_entries * m > _FROZEN_BLOCK
-        flat = (np.empty((m, self.n_entries), dtype=np.int64).T if self.by_slab
-                else np.empty((self.n_entries, m), dtype=np.int64))
-        # whole entries per block: at most _FROZEN_BLOCK uniforms, and at most
-        # 2M uniform-threshold comparisons per cdf threshold
-        block = max(1, min(_FROZEN_BLOCK // (m * (kappa + 1)),
-                           2_000_000 // (m * kappa * A)))
+        self.by_slab = not self.greedy and E * m > _FROZEN_BLOCK
+        flat = (np.zeros((m, E), dtype=np.int64).T if self.by_slab
+                else np.zeros((E, m), dtype=np.int64))
+        by_key = flat.reshape(S, A, H, m)  # a view: key (s, h) owns rows [s, :, h]
         frozen = stream(seed, "vi-frozen", kappa)
-        for lo in range(0, self.n_entries, block):
-            hi = min(lo + block, self.n_entries)
-            s, a, h, g = entry_keys(lo, hi)
-            # per sample: the focal uniform, then one per neighbor slot; the
-            # blocks read the stream in entry order, as one call would
-            uni = frozen.random((hi - lo, m, kappa + 1))
-            # a step of G per cdf threshold the focal uniform passes
-            focal_pmf = model.pmf[s, a, g][:, None, :]                  # (B, 1, S)
-            flat[lo:hi] = inverse_cdf(focal_pmf, uni[:, :, 0], focal_steps)
+        # pass 1, whole keys per block (at most _FROZEN_BLOCK uniforms, and at
+        # most 2M uniform-threshold comparisons per cdf threshold): per
+        # sample, one uniform per neighbor slot
+        block = max(1, min(_FROZEN_BLOCK // (m * kappa), 2_000_000 // (m * kappa * A)))
+        for lo in range(0, K, block):
+            hi = min(lo + block, K)
+            s, h, g = key_parts(lo, hi)
             slot_states, slot_pmf = slot_laws(s, h, g)
+            uni = frozen.random((hi - lo, m, kappa))
             if self.greedy:
-                slot_uni = uni[:, :, 1:].transpose(0, 2, 1)[:, :, None, :]
+                slot_uni = uni.transpose(0, 2, 1)[:, :, None, :]
                 codes = inverse_cdf(slot_pmf[:, :, :, None, :], slot_uni,
                                     steps, code_dtype)                # (B, kappa, A, m)
                 # each slot's codes go to its state's rows; one slot index
-                # names one state per entry, so no row is added twice
-                by_state, at = next_codes[lo:hi], np.arange(len(codes))
+                # names one state per key, so no row is added twice
+                by_state, at = next_codes[lo:hi], np.arange(hi - lo)
                 for k in range(kappa):
                     by_state[at, slot_states[:, k]] += codes[:, k]
             else:
-                # each sample's code sums the codes its slots draw
-                codes = inverse_cdf(slot_pmf[:, None], uni[:, :, 1:], steps, code_dtype)
-                flat[lo:hi] += code_rank(codes.sum(axis=2, dtype=code_dtype))
+                # each sample's code sums the codes its slots draw; the
+                # key's A entries share its ranks
+                codes = inverse_cdf(slot_pmf[:, None], uni, steps, code_dtype)
+                by_key[s, :, h] = code_rank(codes.sum(axis=2, dtype=code_dtype))[:, None]
+        # pass 2, whole entries per block: m focal uniforms each, and a step
+        # of G per cdf threshold the focal uniform passes
+        block = max(1, _FROZEN_BLOCK // m)
+        for lo in range(0, E, block):
+            hi = min(lo + block, E)
+            s, a, g = entry_keys(lo, hi)
+            flat[lo:hi] += inverse_cdf(model.pmf[s, a, g][:, None, :],
+                                       frozen.random((hi - lo, m)), focal_steps, focal_dtype)
         if self.greedy:
             self.next_codes = next_codes.reshape(-1, m)
-            self.focal_offset, self.code_rank = flat, code_rank
+            self.focal_offset, self.code_rank = by_key, code_rank
         else:
             self.flat = flat.T
 
@@ -586,18 +609,26 @@ class _FrozenEngine:
         (empirical operator) fiber backup per entry under the current table."""
         m_values = fiber_max(values, self.mode, self.kappa).max(axis=1)  # (S, G)
         if self.exact:
-            return ((self.focal_pmf @ m_values) * self.law).sum(axis=1)
+            S, _, H, G = self.law.shape
+            cont = (self.focal_pmf @ m_values).reshape(S, -1, H, G)  # (S, A, H, G)
+            return (cont * self.law).sum(axis=3).ravel()
         if self.greedy:
-            greedy = np.argmax(values, axis=1).ravel().take(self.slot_key)  # (S, E)
-            codes = self.next_codes.take(self.slot_base + greedy, axis=0)  # (S, E, m)
-            flat = self.code_rank(codes.sum(axis=0, dtype=codes.dtype))
-            flat += self.focal_offset
+            greedy = np.argmax(values, axis=1).ravel().take(self.slot_key)  # (S, K)
+            codes = self.next_codes.take(self.slot_base + greedy, axis=0)  # (S, K, m)
+            ranks = self.code_rank(codes.sum(axis=0, dtype=codes.dtype))   # (K, m)
+            S, _, H, m = self.focal_offset.shape
+            flat = (self.focal_offset + ranks.reshape(S, 1, H, m)).reshape(-1, m)
         elif self.by_slab:
             return _sample_mean(m_values.ravel(), self.flat)
         else:
             flat = self.flat.T
         # the row mean of the (E, m) backups, as .mean(axis=1) computes it
         return np.add.reduce(m_values.ravel().take(flat), axis=1) / flat.shape[1]
+
+
+def _int_dtype(bound: int):
+    """The smallest signed integer dtype that holds ``bound``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
 def _sample_mean(table: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ The program never calls these: it ranks histograms through
 ``HistogramIndex`` codes, reaches fibers through ``bellman.fiber_ranks``
 and materializes a graphon for all agent pairs at once in
 ``graphon.build_weights``. Each oracle here does the same job one item at a
-time.
+time. ``chi2_upper`` is the quantile the law tests bound their chi-square
+statistics by.
 """
 
 from __future__ import annotations
@@ -86,3 +87,10 @@ def normalized_weight(graphon: Graphon, coords, i: int, j: int) -> float:
     if row_sum == 0.0:
         return 1.0 / (n - 1)
     return evaluate(graphon, coords[i], coords[j]) / row_sum
+
+
+def chi2_upper(df, z=3.29):
+    """Wilson-Hilferty approximation of the chi-square quantile at standard
+    normal z (3.29: one-sided level 0.0005)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * np.sqrt(c)) ** 3

@@ -35,7 +35,7 @@ from gmfs.env import linear_env, local_reward, step_distribution
 from gmfs.errors import BudgetError, FormatError, GmfsError
 from gmfs.histograms import get_index
 from gmfs.rng import stream
-from oracles import enumerate_histograms, fiber
+from oracles import chi2_upper, enumerate_histograms, fiber
 
 
 def surrogate_outcome_oracle(env, s, a, counts, kappa, aggregate_rule="leave_one_out"):
@@ -100,12 +100,17 @@ def exact_backup_oracle(env, q, s, a, counts, kappa, aggregate_rule="leave_one_o
     return r + q.gamma * cont
 
 
-def frozen_stream(seed, kappa, m, e):
-    """The engine's frozen stream advanced past the draws of entries 0..e-1,
-    m (kappa + 1) per entry, so it starts at entry e's first draw."""
-    gen = stream(seed, "vi-frozen", kappa)
-    gen.bit_generator.advance(e * m * (kappa + 1))
-    return gen
+def frozen_stream(seed, kappa, m, e, n_states, n_actions, n_hists):
+    """Two copies of the engine's frozen stream for entry e = (s * A + a) * H
+    + h: one advanced to the entry's focal draws, past every key's m kappa
+    neighbor draws and the m focal draws of entries 0..e-1, and one to the
+    neighbor draws of its key k = s * H + h, past those of keys 0..k-1."""
+    keys = n_states * n_hists
+    key = e // (n_actions * n_hists) * n_hists + e % n_hists
+    focal, neighbor = stream(seed, "vi-frozen", kappa), stream(seed, "vi-frozen", kappa)
+    focal.bit_generator.advance(keys * m * kappa + e * m)
+    neighbor.bit_generator.advance(key * m * kappa)
+    return focal, neighbor
 
 
 def pairwise_sum_oracle(values):
@@ -145,15 +150,17 @@ def engine_sweep(eng, q):
 
 def reference_sweep(env, q, m, seed, rule, agg):
     """The per-entry empirical operator at every entry of q, entry e on the
-    frozen stream advanced to its first draw."""
+    frozen stream advanced to its focal and to its key's neighbor draws."""
     hists = list(enumerate_histograms(q.alphabet_size(), q.kappa))
     ref = np.empty_like(q.values)
     e = 0
     for s in range(q.n_states):
         for a in range(q.n_actions):
             for h, hist in enumerate(hists):
+                focal, neighbor = frozen_stream(seed, q.kappa, m, e, q.n_states,
+                                                q.n_actions, len(hists))
                 ref[s, a, h] = empirical_operator(
-                    env, q, s, a, hist, m, frozen_stream(seed, q.kappa, m, e),
+                    env, q, s, a, hist, m, focal, neighbor_rng=neighbor,
                     neighbor_action_rule=rule, aggregate_rule=agg)
                 e += 1
     return ref
@@ -651,7 +658,7 @@ class TestValueIteration:
         from gmfs import bellman
 
         m, seed = 7, 13
-        per_entry = m * (kappa + 1)
+        per_key = m * kappa
         q = QTable.zeros(mode, kappa, 3, 3, 0.95, env_name="warehouse")
         q.values = rng.uniform(-5, 5, q.values.shape)
         ref = reference_sweep(warehouse, q, m, seed, rule, "leave_one_out")
@@ -662,22 +669,29 @@ class TestValueIteration:
                 self.gen = gen
 
             def random(self, shape):
-                rows.append(shape[0])
+                rows.append(shape)
                 return self.gen.random(shape)
 
         monkeypatch.setattr(bellman, "stream", lambda *key: Counted(stream(*key)))
         arrays = ("flat", "next_codes", "focal_offset")
         single = None
-        # one block; a constant that ends inside the third entry's draws,
-        # so two whole entries per block; one below a single entry's draws,
-        # so one entry per block
+        # (block size, keys per block, entries per block): one block per
+        # pass; a constant that ends inside the third key's neighbor draws,
+        # so two whole keys per block; one below a single key's draws, so
+        # one key per block; one below a single entry's focal draws, so one
+        # key and one entry per block
         E = table_size(mode, kappa, 3, 3)
-        for size, k in ((10**9, E), (2 * per_entry + per_entry // 2, 2), (per_entry - 1, 1)):
+        K = E // 3
+        for size, k, e in ((10**9, K, E), (2 * per_key + per_key // 2, 2, 2 * kappa + kappa // 2),
+                           (per_key - 1, 1, kappa - 1), (m - 1, 1, 1)):
             monkeypatch.setattr(bellman, "_FROZEN_BLOCK", size)
             rows.clear()
             eng = _FrozenEngine(warehouse, kappa, m, seed, mode=mode, neighbor_action_rule=rule,
                                 aggregate_rule="leave_one_out")
-            assert rows == [min(k, E - lo) for lo in range(0, E, k)], size
+            # m kappa neighbor uniforms per key, then m focal ones per entry:
+            # K m kappa + E m in all
+            assert rows == ([(min(k, K - lo), m, kappa) for lo in range(0, K, k)]
+                            + [(min(e, E - lo), m) for lo in range(0, E, e)]), size
             assert np.array_equal(engine_sweep(eng, q), ref), size
             built = {name: getattr(eng, name) for name in arrays if hasattr(eng, name)}
             assert set(built) == ({"next_codes", "focal_offset"} if rule == "greedy"
@@ -763,8 +777,9 @@ class TestValueIteration:
             with pytest.raises(BudgetError, match="codes"):
                 value_iteration(env, 2, 1, 1, neighbor_action_rule=rule)
 
-    # kappa 2, m 10: 12 entries keep 120 samples, plus 480 codes under greedy
-    @pytest.mark.parametrize("rule, kept", [("uniform", 120), ("greedy", 600)])
+    # kappa 2, m 10: 12 entries keep 120 samples, plus 240 codes under greedy
+    # (6 keys, 2 states, 2 actions)
+    @pytest.mark.parametrize("rule, kept", [("uniform", 120), ("greedy", 360)])
     def test_kept_frozen_samples_are_refused_before_the_draws(self, small, monkeypatch,
                                                               rule, kept):
         from gmfs import bellman
@@ -794,56 +809,66 @@ class TestValueIteration:
         index, cdf = model.index, np.cumsum(model.pmf, axis=3)
         uniform_cdf = np.cumsum(model.pmf.mean(axis=1), axis=2)
         codes = index.cell_codes()
-        uni = stream(seed, "vi-frozen", kappa).random((eng.n_entries, m, kappa + 1))
 
         def lookup(cdf_row, u):
             return min(int(np.searchsorted(cdf_row, u, side="right")), S - 1)
 
         joint = mode == "joint"
         hists = list(enumerate_histograms(S * A if joint else S, kappa))
-        flat = np.empty((eng.n_entries, m), dtype=np.int64)
-        next_codes = np.empty((eng.n_entries, kappa, A, m), dtype=np.int64)
-        for e, (s, a, hist) in enumerate(itertools.product(range(S), range(A), hists)):
+        E, K = eng.n_entries, S * len(hists)
+        # every key's m kappa neighbor uniforms, then every entry's m focal ones
+        uni = stream(seed, "vi-frozen", kappa).random(K * m * kappa + E * m)
+        neighbor_uni = uni[:K * m * kappa].reshape(K, m, kappa)
+        focal_uni = uni[K * m * kappa:].reshape(E, m)
+        ranks = np.empty((K, m), dtype=np.int64)
+        next_codes = np.empty((K, kappa, A, m), dtype=np.int64)
+        for key, (s, hist) in enumerate(itertools.product(range(S), hists)):
             g = index.rank(np.reshape(hist, (S, -1)).sum(axis=1))
             slot_states, slot_actions = expand_surrogate(hist, A if joint else None)
             for j in range(m):
-                s_next = lookup(cdf[s, a, g], uni[e, j, 0])
                 drawn = []
                 for k, x in enumerate(slot_states):
                     gm = model.gm_rank[g, s, x]
-                    u = uni[e, j, 1 + k]
+                    u = neighbor_uni[key, j, k]
                     if rule == "greedy":
                         for b in range(A):
-                            next_codes[e, k, b, j] = codes[lookup(cdf[x, b, gm], u)]
+                            next_codes[key, k, b, j] = codes[lookup(cdf[x, b, gm], u)]
                     elif joint:
                         drawn.append(lookup(cdf[x, slot_actions[k], gm], u))
                     else:
                         drawn.append(lookup(uniform_cdf[x, gm], u))
-                if rule == "greedy":
-                    flat[e, j] = s_next * index.total
-                else:
-                    counts = np.bincount(drawn, minlength=S)
-                    flat[e, j] = s_next * index.total + index.rank(counts)
+                if rule != "greedy":
+                    ranks[key, j] = index.rank(np.bincount(drawn, minlength=S))
+        flat = np.empty((E, m), dtype=np.int64)
+        for e, (s, a, (h, hist)) in enumerate(itertools.product(range(S), range(A),
+                                                                enumerate(hists))):
+            g = index.rank(np.reshape(hist, (S, -1)).sum(axis=1))
+            for j in range(m):
+                flat[e, j] = lookup(cdf[s, a, g], focal_uni[e, j]) * index.total
+                if rule != "greedy":
+                    flat[e, j] += ranks[s * len(hists) + h, j]
         if rule == "greedy":
-            assert np.array_equal(eng.focal_offset, flat)
+            assert np.array_equal(eng.focal_offset.reshape(E, m), flat)
             # the slots of one state share their greedy action, so the
-            # engine keeps the sum of their codes per (entry, state, action)
-            by_state = np.zeros((eng.n_entries, S, A, m), dtype=np.int64)
-            for e, (_, _, hist) in enumerate(itertools.product(range(S), range(A), hists)):
+            # engine keeps the sum of their codes per (key, state, action)
+            by_state = np.zeros((K, S, A, m), dtype=np.int64)
+            for key, (_, hist) in enumerate(itertools.product(range(S), hists)):
                 for k, x in enumerate(expand_surrogate(hist, A if joint else None)[0]):
-                    by_state[e, x] += next_codes[e, k]
+                    by_state[key, x] += next_codes[key, k]
             assert np.array_equal(eng.next_codes, by_state.reshape(-1, m))
         else:
             assert np.array_equal(eng.flat, flat.T)  # kept sample-major
 
     def test_greedy_codes_are_kept_per_state(self, warehouse):
-        # one row of m code sums per (entry, state, action), not per slot
+        # one row of m code sums per (key, state, action): not per slot, and
+        # not per focal action, whose entries share their key's neighbor draws
         kappa, m = 24, 50
         eng = _FrozenEngine(warehouse, kappa, m, 3, mode="marginal",
                             neighbor_action_rule="greedy", aggregate_rule="leave_one_out")
-        assert eng.next_codes.shape == (eng.n_entries * 3 * 3, m)
-        assert eng.slot_key.shape == eng.slot_base.shape == (3, eng.n_entries)
-        assert eng.next_codes.nbytes <= 2.7e6
+        keys = eng.n_entries // 3
+        assert eng.next_codes.shape == (keys * 3 * 3, m)
+        assert eng.slot_key.shape == eng.slot_base.shape == (3, keys)
+        assert eng.next_codes.nbytes <= 0.9e6
 
     @pytest.mark.parametrize("m", [8, 9, 50, 129])
     @pytest.mark.parametrize("mode, kappa", [("marginal", 3), ("joint", 2)])
@@ -971,6 +996,70 @@ class TestValueIteration:
             for z in fiber(g, 2):
                 spread = qj.values[:, :, z_idx.rank(z)] - qm.values[:, :, g_rank]
                 assert np.abs(spread).max() <= 1e-6
+
+
+class TestSharedNeighborDraws:
+    """The A entries of a key (s, h) share its m neighbor samples and draw
+    their own focal transitions."""
+
+    @pytest.mark.parametrize("mode, kappa", [("marginal", 6), ("joint", 2)])
+    def test_a_keys_entries_share_neighbor_ranks_but_not_focal_draws(self, warehouse,
+                                                                     mode, kappa):
+        m = 50
+        eng = _FrozenEngine(warehouse, kappa, m, 4, mode=mode, neighbor_action_rule="uniform",
+                            aggregate_rule="leave_one_out")
+        flat = eng.flat.T.reshape(3, 3, -1, m)  # (s, a, h, sample)
+        G = get_index(3, kappa).total
+        ranks, focal = flat % G, flat // G
+        # every action's entry reads its key's ranks, sample by sample
+        assert np.array_equal(ranks, np.broadcast_to(ranks[:, :1], ranks.shape))
+        assert not np.array_equal(focal, np.broadcast_to(focal[:, :1], focal.shape))
+        # one focal uniform shared by the actions would rank a key's samples
+        # alike under every action (s' is monotone in it): no pair of
+        # samples could move in opposite directions under two actions
+        moves = focal[..., :, None] - focal[..., None, :]  # (s, a, h, sample, sample)
+        discordant = np.zeros((focal.shape[0], focal.shape[2]), dtype=bool)  # (s, h)
+        for a, b in itertools.combinations(range(3), 2):
+            discordant |= (moves[:, a] * moves[:, b] < 0).any(axis=(2, 3))
+        assert discordant.mean() > 0.5, discordant.mean()
+
+    # focal agent in state 0 acting 2, next to one neighbor in each state
+    # (marginal), or next to neighbors in states 0 and 1 that both act 2
+    @pytest.mark.parametrize("mode, hist", [("marginal", (1, 1, 1)),
+                                            ("joint", (0, 0, 1, 0, 0, 1, 0, 0, 0))],
+                             ids=["marginal", "joint"])
+    def test_pooled_samples_follow_the_exact_law(self, warehouse, mode, hist):
+        # one entry's (s', rank) samples over many engine seeds, against the
+        # exact operator's focal pmf times its law of the next marginal,
+        # which must be the brute-force oracle's law
+        s, a, kappa = 0, 2, sum(hist)
+        exact = _FrozenEngine(warehouse, kappa, 1, 0, mode=mode, operator="exact",
+                              neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+        S, _, H, G = exact.law.shape
+        h = get_index(len(hist), kappa).rank(hist)
+        e = (s * 3 + a) * H + h
+        probs = np.outer(exact.focal_pmf[e], exact.law[s, 0, h]).ravel()
+        oracle = np.zeros((S, G))
+        for (s_next, g_next), p in surrogate_outcome_oracle(warehouse, s, a, hist,
+                                                            kappa).items():
+            oracle[s_next, get_index(S, kappa).rank(g_next)] += p
+        assert np.allclose(probs, oracle.ravel(), rtol=0, atol=1e-12)
+
+        m, seeds = 50, 200
+        samples = np.concatenate([
+            _FrozenEngine(warehouse, kappa, m, seed, mode=mode, neighbor_action_rule="uniform",
+                          aggregate_rule="leave_one_out").flat[:, e] for seed in range(seeds)])
+        observed = np.bincount(samples, minlength=S * G)
+        assert observed[probs == 0].sum() == 0
+        expected = probs * samples.size
+        rare = expected < 5  # pooled into one cell
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+        seen = expected > 0
+        statistic = float(((observed - expected)[seen] ** 2 / expected[seen]).sum())
+        df = int(seen.sum()) - 1
+        assert df >= 5
+        assert statistic <= chi2_upper(df), (statistic, df)
 
 
 magnitudes = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from gmfs import __version__
@@ -28,6 +31,13 @@ def write_config(tmp_path, text=SMALL_CONFIG):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     return str(path)
+
+
+def test_the_package_version_is_the_project_version():
+    # the version every output file records is the one the package declares
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [__version__]
 
 
 class TestTrain:

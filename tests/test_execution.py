@@ -14,6 +14,7 @@ from gmfs.graphon import Graphon, LatentAssignment, build_weights
 from gmfs.histograms import get_index, nearest_histograms
 from gmfs.rng import stream
 from gmfs.sampler import exact_state_aggregates, row_alias
+from oracles import chi2_upper
 
 
 @pytest.fixture(scope="module")
@@ -348,13 +349,6 @@ def homogeneity_chi2(a, b, pool_below=10):
         statistic += float(((ca - cb)[seen] ** 2 / (ca + cb)[seen]).sum())
         df += int(seen.sum()) - 1
     return statistic, df
-
-
-def chi2_upper(df, z=3.29):
-    """Wilson-Hilferty approximation of the chi-square quantile at standard
-    normal z (3.29: one-sided level 0.0005)."""
-    c = 2.0 / (9.0 * df)
-    return df * (1.0 - c + z * np.sqrt(c)) ** 3
 
 
 class TestNeighborLaw:
