@@ -26,12 +26,17 @@ action, then each entry's own m focal transitions.
 The exact operator takes the expectation instead: per entry, the focal
 next-state pmf and the law of g', the kappa neighbor laws convolved over
 histogram ranks. Under the uniform rule, in joint mode and with the exact
-operator the operator is fixed, so the iteration is a gamma-contraction and
-the residual decays geometrically to its fixed point. The greedy rule reads
-the neighbor actions off the current Q, so its operator changes from sweep
-to sweep and need not contract: the greedy actions can cycle and the run
-end at its sweep cap with a residual far above epsilon. For the same reason
-the exact operator runs under the uniform rule (or in joint mode) only.
+operator the operator is fixed, monotone and shifts by gamma c under a
+constant shift c, so the iteration is a gamma-contraction and value
+iteration stops on the certified span bound (MacQueen 1966, Porteus 1971):
+with d = Q_t - Q_{t-1}, Q_t + f min d <= Q* <= Q_t + f max d entrywise for
+f = gamma / (1 - gamma), and the run returns the bounds' midpoint once their
+width f (max d - min d) falls below epsilon. The greedy rule reads the
+neighbor actions off the current Q, so its operator changes from sweep to
+sweep and need not contract: the greedy actions can cycle and the run end
+at its sweep cap with a residual far above epsilon. For the same reason the
+exact operator runs under the uniform rule (or in joint mode) only, and
+the greedy rule and reward noise stop on the sup residual instead.
 ``surrogate_step`` and ``empirical_operator`` work per entry; they are the
 reference the engine is tested against bit for bit.
 """
@@ -704,9 +709,19 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
                     reward_noise: float = 0.0, xi: int = 1) -> QTable:
     """Synchronous value iteration from zero initialization.
 
-    Runs at most ``iterations`` sweeps, recording the residual
-    ||Q_{t+1} - Q_t||_inf per sweep, and stops early once the residual drops
-    below ``epsilon``. ``operator`` selects the frozen-sample empirical
+    Runs at most ``iterations`` sweeps, recording the sup residual
+    ||Q_t - Q_{t-1}||_inf per sweep in ``residual_history``. A fixed operator
+    (no ``reward_noise``, and not the greedy rule in marginal mode) stops
+    once the certified span bound's width gamma / (1 - gamma) (max d - min d),
+    d = Q_t - Q_{t-1}, falls below ``epsilon``; it returns the midpoint
+    Q_t + gamma / (1 - gamma) (min d + max d) / 2, within epsilon / 2 of the
+    fixed point entrywise, with ``residual`` set to the width. A constant
+    shift moves no argmax, so the greedy table is that of Q_t. The greedy
+    rule and reward noise change the operator from sweep to sweep, so they
+    stop once the sup residual falls below ``epsilon`` and report it. A run
+    that reaches its cap returns Q_t and its sup residual; ``epsilon`` = 0
+    runs to the cap, and a negative or nan ``epsilon`` is refused
+    (ValueError). ``operator`` selects the frozen-sample empirical
     operator (default; m samples per entry) or the exact expectation (m is
     unused; refused under the greedy rule in marginal mode, and when its
     law exceeds the table budget). Both run on the same vectorized engine.
@@ -725,6 +740,8 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
         raise ValueError("xi must be >= 1")
     if not 0 <= reward_noise < math.inf:
         raise ValueError("reward_noise must be a finite half-width >= 0")
+    if not epsilon >= 0:  # nan fails too
+        raise ValueError("epsilon must be >= 0")
     if mode == "marginal" and not env.marginal_sufficient:
         raise GmfsError(
             f"environment {env.name!r} does not declare marginal sufficiency; "
@@ -738,19 +755,31 @@ def value_iteration(env: Environment, kappa: int, m: int, iterations: int = DEFA
     engine = _FrozenEngine(env, kappa, m, seed, mode=mode, operator=operator,
                            neighbor_action_rule=neighbor_action_rule,
                            aggregate_rule=aggregate_rule)
+    # the span bound holds for a fixed operator only
+    fixed = reward_noise == 0 and not engine.greedy
+    span_factor = gamma / (1.0 - gamma)
     for t in range(iterations):
         r_t = engine.rewards
         if reward_noise > 0:
             u = stream(seed, "reward-noise", kappa, t).random((engine.n_entries, xi))
             r_t = r_t + reward_noise * (2.0 * u - 1.0).mean(axis=1)
         new_values = (r_t + gamma * engine.sweep(q.values)).reshape(q.values.shape)
-        residual = float(np.abs(new_values - q.values).max())
+        diff = new_values - q.values
+        residual = float(np.abs(diff).max())
         q.values = new_values
         q.iterations = t + 1
         q.residual = residual
         q.residual_history.append(residual)
         q.sup_history.append(q.sup_norm())
-        if residual < epsilon:
+        if fixed:
+            lo, hi = float(diff.min()), float(diff.max())
+            width = span_factor * (hi - lo)
+            if width < epsilon:
+                # Q* lies entrywise in Q_t + span_factor [lo, hi]
+                q.values = new_values + span_factor * (lo + hi) / 2
+                q.residual = width
+                break
+        elif residual < epsilon:
             break
     return q
 

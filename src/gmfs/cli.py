@@ -65,8 +65,11 @@ def cmd_train(args) -> int:
     env = build_environment(cfg)
     q = train_kappa(cfg, env, kappa)
     save_qtable(q, out)
+    # a run stopped by the span bound reports the bound's width in place
+    # of the last sweep's sup residual
+    stop = "sup residual" if q.residual == q.residual_history[-1] else "bound width"
     print(f"trained kappa={kappa}: {q.iterations} sweeps, "
-          f"residual {q.residual:.3e}, table entries {q.values.size}, "
+          f"{stop} {q.residual:.3e}, table entries {q.values.size}, "
           f"saved to {args.out}")
     return EXIT_OK
 

@@ -255,6 +255,9 @@ class ExperimentConfig:
             check_kappa(k, self.n)
         if not 0 < self.gamma < 1:
             raise ConfigError("train.gamma must lie in (0, 1)")
+        if not self.epsilon >= 0:  # nan fails too
+            raise ConfigError(f"[train] epsilon = {_fmt(self.epsilon)}: expected a value >= 0 "
+                              "(0 runs every sweep of the cap)")
         if self.iterations < 1 or self.mc_samples < 1 or self.horizon < 0:
             raise ConfigError("iterations, mc_samples must be >= 1 and horizon >= 0")
         if self.xi is not None and self.xi < 1:

@@ -998,6 +998,102 @@ class TestValueIteration:
                 assert np.abs(spread).max() <= 1e-6
 
 
+def sup_residual_rule(env, kappa, m, iterations, seed, *, epsilon, gamma,
+                      mode="marginal", neighbor_action_rule="uniform",
+                      reward_noise=0.0, xi=1):
+    """Value iteration that stops once ||Q_t - Q_{t-1}||_inf < epsilon and
+    returns Q_t unshifted: the stop rule of every run up to version 0.6.0,
+    on the same engine and reward-noise stream as ``value_iteration``."""
+    engine = _FrozenEngine(env, kappa, m, seed, mode=mode,
+                           neighbor_action_rule=neighbor_action_rule,
+                           aggregate_rule="leave_one_out")
+    values = QTable.zeros(mode, kappa, env.n_states, env.n_actions, gamma).values
+    for t in range(iterations):
+        r_t = engine.rewards
+        if reward_noise > 0:
+            u = stream(seed, "reward-noise", kappa, t).random((engine.n_entries, xi))
+            r_t = r_t + reward_noise * (2.0 * u - 1.0).mean(axis=1)
+        new_values = (r_t + gamma * engine.sweep(values)).reshape(values.shape)
+        residual = float(np.abs(new_values - values).max())
+        values = new_values
+        if residual < epsilon:
+            break
+    return t + 1, values
+
+
+class TestSpanBoundStop:
+    """A fixed operator stops on the certified span bound and returns the
+    bounds' midpoint; the greedy rule and reward noise keep the sup-residual
+    stop."""
+
+    @pytest.mark.parametrize("mode, operator", [
+        ("marginal", "empirical"), ("joint", "empirical"),
+        ("marginal", "exact"), ("joint", "exact"),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_returned_table_lies_within_half_epsilon_of_the_fixed_point(
+            self, mode, operator, seed):
+        n_states, kappa, gamma = (2, 3, 0.95) if seed % 2 else (3, 2, 0.9)
+        env = random_linear_env(seed, n_states)
+        epsilon = 1e-3
+        kw = dict(mode=mode, operator=operator, gamma=gamma)
+        q = value_iteration(env, kappa, 5, 3000, seed, epsilon=epsilon, **kw)
+        fixed = value_iteration(env, kappa, 5, 3000, seed, epsilon=0.0, **kw)
+        # stopped by the bound, long before the cap
+        assert q.iterations < 100
+        assert q.residual < epsilon
+        assert q.residual_history[-1] > q.residual  # the sup residual is kept
+        gap = float(np.abs(q.values - fixed.values).max())
+        assert gap <= epsilon / 2 + 1e-9, (gap, q.iterations)
+        # a constant shift moves no argmax
+        unshifted = value_iteration(env, kappa, 5, q.iterations, seed, epsilon=0.0, **kw)
+        assert np.array_equal(q.values.argmax(axis=1), unshifted.values.argmax(axis=1))
+
+    @pytest.mark.parametrize("mode, operator", [
+        ("marginal", "empirical"), ("joint", "empirical"), ("marginal", "exact"),
+    ])
+    def test_gamma_zero_stops_after_one_sweep_at_the_rewards(self, small, mode, operator):
+        q = value_iteration(small, 2, 3, 50, 0, mode=mode, operator=operator, gamma=0.0)
+        engine = _FrozenEngine(small, 2, 3, 0, mode=mode, operator=operator,
+                               neighbor_action_rule="uniform", aggregate_rule="leave_one_out")
+        assert q.iterations == 1 and q.residual == 0.0
+        assert np.array_equal(q.values.ravel(), engine.rewards)
+
+    def test_a_run_at_its_cap_is_not_shifted(self, small):
+        q = value_iteration(small, 2, 4, 5, 0, gamma=0.9, epsilon=1e-12)
+        assert q.iterations == 5
+        assert q.residual == q.residual_history[-1]
+        assert np.array_equal(q.values, sup_residual_rule(small, 2, 4, 5, 0, epsilon=1e-12,
+                                                          gamma=0.9)[1])
+
+    def test_greedy_rule_keeps_the_sup_residual_stop(self, small):
+        q = value_iteration(small, 2, 4, 250, 0, gamma=0.9, neighbor_action_rule="greedy")
+        iterations, values = sup_residual_rule(small, 2, 4, 250, 0, epsilon=1e-4, gamma=0.9,
+                                               neighbor_action_rule="greedy")
+        assert q.iterations == iterations == 89  # as in 0.6.0
+        assert q.residual == q.residual_history[-1] < 1e-4
+        assert q.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reward_noise_keeps_the_sup_residual_stop(self, small, mode):
+        kw = dict(reward_noise=1e-6, xi=2)
+        q = value_iteration(small, 2, 6, 250, 3, mode=mode, gamma=0.9, **kw)
+        iterations, values = sup_residual_rule(small, 2, 6, 250, 3, epsilon=1e-4, gamma=0.9,
+                                               mode=mode, **kw)
+        assert q.iterations == iterations == {"joint": 93, "marginal": 90}[mode]  # 0.6.0
+        assert q.residual == q.residual_history[-1] < 1e-4
+        assert q.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, math.nan])
+    def test_rejects_a_negative_or_nan_epsilon(self, small, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            value_iteration(small, 2, 1, 1, epsilon=epsilon)
+
+    def test_zero_epsilon_runs_to_the_cap(self, small):
+        q = value_iteration(small, 2, 1, 300, 0, gamma=0.5, operator="exact", epsilon=0.0)
+        assert q.iterations == 300
+
+
 class TestSharedNeighborDraws:
     """The A entries of a key (s, h) share its m neighbor samples and draw
     their own focal transitions."""

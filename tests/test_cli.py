@@ -49,6 +49,15 @@ class TestTrain:
         assert q.kappa == 2 and q.env_name == "warehouse"
         assert "trained kappa=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rule, stop", [("uniform", "bound width"),
+                                            ("greedy", "sup residual")])
+    def test_train_names_its_stop(self, tmp_path, capsys, rule, stop):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "iterations = 40", f"iterations = 40\nneighbor_action_rule = {rule}"))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "q.bin")]) == 0
+        q = load_qtable(tmp_path / "q.bin")
+        assert f"{stop} {q.residual:.3e}," in capsys.readouterr().out
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[train]\nwarp = 9\n")
@@ -249,6 +258,22 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "GMFS_THREADS must be an integer of at least 1, got '0'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("epsilon", ["-1", "-1e-300", "nan"])
+    def test_negative_or_nan_epsilon_exit_code(self, tmp_path, capsys, epsilon):
+        # a negative epsilon used to run every kappa to the sweep cap
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "iterations = 40", f"iterations = 40\nepsilon = {epsilon}"))
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: [train] epsilon = ")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_epsilon_runs_to_the_sweep_cap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "iterations = 40", "iterations = 40\nepsilon = 0"))
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[3:]
+        assert [row.split(",")[2] for row in rows] == ["40", "40"]
 
     @pytest.mark.parametrize("old, new, named", [
         ("[system]", "[env]\nfile = \n\n[system]", "[env] file = "),
