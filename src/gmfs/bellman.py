@@ -38,7 +38,10 @@ at its sweep cap with a residual far above epsilon. For the same reason the
 exact operator runs under the uniform rule (or in joint mode) only, and
 the greedy rule and reward noise stop on the sup residual instead.
 ``surrogate_step`` and ``empirical_operator`` work per entry; they are the
-reference the engine is tested against bit for bit.
+reference the engine is tested against bit for bit. The exact operator's
+law of g' (``_marginal_law``) also feeds the off-policy learner, whose chain
+draws each next marginal from it with one uniform, neighbors acting
+uniformly.
 """
 
 from __future__ import annotations
@@ -669,20 +672,22 @@ def _marginal_law(slot_pmf: np.ndarray) -> np.ndarray:
     """(E, G) law of the histogram of kappa independent draws, draw k from
     ``slot_pmf[:, k]`` ((E, kappa, S)), by rank. One draw at a time: the
     mass of each histogram of k draws moves, per state x, to the histogram
-    of k + 1 draws with one more agent in x."""
+    of k + 1 draws with one more agent in x. The law is built rank-major, so
+    each move adds whole contiguous rows."""
     E, kappa, S = slot_pmf.shape
+    slot_pmf = slot_pmf.transpose(1, 2, 0).copy()  # (kappa, S, E)
     counts = np.zeros((1, S), dtype=np.int64)  # the one histogram of no draws
-    law = np.ones((E, 1))
+    law = np.ones((1, E))
     for k in range(kappa):
         grown_index = get_index(S, k + 1)
         grown = (counts[:, None, :] + np.eye(S, dtype=np.int64)).reshape(-1, S)
         ranks = grown_index.rank_rows(grown).reshape(-1, S)
         counts = grown_index.counts_by_rank
-        nxt = np.zeros((E, grown_index.total))
+        nxt = np.zeros((grown_index.total, E))
         for x in range(S):  # adding one agent in x is injective
-            nxt[:, ranks[:, x]] += law * slot_pmf[:, k, x, None]
+            nxt[ranks[:, x]] += law * slot_pmf[k, x]
         law = nxt
-    return law
+    return law.T
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +799,8 @@ class OffPolicyConfig:
     """Learning-rate schedule plus the exploration policy.
 
     behavior_policy maps (state, marginal rank) to an action pmf; None means
-    uniform. It must be strictly positive on every action so the induced
-    chain visits all entries.
+    uniform. It must be finite and strictly positive on every action so the
+    induced chain visits all entries.
     """
 
     learning_rate: float = 0.05
@@ -811,8 +816,11 @@ class OffPolicyConfig:
         if self.behavior_policy is None:
             return np.full(n_actions, 1.0 / n_actions)
         pmf = np.asarray(self.behavior_policy(s, g_rank), dtype=np.float64)
-        if pmf.shape != (n_actions,) or np.any(pmf <= 0.0):
-            raise ValueError("behavior policy must be strictly positive on every action")
+        # nan fails the comparison, and an inf entry or sum would normalize
+        # to nan or 0
+        if pmf.shape != (n_actions,) or not (np.all(pmf > 0.0) and pmf.sum() < np.inf):
+            raise ValueError("behavior policy must be finite and strictly positive "
+                             "on every action")
         return pmf / pmf.sum()
 
     def __post_init__(self):
@@ -831,6 +839,15 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     default); surrogate neighbors act uniformly, matching the ergodic
     behavior-policy assumption, so the learned table approximates the fixed
     point of the uniform-rule sampled operator.
+
+    Each step reads one row of three uniforms from ``stream(seed,
+    "off-policy", kappa)``: one for the focal action, one for the focal next
+    state s', drawn from the cdf of P(. | s, a, g), and one for the rank g'
+    of the neighbors' next marginal, drawn from the cdf of the law that the
+    exact operator convolves from the chain state's kappa slot laws. So a
+    step is two bisects whatever kappa. The (S G, G) law is built once, and
+    refused with a BudgetError past the table budget. The chain has the law
+    of drawing the kappa slots one by one, but not the same draws.
     """
     config = config or OffPolicyConfig()
     gamma = env.discount if gamma is None else float(gamma)
@@ -841,30 +858,29 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     q = QTable.zeros("marginal", kappa, env.n_states, env.n_actions, gamma,
                      env_name=env.name, seed=seed)
     S, A = env.n_states, env.n_actions
+    G = num_histograms(S, kappa)
+    # the law of the next marginal, one row of G ranks per chain state
+    law_entries = S * G * G
+    if law_entries > MAX_TABLE_ENTRIES:
+        raise BudgetError(
+            f"off-policy chain law with {law_entries} entries exceeds the memory "
+            f"budget ({MAX_TABLE_ENTRIES})")
     model = tabulate(env, kappa, aggregate_rule)
-    G = model.index.total
     # The trajectory never reads Q, so each step is a few scalar lookups in
     # Python-list tables indexed by the chain state x = s * G + g. Every cdf
     # row drops its last entry: bisect_right on the rest counts the entries
-    # <= u, capped at S - 1, exactly as min(searchsorted(row, u,
-    # side="right"), S - 1) does.
+    # <= u, capped at the last outcome, exactly as min(searchsorted(row, u,
+    # side="right"), len(row) - 1) does.
     x_s, x_g = np.divmod(np.arange(S * G), G)
     focal_cdf = np.cumsum(model.pmf[x_s, :, x_g], axis=2)[..., :-1].tolist()  # [x][a]
     rewards = model.rewards[x_s, :, x_g].tolist()               # [x][a]
+    # the neighbors act uniformly: each slot's law mixes the actions, and
+    # the slots of x convolve into the law of g' (the exact operator's)
     x_slots = model.slot_states[x_g]                            # (S G, kappa)
-    nb_cdf = np.cumsum(model.pmf.mean(axis=1), axis=2)          # uniform actions
-    nb_rows = nb_cdf[..., :-1][
-        x_slots, model.gm_rank[x_g[:, None], x_s[:, None], x_slots]].tolist()
-    # per x, each neighbor slot's uniform column (after the action's and the
-    # focal agent's) and cdf row
-    nb_slots = [list(enumerate(rows, 2)) for rows in nb_rows]  # [x][slot]
-    # a next chain state x' = s' * G + g' by its code s' * span plus the
-    # cell-code sum of g', a Python int
-    cell_code = model.index.cell_codes().tolist()
-    span = kappa * cell_code[-1] + 1  # past every cell-code sum
-    focal_code = [s * span for s in range(S)]
-    x_of = {s * span + code: s * G + g for s in range(S)
-            for g, code in enumerate((model.index.counts_by_rank @ cell_code).tolist())}
+    slot_pmf = model.pmf.mean(axis=1)[x_slots, model.gm_rank[x_g[:, None], x_s[:, None],
+                                                             x_slots]]
+    law_cdf = np.cumsum(_marginal_law(slot_pmf), axis=1)[:, :-1]
+    nb_cdf = [None] * (S * G)  # [x], a list on x's first visit
     behavior_cdf = None
     if config.behavior_policy is not None:
         behavior_cdf = [np.cumsum(config.action_pmf(s, g, A))[:-1].tolist()
@@ -877,20 +893,21 @@ def off_policy_learn(env: Environment, kappa: int, steps: int, seed: int = 0, *,
     while t < steps:
         # the same rows whatever the block length; short blocks keep the
         # list copies small
-        block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), kappa + 2))
+        block = rng.random((min(_OFF_POLICY_BLOCK, steps - t), 3))
         alphas = config.alpha(np.arange(t, t + len(block))).tolist()
         # per row: the action under the uniform behavior policy, which is
         # min(int(u * A), A - 1) by the same float product, else the uniform
-        # the behavior policy reads
-        first = (np.minimum((block[:, 0] * A).astype(np.int64), A - 1)
-                 if behavior_cdf is None else block[:, 0]).tolist()
-        for a, u, alpha in zip(first, block.tolist(), alphas):
+        # the behavior policy reads; columns, not rows, as lists
+        first, u_focal, u_nb = block.T.tolist()
+        if behavior_cdf is None:
+            first = np.minimum((block[:, 0] * A).astype(np.int64), A - 1).tolist()
+        for a, u_f, u_n, alpha in zip(first, u_focal, u_nb, alphas):
             if behavior_cdf is not None:
                 a = bisect_right(behavior_cdf[x], a)
-            code = focal_code[bisect_right(focal_cdf[x][a], u[1])]
-            for j, row in nb_slots[x]:
-                code += cell_code[bisect_right(row, u[j])]
-            xn = x_of[code]
+            row = nb_cdf[x]
+            if row is None:
+                row = nb_cdf[x] = law_cdf[x].tolist()
+            xn = bisect_right(focal_cdf[x][a], u_f) * G + bisect_right(row, u_n)
             entry = values[x]
             entry[a] += alpha * (rewards[x][a] + gamma * max(values[xn]) - entry[a])
             x = xn

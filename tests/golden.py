@@ -11,8 +11,9 @@ Every output below is recomputed and its bytes hashed with sha256:
 
 ``tests/test_golden.py`` compares them with ``tests/golden.json``. Run
 ``python tests/golden.py --write`` to rewrite that file after a change that
-is meant to change outputs; it also prints each sweep group's per-kappa
-means, old -> new, for the change log.
+is meant to change outputs; it also prints each group's summary, old -> new,
+for the change log: a sweep group's per-kappa mean returns, the ``offpolicy``
+tables' sup norms and the ``diagnose`` off-policy relative gap.
 """
 
 from __future__ import annotations
@@ -54,16 +55,22 @@ def _table_digest(q) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    with open(path) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 def sweep_means(directory: Path) -> dict:
-    """{kappa: mean return} read back from a sweep's ``sweep.csv``."""
-    with open(directory / "sweep.csv") as fh:
-        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        return {row["kappa"]: row["mean_return"] for row in rows}
+    """{"kappa k": mean return} read back from a sweep's ``sweep.csv``."""
+    return {f"kappa {row['kappa']}": row["mean_return"]
+            for row in _csv_rows(directory / "sweep.csv")}
 
 
 def compute(group: str) -> tuple[dict, dict]:
-    """(digests by output name, per-kappa mean returns) of one group; the
-    means are empty for a group that runs no sweep."""
+    """(digests by output name, summary) of one group. The summary holds the
+    numbers a reader compares when the digests change: per-kappa mean
+    returns, off-policy sup norms, the off-policy relative gap; it is empty
+    for the ``exact`` group."""
     from gmfs.bellman import OffPolicyConfig, off_policy_learn, value_iteration
     from gmfs.env import warehouse_env
     from gmfs.harness import parse_config, run_diagnostics, run_sweep
@@ -76,7 +83,8 @@ def compute(group: str) -> tuple[dict, dict]:
         if group == "diagnose":
             run_diagnostics(parse_config(""), ["contraction", "lipschitz", "offpolicy"],
                             out_dir=str(out))
-            return _digests(out), {}
+            (row,) = _csv_rows(out / "diagnostic_offpolicy.csv")
+            return _digests(out), {"offpolicy relative_gap": row["relative_gap"]}
     env = warehouse_env()
     if group == "exact":
         q = value_iteration(env, 6, 1, operator="exact")
@@ -84,9 +92,11 @@ def compute(group: str) -> tuple[dict, dict]:
     if group == "offpolicy":
         behavior = OffPolicyConfig(learning_rate=0.1, decay=1e-3,
                                    behavior_policy=lambda s, g: np.arange(1.0, 4.0) + s + g % 2)
-        return {"q_offpolicy_uniform.bin": _table_digest(off_policy_learn(env, 3, 20_000)),
-                "q_offpolicy_behavior.bin": _table_digest(
-                    off_policy_learn(env, 3, 20_000, 1, config=behavior))}, {}
+        tables = {"q_offpolicy_uniform.bin": off_policy_learn(env, 3, 20_000),
+                  "q_offpolicy_behavior.bin": off_policy_learn(env, 3, 20_000, 1,
+                                                               config=behavior)}
+        return ({name: _table_digest(q) for name, q in tables.items()},
+                {f"{name} sup": repr(q.sup_norm()) for name, q in tables.items()})
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -95,20 +105,20 @@ def environment() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine()}
 
 
-def mean_changes(old: dict, new: dict) -> list[str]:
-    """One line per sweep group of ``new``: each kappa's mean return, as
-    recorded in ``old`` -> as computed now ("-" where a side has none)."""
+def summary_changes(old: dict, new: dict) -> list[str]:
+    """One line per group of ``new`` with a summary: each number, as recorded
+    in ``old`` -> as computed now ("-" where a side has none)."""
     lines = []
-    for group, means in new.items():
+    for group, summary in new.items():
         before = old.get(group, {})
-        pairs = ", ".join(f"kappa {k} {_mean(before.get(k))} -> {_mean(v)}"
-                          for k, v in means.items())
+        pairs = ", ".join(f"{label} {_number(before.get(label))} -> {_number(value)}"
+                          for label, value in summary.items())
         lines.append(f"{group}: {pairs}")
     return lines
 
 
-def _mean(value) -> str:
-    return "-" if value is None else f"{float(value):.4f}"
+def _number(value) -> str:
+    return "-" if value is None else f"{float(value):.6g}"
 
 
 def main(argv=None) -> int:
@@ -116,16 +126,16 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help=f"rewrite {GOLDEN.name} from the current program")
     args = parser.parse_args(argv)
-    record = {**environment(), "digests": {}, "means": {}}
+    record = {**environment(), "digests": {}, "summaries": {}}
     for group in GROUPS:
-        record["digests"][group], means = compute(group)
-        if means:
-            record["means"][group] = means
+        record["digests"][group], summary = compute(group)
+        if summary:
+            record["summaries"][group] = summary
     if args.write:
-        old = json.loads(GOLDEN.read_text())["means"] if GOLDEN.exists() else {}
+        old = json.loads(GOLDEN.read_text())["summaries"] if GOLDEN.exists() else {}
         GOLDEN.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {GOLDEN}")
-        print("\n".join(mean_changes(old, record["means"])))
+        print("\n".join(summary_changes(old, record["summaries"])))
     else:
         print(json.dumps(record, indent=2))
     return 0

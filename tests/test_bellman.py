@@ -14,6 +14,7 @@ from gmfs.bellman import (
     OffPolicyConfig,
     QTable,
     _FrozenEngine,
+    _marginal_law,
     _sample_mean,
     empirical_operator,
     expand_surrogate,
@@ -167,9 +168,12 @@ def reference_sweep(env, q, m, seed, rule, agg):
 
 
 def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
-                      aggregate_rule="leave_one_out"):
-    """The per-step numpy Q-learning loop that ``off_policy_learn`` replaced:
-    one searchsorted per draw, one rank_rows call per step, Q as an array."""
+                      aggregate_rule="leave_one_out", trace=None):
+    """The per-step numpy Q-learning loop: one searchsorted per draw on the
+    cumsum of the drawn law's row, capped, and Q as an array. The neighbors'
+    next marginal is drawn from the convolution of the current chain
+    state's kappa slot laws, formed on its first visit. Each step's (s, g,
+    s', g') is appended to ``trace`` where given."""
     config = config or OffPolicyConfig()
     gamma = env.discount if gamma is None else float(gamma)
     q = QTable.zeros("marginal", kappa, env.n_states, env.n_actions, gamma,
@@ -177,43 +181,45 @@ def off_policy_oracle(env, kappa, steps, seed=0, *, gamma=None, config=None,
     S, A = env.n_states, env.n_actions
     model = tabulate(env, kappa, aggregate_rule)
     index, rewards, gm_rank = model.index, model.rewards, model.gm_rank
-    cdf = np.cumsum(model.pmf, axis=3)
-    slot_states, nb_cdf = model.slot_states, np.cumsum(model.pmf.mean(axis=1), axis=2)
+    slot_states, nb_pmf = model.slot_states, model.pmf.mean(axis=1)  # uniform actions
     G = index.total
+    laws = {}
+
+    def draw(row, u):
+        return min(int(np.searchsorted(np.cumsum(row), u, side="right")), len(row) - 1)
 
     uniform_behavior = config.behavior_policy is None
-    behavior_cdf = None
+    behavior_pmf = None
     if not uniform_behavior:
-        behavior_cdf = np.empty((S, G, A))
+        behavior_pmf = np.empty((S, G, A))
         for s in range(S):
             for g in range(G):
-                behavior_cdf[s, g] = np.cumsum(config.action_pmf(s, g, A))
+                behavior_pmf[s, g] = config.action_pmf(s, g, A)
 
     rng = stream(seed, "off-policy", kappa)
     s_cur = int(rng.integers(0, S))
     g_cur = int(rng.integers(0, G))
     values = q.values
-    block_len = max(1, 4_000_000 // (kappa + 2))  # bound the pre-drawn block
+    block_len = 1_000_000  # bound the pre-drawn block
     t = 0
     while t < steps:
         take = min(block_len, steps - t)
-        uniforms = rng.random((take, kappa + 2))
+        uniforms = rng.random((take, 3))
         for row_idx in range(take):
             u = uniforms[row_idx]
             if uniform_behavior:
                 a = min(int(u[0] * A), A - 1)
             else:
-                a = min(int(np.searchsorted(behavior_cdf[s_cur, g_cur], u[0],
-                                            side="right")), A - 1)
+                a = draw(behavior_pmf[s_cur, g_cur], u[0])
             r = rewards[s_cur, a, g_cur]
-            row = cdf[s_cur, a, g_cur]
-            s_next = min(int(np.searchsorted(row, u[1], side="right")), S - 1)
-            counts = np.zeros(S, dtype=np.int64)
-            for j, x in enumerate(slot_states[g_cur]):
-                nb_row = nb_cdf[x, gm_rank[g_cur, s_cur, x]]
-                nxt = min(int(np.searchsorted(nb_row, u[2 + j], side="right")), S - 1)
-                counts[nxt] += 1
-            g_next = int(index.rank_rows(counts[None, :])[0])
+            s_next = draw(model.pmf[s_cur, a, g_cur], u[1])
+            if (s_cur, g_cur) not in laws:
+                slot_pmf = np.array([nb_pmf[x, gm_rank[g_cur, s_cur, x]]
+                                     for x in slot_states[g_cur]])
+                laws[s_cur, g_cur] = _marginal_law(slot_pmf[None])[0]
+            g_next = draw(laws[s_cur, g_cur], u[2])
+            if trace is not None:
+                trace.append((s_cur, g_cur, s_next, g_next))
             alpha = config.alpha(t + row_idx)
             backup = r + gamma * values[s_next, :, g_next].max()
             values[s_cur, a, g_cur] += alpha * (backup - values[s_cur, a, g_cur])
@@ -1307,6 +1313,30 @@ class TestOffPolicy:
         with pytest.raises(ValueError):
             off_policy_learn(small, 2, 100, seed=0, gamma=0.9, config=cfg)
 
+    @pytest.mark.parametrize("pmf", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
+                                     (1e308, 1e308)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_behavior_policy_must_be_finite(self, small, pmf):
+        # nan passed the positivity check and an infinite entry or sum
+        # normalized to nan or 0, so the action was silently never taken
+        cfg = OffPolicyConfig(behavior_policy=lambda s, g: pmf)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            off_policy_learn(small, 2, 2000, seed=0, gamma=0.9, config=cfg)
+
+    def test_chain_law_budget_is_checked_before_tabulating(self, warehouse, monkeypatch):
+        from gmfs import bellman
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tabulate reached")
+
+        monkeypatch.setattr(bellman, "tabulate", refuse)
+        # kappa 90: G = 4186 marginals, a table of 9 G = 37 674 entries (inside
+        # the table budget) and a chain law of 3 G^2 = 52.6M entries (over it)
+        assert table_size("marginal", 90, 3, 3) < bellman.MAX_TABLE_ENTRIES
+        assert 3 * get_index(3, 90).total ** 2 > bellman.MAX_TABLE_ENTRIES
+        with pytest.raises(BudgetError, match="off-policy chain law"):
+            off_policy_learn(warehouse, 90, 10)
+
     def test_steps_are_required(self, small):
         with pytest.raises(TypeError):
             off_policy_learn(small, 2, seed=0, gamma=0.9)
@@ -1354,6 +1384,49 @@ class TestOffPolicy:
         assert got.values.tobytes() == want.values.tobytes()
         assert got.iterations == steps
         assert np.any(got.values != 0.0)
+
+    @pytest.mark.parametrize("env_name, kappa, aggregate_rule, steps", [
+        ("small", 2, "leave_one_out", 40_000),
+        ("small", 3, "shared", 40_000),
+        ("warehouse", 3, "leave_one_out", 60_000),
+        ("warehouse", 3, "shared", 60_000),
+    ])
+    def test_next_marginals_follow_the_slot_by_slot_law(self, request, env_name, kappa,
+                                                        aggregate_rule, steps):
+        # the chain's next marginal g' per chain state (s, g), by chi-square
+        # against the brute-force law of kappa neighbors drawn one by one;
+        # the trace is the program's chain, since the oracle matches it bit
+        # for bit
+        env = request.getfixturevalue(env_name)
+        trace = []
+        want = off_policy_oracle(env, kappa, steps, 11, aggregate_rule=aggregate_rule,
+                                 trace=trace)
+        got = off_policy_learn(env, kappa, steps, 11, aggregate_rule=aggregate_rule)
+        assert got.values.tobytes() == want.values.tobytes()
+        S, index = env.n_states, get_index(env.n_states, kappa)
+        G = index.total
+        observed = np.zeros((S, G, G))
+        for s, g, _, g_next in trace:
+            observed[s, g, g_next] += 1
+        probs = np.zeros((S, G, G))
+        for s in range(S):
+            for g in range(G):
+                law = surrogate_outcome_oracle(env, s, 0, index.counts_by_rank[g], kappa,
+                                               aggregate_rule)
+                for (_, g_next), p in law.items():
+                    probs[s, g, index.rank(g_next)] += p
+        assert np.allclose(probs.sum(axis=2), 1.0)
+        assert observed[probs == 0].sum() == 0
+        expected = probs * observed.sum(axis=2, keepdims=True)
+        rare = expected < 5  # pooled into one cell
+        o = np.append(observed[~rare], observed[rare].sum())
+        e = np.append(expected[~rare], expected[rare].sum())
+        seen = e > 0
+        statistic = float(((o - e)[seen] ** 2 / e[seen]).sum())
+        # each visited chain state's row total is fixed
+        df = int(seen.sum()) - int((observed.sum(axis=2) > 0).sum())
+        assert df >= 10
+        assert statistic <= chi2_upper(df), (statistic, df)
 
     def test_learning_approaches_fixed_point(self, small):
         fixed = value_iteration(small, 2, 1, 1200, seed=0, mode="marginal", gamma=0.9,
